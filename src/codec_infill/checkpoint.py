@@ -4,12 +4,15 @@ Layout: magic ``CILM``, u32 format version, u64 header length, a
 canonical JSON header (sorted keys, no whitespace) describing the model
 config, training step, rng state and tensor table, then the raw tensor
 bytes concatenated in the documented parameter order.  Writing the same
-state twice produces identical bytes.
+state twice produces identical bytes.  Loading checks the length of every
+read and rejects bytes after the last tensor, so a truncated or corrupt
+file raises :class:`InvalidInputError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -49,24 +52,44 @@ def save_checkpoint(path, state: ModelState, rng_state: dict | None = None) -> N
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict | None]:
+    """Read a checkpoint; a truncated, malformed or overlong file raises InvalidInputError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise InvalidInputError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != FORMAT_VERSION:
-            raise InvalidInputError(f"unsupported checkpoint version {version}")
-        (head_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(head_len).decode("utf-8"))
+        data = memoryview(fh.read())
+    offset = 0
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal offset
+        if not 0 <= size <= len(data) - offset:
+            raise InvalidInputError(f"checkpoint {path} is truncated in its {what}")
+        offset += size
+        return data[offset - size:offset]
+
+    if take(len(MAGIC), "magic") != MAGIC:
+        raise InvalidInputError(f"{path} is not a checkpoint file")
+    (version,) = struct.unpack("<I", take(4, "format version"))
+    if version != FORMAT_VERSION:
+        raise InvalidInputError(f"unsupported checkpoint version {version}")
+    (head_len,) = struct.unpack("<Q", take(8, "header length"))
+    head = take(head_len, "header")
+    try:
+        header = json.loads(bytes(head).decode("utf-8"))
         cfg_payload = dict(header["config"])
         for key in ("codebook_sizes", "loss_weights"):
             cfg_payload[key] = tuple(cfg_payload[key])
         cfg = ModelConfig(**cfg_payload)
-        params = {}
-        for spec in header["tensors"]:
-            dtype = np.dtype(spec["dtype"])
-            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            data = fh.read(count * dtype.itemsize)
-            params[spec["name"]] = np.frombuffer(data, dtype=dtype).reshape(spec["shape"]).copy()
+        step = int(header["step"])
+        specs = [
+            (spec["name"], np.dtype(spec["dtype"]), tuple(int(n) for n in spec["shape"]))
+            for spec in header["tensors"]
+        ]
+    except (KeyError, TypeError, ValueError) as err:
+        raise InvalidInputError(f"checkpoint {path} has a malformed header: {err!r}") from err
+    params = {}
+    for name, dtype, shape in specs:
+        raw = take(math.prod(shape) * dtype.itemsize, f"tensor {name}")
+        params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    if offset != len(data):
+        raise InvalidInputError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
     if list(params) != parameter_names(cfg):
         raise InvalidInputError("checkpoint tensor table does not match the config")
-    return ModelState(params, cfg, step=int(header["step"])), header.get("rng_state")
+    return ModelState(params, cfg, step=step), header.get("rng_state")

@@ -17,6 +17,11 @@ Everything is plain numpy with hand-written reverse-mode gradients; the
 forward pass records the intermediates the backward pass needs.  All
 functions are deterministic given their inputs.
 
+``forward`` is the only implementation of the network.  Training runs it
+over padded batches; a :class:`DecodeSession` runs it over the context
+(prefill) and then over each appended item, passing a per-layer
+key/value cache so every call continues the positions before it.
+
 Architecture choices not pinned elsewhere, recorded here: pre-norm
 blocks, exact (erf-based) GELU in the FFN and heads, LayerNorm eps 1e-5,
 normal(0, init_scale) weight init with zero biases, no dropout.
@@ -195,14 +200,19 @@ def new_model(cfg: ModelConfig, seed: int = 0) -> ModelState:
 # ---------------------------------------------------------------------------
 
 
-def sinusoidal_positions(length: int, dim: int, dtype=np.float64) -> np.ndarray:
-    """Classic sin/cos table: pe[p, 2i] = sin(p * r_i), pe[p, 2i+1] = cos."""
-    positions = np.arange(length, dtype=np.float64)[:, None]
+def sinusoidal_positions(length: int, dim: int, dtype=np.float64, start: int = 0) -> np.ndarray:
+    """Classic sin/cos rows for positions start .. start + length - 1.
+
+    Row j encodes position p = start + j: pe[j, 2i] = sin(p * r_i),
+    pe[j, 2i+1] = cos(p * r_i).
+    """
+    positions = np.arange(start, start + length, dtype=np.float64)[:, None]
     half = np.arange(dim // 2, dtype=np.float64)
     rates = np.power(10000.0, -2.0 * half / dim)
+    angles = positions * rates
     pe = np.zeros((length, dim), dtype=np.float64)
-    pe[:, 0::2] = np.sin(positions * rates)
-    pe[:, 1::2] = np.cos(positions * rates)
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles)
     return pe.astype(dtype)
 
 
@@ -289,36 +299,13 @@ def pad_sequences(seqs: list[EncodedSequence], cfg: ModelConfig) -> EncodedBatch
     return EncodedBatch(kind, text, frames, markers, lengths)
 
 
-def embed_step(item, position: int, params: dict, cfg: ModelConfig) -> np.ndarray:
-    """Embed one input item at an absolute position.
+def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start: int = 0) -> np.ndarray:
+    """Input vectors of a batch whose first column sits at position ``start``.
 
-    ``item`` is an int (text token), a K-tuple (frame step; EMPTY slots
-    allowed), or a SpecialToken marker.  Frame steps sum their per-codebook
-    embeddings, with every EMPTY slot contributing the shared EMPTY vector.
+    Text and marker items draw one learned vector each.  A frame step sums
+    its K codebook embeddings, and every EMPTY slot adds the shared EMPTY
+    vector.  The sinusoidal encoding of the absolute position is added.
     """
-    if position >= cfg.max_positions:
-        raise CapacityError(f"position {position} exceeds max_positions")
-    pe = sinusoidal_positions(position + 1, cfg.hidden_dim, cfg.np_dtype)[position]
-    if isinstance(item, SpecialToken):
-        return params["marker_emb"][cfg.marker_embedding_index(item)] + pe
-    if isinstance(item, (tuple, list, np.ndarray)):
-        out = pe.copy()
-        for k, v in enumerate(item):
-            v = int(v)
-            if v == EMPTY:
-                out = out + params["empty_emb"][0]
-            else:
-                if not (0 <= v < cfg.codebook_sizes[k]):
-                    raise VocabularyError(f"codebook {k + 1} token {v} out of range")
-                out = out + params[f"codebook_emb_{k}"][v]
-        return out
-    t = int(item)
-    if not (0 <= t < cfg.text_vocab_size):
-        raise VocabularyError(f"text id {t} out of range")
-    return params["text_emb"][t] + pe
-
-
-def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch) -> np.ndarray:
     b, length = batch.kind.shape
     d = cfg.hidden_dim
     emb = np.zeros((b, length, d), dtype=cfg.np_dtype)
@@ -327,17 +314,17 @@ def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch) -> np.ndar
         emb[text_mask] = params["text_emb"][batch.text_ids[text_mask]]
     frame_mask = batch.kind == KIND_FRAME
     if frame_mask.any():
+        real = frame_mask[:, :, None] & (batch.frame_ids >= 0)  # (B, L, K)
+        ids = np.maximum(batch.frame_ids, 0)
         for k in range(cfg.num_codebooks):
-            ids = batch.frame_ids[:, :, k]
-            real = frame_mask & (ids >= 0)
-            if real.any():
-                emb[real] += params[f"codebook_emb_{k}"][ids[real]]
-        empty_count = ((batch.frame_ids < 0) & frame_mask[:, :, None]).sum(axis=2)
+            table = params[f"codebook_emb_{k}"]
+            np.add(emb, table[ids[:, :, k]], out=emb, where=real[:, :, k, None])
+        empty_count = (frame_mask[:, :, None] & ~real).sum(axis=2)
         emb += empty_count[:, :, None].astype(cfg.np_dtype) * params["empty_emb"][0]
     marker_mask = batch.kind == KIND_MARKER
     if marker_mask.any():
         emb[marker_mask] = params["marker_emb"][batch.marker_ids[marker_mask]]
-    emb += sinusoidal_positions(length, d, cfg.np_dtype)[None, :, :]
+    emb += sinusoidal_positions(length, d, cfg.np_dtype, start)[None, :, :]
     return emb
 
 
@@ -370,24 +357,22 @@ def _gelu_forward(x):
     return x * phi, phi
 
 
-def _gelu(x):
-    return _gelu_forward(x)[0]
-
-
 def _gelu_grad(x, phi, d_out):
     pdf = np.exp(-0.5 * x * x) / x.dtype.type(_SQRT_2PI)
     return d_out * (phi + x * pdf)
 
 
-def _gelu_backward(x, d_out):
-    _, phi = _gelu_forward(x)
-    return _gelu_grad(x, phi, d_out)
+def _mean_last(x):
+    """``x.mean(axis=-1, keepdims=True)``, bit for bit, without its Python-level overhead."""
+    total = x.sum(axis=-1, keepdims=True)
+    total /= x.shape[-1]
+    return total
 
 
 def _layer_norm(x, gain, bias):
-    mean = x.mean(axis=-1, keepdims=True)
+    mean = _mean_last(x)
     centered = x - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _mean_last(centered * centered)
     inv_std = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=x.dtype))
     normed = centered * inv_std
     return normed * gain + bias, (normed, inv_std)
@@ -408,18 +393,28 @@ def _layer_norm_backward(d_out, gain, cache):
     return d_x, d_gain, d_bias
 
 
-def _causal_bias(batch: EncodedBatch, dtype) -> np.ndarray:
-    """Additive attention bias: causal, pad keys hidden, self always visible."""
+def _causal_bias(batch: EncodedBatch, dtype, past: int = 0) -> np.ndarray:
+    """Additive attention bias: causal, pad keys hidden, self always visible.
+
+    The keys are ``past`` cached positions followed by the batch's own.
+    Cached keys are all visible: only an unpadded row carries a cache.
+    """
     b, length = batch.kind.shape
-    causal = np.tril(np.ones((length, length), dtype=bool))
-    key_ok = (batch.kind != KIND_PAD)[:, None, :]
-    allow = causal[None, :, :] & key_ok
-    allow |= np.eye(length, dtype=bool)[None, :, :]
-    bias = np.where(allow, 0.0, -np.inf).astype(dtype)
-    return bias[:, None, :, :]  # (B, 1, L, L)
+    query = np.arange(past, past + length)[:, None]
+    key = np.arange(past + length)
+    key_ok = np.ones((b, 1, past + length), dtype=bool)
+    key_ok[:, 0, past:] = batch.kind != KIND_PAD
+    allow = ((key <= query) & key_ok) | (key == query)
+    bias = np.where(allow, dtype.type(0.0), dtype.type(-np.inf))
+    return bias[:, None, :, :]  # (B, 1, L, past + L)
 
 
-def _attention_forward(params, prefix, x, bias, cfg):
+def _attention_forward(params, prefix, x, bias, cfg, kv=None):
+    """Multi-head self-attention; ``kv`` is this layer's [keys, values] cache.
+
+    With a cache, the cached keys/values precede this call's own and the
+    concatenation is written back, so the next call sees every position.
+    """
     b, length, d = x.shape
     h, dh = cfg.num_heads, cfg.hidden_dim // cfg.num_heads
     q = x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"]
@@ -428,6 +423,10 @@ def _attention_forward(params, prefix, x, bias, cfg):
     q = q.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
     k = k.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
     v = v.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
+    if kv is not None:
+        k = np.concatenate([kv[0], k], axis=2)
+        v = np.concatenate([kv[1], v], axis=2)
+        kv[0], kv[1] = k, v
     scores = (q @ k.transpose(0, 1, 3, 2)) / np.asarray(np.sqrt(dh), dtype=x.dtype)
     scores = scores + bias
     scores -= scores.max(axis=-1, keepdims=True)
@@ -494,20 +493,29 @@ def _ffn_backward(params, prefix, d_out, cache, grads):
 # ---------------------------------------------------------------------------
 
 
-def forward(params: dict, cfg: ModelConfig, batch: EncodedBatch, want_cache: bool = False):
+def forward(
+    params: dict, cfg: ModelConfig, batch: EncodedBatch, want_cache: bool = False, kv_cache=None
+):
     """Run the network; returns (logits per codebook, cache or None).
 
     ``logits[k]`` has shape (B, L, head_vocab_k); position i's logits are
     computed from positions <= i only.
+
+    ``kv_cache`` (decoding only) holds one [keys, values] pair per layer,
+    each (B, H, P, head_dim) for the P positions run so far; the batch
+    continues them at position P, and its own keys/values are appended
+    in place.  The gradient cache (``want_cache``) covers no cached keys.
     """
-    emb = _embed_batch(params, cfg, batch)
-    bias = _causal_bias(batch, emb.dtype)
+    past = 0 if kv_cache is None else kv_cache[0][0].shape[2]
+    emb = _embed_batch(params, cfg, batch, start=past)
+    bias = _causal_bias(batch, emb.dtype, past)
     x = emb
     layer_caches = []
     for i in range(cfg.num_layers):
         p = f"layer{i}"
         normed1, ln1_cache = _layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, bias, cfg)
+        kv = None if kv_cache is None else kv_cache[i]
+        attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, bias, cfg, kv)
         x = x + attn_out
         normed2, ln2_cache = _layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         ffn_out, ffn_cache = _ffn_forward(params, f"{p}.ffn", normed2)
@@ -645,8 +653,9 @@ class DecodeSession:
     """Grows a context one item at a time, caching per-layer keys/values.
 
     ``logits`` always holds the K next-item logit vectors at the current
-    context end.  The prefill runs through the batched forward pass so
-    scored prefixes and incrementally decoded prefixes agree.
+    context end.  The prefill and every append run the same batched
+    ``forward`` with the session's key/value cache, so scored prefixes
+    and incrementally decoded prefixes agree.
     """
 
     def __init__(self, state: ModelState, text_ids, items):
@@ -655,53 +664,24 @@ class DecodeSession:
         seq = encode_sequence(text_ids, items, cfg)
         if len(seq) == 0:
             raise InvalidInputError("decode context must contain at least one item")
-        batch = pad_sequences([seq], cfg)
-        logits, cache = forward(state.params, cfg, batch, want_cache=True)
-        self._kv = []
-        for i in range(cfg.num_layers):
-            _, q, k, v, _, _ = cache["layer_caches"][i][1]
-            self._kv.append([k[0], v[0]])  # (H, L, dh)
-        self.position = len(seq)
-        self.logits = [logits[k][0, self.position - 1] for k in range(cfg.num_codebooks)]
+        empty = np.zeros((1, cfg.num_heads, 0, cfg.hidden_dim // cfg.num_heads), dtype=cfg.np_dtype)
+        self._kv = [[empty, empty] for _ in range(cfg.num_layers)]
+        self.position = 0
+        self._run(seq)
+
+    def _run(self, seq: EncodedSequence) -> list[np.ndarray]:
+        """Run ``seq`` after the cached positions; keep the logits at its end."""
+        cfg = self.state.config
+        logits, _ = forward(self.state.params, cfg, pad_sequences([seq], cfg), kv_cache=self._kv)
+        self.position += len(seq)
+        self.logits = [l[0, -1] for l in logits]
+        return self.logits
 
     def append(self, item) -> list[np.ndarray]:
         """Extend the context by one item; returns the new next-item logits."""
-        state, cfg = self.state, self.state.config
-        params = state.params
-        if self.position >= cfg.max_positions:
+        if self.position >= self.state.config.max_positions:
             raise CapacityError("decode context exceeded max_positions")
-        h, dh = cfg.num_heads, cfg.hidden_dim // cfg.num_heads
-        x = embed_step(item, self.position, params, cfg)[None, :].astype(cfg.np_dtype)
-        for i in range(cfg.num_layers):
-            p = f"layer{i}"
-            normed1, _ = _layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-            q = (normed1 @ params[f"{p}.attn.wq"] + params[f"{p}.attn.bq"]).reshape(h, 1, dh)
-            k_new = (normed1 @ params[f"{p}.attn.wk"] + params[f"{p}.attn.bk"]).reshape(h, 1, dh)
-            v_new = (normed1 @ params[f"{p}.attn.wv"] + params[f"{p}.attn.bv"]).reshape(h, 1, dh)
-            keys = np.concatenate([self._kv[i][0], k_new], axis=1)
-            values = np.concatenate([self._kv[i][1], v_new], axis=1)
-            self._kv[i][0], self._kv[i][1] = keys, values
-            scores = (q @ keys.transpose(0, 2, 1)) / np.asarray(np.sqrt(dh), dtype=x.dtype)
-            scores -= scores.max(axis=-1, keepdims=True)
-            weights = np.exp(scores)
-            weights /= weights.sum(axis=-1, keepdims=True)
-            context = (weights @ values).reshape(1, cfg.hidden_dim)
-            x = x + context @ params[f"{p}.attn.wo"] + params[f"{p}.attn.bo"]
-            normed2, _ = _layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-            ffn_out, _ = _ffn_forward(params, f"{p}.ffn", normed2)
-            x = x + ffn_out
-        hidden, _ = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
-        logits = []
-        for k in range(cfg.num_codebooks):
-            out = hidden
-            for j in range(cfg.head_mlp_layers):
-                out = out @ params[f"head{k}.w{j}"] + params[f"head{k}.b{j}"]
-                if j < cfg.head_mlp_layers - 1:
-                    out = _gelu(out)
-            logits.append(out[0])
-        self.position += 1
-        self.logits = logits
-        return logits
+        return self._run(encode_sequence([], [item], self.state.config))
 
 
 class TransformerDecoder:

@@ -40,24 +40,11 @@ from .tokens import EMPTY, EOS, EOU, CodecMatrix, Span, SpecialToken, mask_marke
 FrameTuple = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SpanRecord:
-    """Bookkeeping row: one span's role, origin in X, and item range."""
-
-    role: str  # "unmasked" | "masked"
-    orig_start: int
-    orig_end: int
-    item_start: int
-    item_end: int
-    mask_index: int = 0  # 1-based for masked spans, 0 otherwise
-
-
 @dataclass
 class RearrangedSequence:
     """Span-relocated sequence: frame tuples interleaved with markers."""
 
     items: list  # FrameTuple | SpecialToken
-    span_table: list[SpanRecord]
     frame_rate: int
     codebook_sizes: tuple[int, ...]
 
@@ -81,7 +68,6 @@ class StackedSequence:
     """
 
     items: list  # FrameTuple (with EMPTY entries) | SpecialToken
-    span_table: list[SpanRecord]
     frame_rate: int
     codebook_sizes: tuple[int, ...]
 
@@ -199,36 +185,39 @@ def causal_mask(matrix: CodecMatrix, spans: list[Span]) -> RearrangedSequence:
     validate_spans(spans, matrix.num_frames)
     frames = _frame_tuples(matrix)
     items: list = []
-    table: list[SpanRecord] = []
 
     cursor = 0
     for i, span in enumerate(spans, start=1):
-        start = len(items)
         items.extend(frames[cursor:span.start])
-        table.append(SpanRecord("unmasked", cursor, span.start, start, len(items)))
         items.append(mask_marker(i))
         cursor = span.end
-    start = len(items)
     items.extend(frames[cursor:])
-    table.append(SpanRecord("unmasked", cursor, matrix.num_frames, start, len(items)))
     items.append(EOU)
 
     for i, span in enumerate(spans, start=1):
         items.append(mask_marker(i))
-        start = len(items)
         items.extend(frames[span.start:span.end])
-        table.append(SpanRecord("masked", span.start, span.end, start, len(items), mask_index=i))
         items.append(EOS)
 
-    return RearrangedSequence(items, table, matrix.frame_rate, matrix.codebook_sizes)
+    return RearrangedSequence(items, matrix.frame_rate, matrix.codebook_sizes)
 
 
-def _parse_rearranged(items: list):
-    """Parse Y's layout grammar; returns (unmasked segments, relocated spans).
+def _parse_layout(items: list, on_run):
+    """Parse the layout grammar shared by Y and Z into its runs.
 
-    Raises StructureError with the index of the first violating item.
+    ``U1 <M1> U2 ... <Mn> U_{n+1} EOU <M1> D1 EOS ... <Mn> Dn EOS``: the runs
+    are the unmasked segments Ui and the relocated spans Di, frames in Y and
+    stacked steps in Z.  ``on_run(run, offset, mask_index)`` is called on
+    every run in item order, with ``offset`` the index of the run's first
+    item (where it would be, for an empty run) and ``mask_index`` 0 for an
+    unmasked segment and i for relocated span i; it may raise, and its
+    result stands in for the run.  Returns (unmasked results, relocated
+    results).  Raises StructureError with the index of the first violating
+    item.
     """
-    segments: list[list[FrameTuple]] = [[]]
+    unmasked: list = []
+    run: list = []
+    offset = 0
     pos = 0
     n_markers = 0
     while True:
@@ -236,22 +225,23 @@ def _parse_rearranged(items: list):
             raise StructureError("missing EOU terminator", len(items) - 1 if items else 0)
         item = items[pos]
         if isinstance(item, SpecialToken):
-            if item.kind == "eou":
-                pos += 1
-                break
             if item.kind == "eos":
                 raise StructureError("EOS before EOU", pos)
-            if item.index != n_markers + 1:
+            if item.kind == "mask" and item.index != n_markers + 1:
                 raise StructureError(
                     f"mask marker {item.index} out of order (expected {n_markers + 1})", pos
                 )
+            unmasked.append(on_run(run, offset, 0))
+            run, offset = [], pos + 1
+            pos += 1
+            if item.kind == "eou":
+                break
             n_markers += 1
-            segments.append([])
         else:
-            segments[-1].append(item)
-        pos += 1
+            run.append(item)
+            pos += 1
 
-    relocated: list[list[FrameTuple]] = []
+    relocated: list = []
     for i in range(1, n_markers + 1):
         if pos >= len(items):
             raise StructureError(f"dangling mask marker {i}: relocated span missing", pos - 1)
@@ -259,31 +249,36 @@ def _parse_rearranged(items: list):
         if not (isinstance(marker, SpecialToken) and marker.kind == "mask" and marker.index == i):
             raise StructureError(f"expected relocated marker <M{i}>", pos)
         pos += 1
-        span: list[FrameTuple] = []
+        run, offset = [], pos
         while True:
             if pos >= len(items):
                 raise StructureError(f"relocated span {i} missing EOS", pos - 1)
             item = items[pos]
             if isinstance(item, SpecialToken):
                 if item.kind == "eos":
-                    if not span:
-                        raise StructureError(f"relocated span {i} is empty", pos)
-                    pos += 1
                     break
                 raise StructureError(f"unexpected {item} inside relocated span {i}", pos)
-            span.append(item)
+            run.append(item)
             pos += 1
-        relocated.append(span)
+        relocated.append(on_run(run, offset, i))
+        pos += 1
     if pos != len(items):
         if isinstance(items[pos], SpecialToken) and items[pos].kind == "eos":
             raise StructureError("unmatched EOS", pos)
         raise StructureError("trailing items after final relocated span", pos)
-    return segments, relocated
+    return unmasked, relocated
+
+
+def _frame_run(run: list, offset: int, mask_index: int) -> list:
+    """``on_run`` for Y: a relocated span must hold at least one frame."""
+    if mask_index and not run:
+        raise StructureError(f"relocated span {mask_index} is empty", offset)
+    return run
 
 
 def uncausal_mask(seq: RearrangedSequence) -> tuple[CodecMatrix, list[Span]]:
     """Exact inverse of :func:`causal_mask`."""
-    segments, relocated = _parse_rearranged(seq.items)
+    segments, relocated = _parse_layout(seq.items, _frame_run)
     frames: list[FrameTuple] = []
     spans: list[Span] = []
     for i, segment in enumerate(segments):
@@ -351,124 +346,41 @@ def unstack_span(steps: list[FrameTuple], num_codebooks: int, item_offset: int =
     return [tuple(f) for f in frames]
 
 
-def delay_stack(seq: RearrangedSequence) -> StackedSequence:
-    """Apply the delay pattern to every span of Y; markers pass through."""
-    segments, relocated = _parse_rearranged(seq.items)
-    k_count = seq.num_codebooks
+def _join_runs(unmasked: list, relocated: list) -> list:
+    """Lay runs out as ``U1 <M1> U2 ... EOU <M1> D1 EOS ...``."""
     items: list = []
-    table: list[SpanRecord] = []
-
-    def emit(frames: list[FrameTuple], role: str, orig_start: int, mask_index: int = 0):
-        start = len(items)
-        items.extend(stack_span(frames, k_count))
-        table.append(
-            SpanRecord(role, orig_start, orig_start + len(frames), start, len(items), mask_index)
-        )
-
-    orig_pos = 0
-    masked_starts = []
-    for i, segment in enumerate(segments):
-        emit(segment, "unmasked", orig_pos)
-        orig_pos += len(segment)
+    for i, run in enumerate(unmasked):
+        items.extend(run)
         if i < len(relocated):
             items.append(mask_marker(i + 1))
-            masked_starts.append(orig_pos)
-            orig_pos += len(relocated[i])
     items.append(EOU)
-    for i, span in enumerate(relocated):
+    for i, run in enumerate(relocated):
         items.append(mask_marker(i + 1))
-        emit(span, "masked", masked_starts[i], mask_index=i + 1)
+        items.extend(run)
         items.append(EOS)
-    return StackedSequence(items, table, seq.frame_rate, seq.codebook_sizes)
+    return items
 
 
-def _parse_stacked(items: list, num_codebooks: int):
-    """Parse Z's layout grammar into step runs mirroring Y's span structure."""
-    k_count = num_codebooks
-    segments: list[tuple[int, list]] = [(0, [])]  # (item offset, steps)
-    pos = 0
-    n_markers = 0
-    while True:
-        if pos >= len(items):
-            raise StructureError("missing EOU terminator", len(items) - 1 if items else 0)
-        item = items[pos]
-        if isinstance(item, SpecialToken):
-            if item.kind == "eou":
-                pos += 1
-                break
-            if item.kind == "eos":
-                raise StructureError("EOS before EOU", pos)
-            if item.index != n_markers + 1:
-                raise StructureError(
-                    f"mask marker {item.index} out of order (expected {n_markers + 1})", pos
-                )
-            n_markers += 1
-            segments.append((pos + 1, []))
-        else:
-            segments[-1][1].append(item)
-        pos += 1
+def delay_stack(seq: RearrangedSequence) -> StackedSequence:
+    """Apply the delay pattern to every span of Y; markers pass through."""
+    k_count = seq.num_codebooks
 
-    relocated: list[tuple[int, list]] = []
-    for i in range(1, n_markers + 1):
-        if pos >= len(items):
-            raise StructureError(f"dangling mask marker {i}: relocated span missing", pos - 1)
-        marker = items[pos]
-        if not (isinstance(marker, SpecialToken) and marker.kind == "mask" and marker.index == i):
-            raise StructureError(f"expected relocated marker <M{i}>", pos)
-        pos += 1
-        run: list = []
-        offset = pos
-        while True:
-            if pos >= len(items):
-                raise StructureError(f"relocated span {i} missing EOS", pos - 1)
-            item = items[pos]
-            if isinstance(item, SpecialToken):
-                if item.kind == "eos":
-                    pos += 1
-                    break
-                raise StructureError(f"unexpected {item} inside relocated span {i}", pos)
-            run.append(item)
-            pos += 1
-        relocated.append((offset, run))
-    if pos != len(items):
-        if isinstance(items[pos], SpecialToken) and items[pos].kind == "eos":
-            raise StructureError("unmatched EOS", pos)
-        raise StructureError("trailing items after final relocated span", pos)
-    return segments, relocated
+    def stack(run, offset, mask_index):
+        return stack_span(_frame_run(run, offset, mask_index), k_count)
+
+    items = _join_runs(*_parse_layout(seq.items, stack))
+    return StackedSequence(items, seq.frame_rate, seq.codebook_sizes)
 
 
 def unstack(seq: StackedSequence) -> RearrangedSequence:
     """Exact inverse of :func:`delay_stack`; EMPTY fillers are discarded."""
-    segments, relocated = _parse_stacked(seq.items, seq.num_codebooks)
     k_count = seq.num_codebooks
-    items: list = []
-    table: list[SpanRecord] = []
-    orig_pos = 0
-    masked_lengths = [len(run) - (k_count - 1) for _, run in relocated]
 
-    def emit(offset: int, run: list, role: str, orig_start: int, mask_index: int = 0) -> int:
-        frames = unstack_span(run, k_count, item_offset=offset)
-        start = len(items)
-        items.extend(frames)
-        table.append(
-            SpanRecord(role, orig_start, orig_start + len(frames), start, len(items), mask_index)
-        )
-        return len(frames)
+    def unstack_run(run, offset, mask_index):
+        return unstack_span(run, k_count, item_offset=offset)
 
-    masked_tables = []
-    for i, (offset, run) in enumerate(segments):
-        orig_pos += emit(offset, run, "unmasked", orig_pos)
-        if i < len(relocated):
-            items.append(mask_marker(i + 1))
-            masked_tables.append((orig_pos, masked_lengths[i]))
-            orig_pos += max(masked_lengths[i], 0)
-    items.append(EOU)
-    for i, (offset, run) in enumerate(relocated):
-        items.append(mask_marker(i + 1))
-        start, _ = masked_tables[i]
-        emit(offset, run, "masked", start, mask_index=i + 1)
-        items.append(EOS)
-    return RearrangedSequence(items, table, seq.frame_rate, seq.codebook_sizes)
+    items = _join_runs(*_parse_layout(seq.items, unstack_run))
+    return RearrangedSequence(items, seq.frame_rate, seq.codebook_sizes)
 
 
 # ---------------------------------------------------------------------------

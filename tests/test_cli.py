@@ -165,6 +165,21 @@ class TestEditCommand:
         assert report["identity"] is True
         assert (tmp_path / "edit" / "edited.wav").exists()
 
+    def test_truncated_checkpoint_is_a_pipeline_error(self, tmp_path, corpus_dir, tiny_checkpoint, capsys):
+        utts, _ = load_corpus(corpus_dir)
+        request = write_json(
+            tmp_path / "request.json",
+            {"id": utts[0].id, "corpus_dir": str(corpus_dir), "target": utts[0].transcript},
+        )
+        data = tiny_checkpoint.read_bytes()
+        truncated = tmp_path / "truncated.bin"
+        truncated.write_bytes(data[: len(data) - 7])
+        code = main(["edit", str(truncated), str(request), "--out", str(tmp_path / "edit")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "truncated" in err
+        assert "Traceback" not in err
+
     def test_substitution_reports_ten_candidates(self, tmp_path, corpus_dir, tiny_checkpoint):
         utts, _ = load_corpus(corpus_dir)
         utt = utts[1]

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from codec_infill.errors import CapacityError
 from codec_infill.model import (
     _LN_EPS,
     DecodeSession,
     EncodedBatch,
     ModelConfig,
     ModelState,
-    embed_step,
+    _embed_batch,
     encode_sequence,
     forward,
     backward,
@@ -74,6 +75,15 @@ def random_batch(rng, cfg, batch_size=2):
     return batch, targets, loss_mask
 
 
+def embed_one(params, cfg, item, pos):
+    """Embedding of one item (text id, frame step or marker) at position pos."""
+    if isinstance(item, (int, np.integer)):
+        seq = encode_sequence([item], [], cfg)
+    else:
+        seq = encode_sequence([], [item], cfg)
+    return _embed_batch(params, cfg, pad_sequences([seq], cfg), start=pos)[0, 0]
+
+
 class TestEmbedding:
     def test_position_zero_encoding(self):
         """At position 0 the sinusoid gives 0 on even dims and 1 on odd dims."""
@@ -85,7 +95,7 @@ class TestEmbedding:
         cfg = tiny_config(num_codebooks=4, codebook_sizes=(5,) * 4, loss_weights=(1,) * 4)
         params = init_params(cfg, np.random.default_rng(0))
         pos = 3
-        out = embed_step((EMPTY,) * 4, pos, params, cfg)
+        out = embed_one(params, cfg, (EMPTY,) * 4, pos)
         pe = sinusoidal_positions(pos + 1, cfg.hidden_dim)[pos]
         np.testing.assert_allclose(out, 4 * params["empty_emb"][0] + pe, rtol=1e-12)
 
@@ -94,7 +104,7 @@ class TestEmbedding:
         cfg = tiny_config()
         params = init_params(cfg, np.random.default_rng(1))
         a, b, pos = 2, 4, 5
-        out = embed_step((a, b), pos, params, cfg)
+        out = embed_one(params, cfg, (a, b), pos)
         pe = sinusoidal_positions(pos + 1, cfg.hidden_dim)[pos]
         for d in range(cfg.hidden_dim):
             expected = (
@@ -104,20 +114,17 @@ class TestEmbedding:
             )
             assert out[d] == pytest.approx(expected, rel=1e-12)
 
-    def test_batched_embedding_matches_embed_step(self):
+    def test_embedding_at_offset_matches_batched_row(self):
+        """One item embedded at offset pos equals row pos of the whole stream's embedding."""
         cfg = tiny_config()
         state = new_model(cfg, seed=2)
         text, items = random_context(np.random.default_rng(3), cfg)
         seq = encode_sequence(text, items, cfg)
         batch = pad_sequences([seq], cfg)
-        from codec_infill.model import _embed_batch
-
         emb = _embed_batch(state.params, cfg, batch)[0]
         stream = list(text) + list(items)
         for pos, item in enumerate(stream):
-            np.testing.assert_allclose(
-                emb[pos], embed_step(item, pos, state.params, cfg), rtol=1e-12
-            )
+            np.testing.assert_allclose(emb[pos], embed_one(state.params, cfg, item, pos), rtol=1e-12)
 
 
 class TestForward:
@@ -209,6 +216,41 @@ class TestForward:
         reference = score_sequence(state, text, items)
         for k in range(cfg.num_codebooks):
             np.testing.assert_allclose(session.logits[k], reference[k][-1], rtol=1e-9)
+
+    @pytest.mark.parametrize("with_text", [False, True])
+    def test_incremental_decode_matches_batched_forward_at_every_split(self, with_text):
+        """Every prefill length, then one append per item, tracks the batched forward.
+
+        The stream holds mask markers, EOU, EOS and delay steps with EMPTY
+        slots; logits are compared after the prefill and after every append.
+        """
+        cfg = tiny_config()
+        state = new_model(cfg, seed=13)
+        text, items = random_context(np.random.default_rng(14), cfg, num_frames=5)
+        text = text if with_text else []
+        assert all(token in items for token in (mask_marker(1), EOU, EOS))
+        assert any(isinstance(it, tuple) and EMPTY in it for it in items)
+        reference = score_sequence(state, text, items)
+        for split in range(0 if text else 1, len(items) + 1):
+            session = DecodeSession(state, text, items[:split])
+            for j in range(split, len(items) + 1):
+                if j > split:
+                    session.append(items[j - 1])
+                assert session.position == len(text) + j
+                for k in range(cfg.num_codebooks):
+                    np.testing.assert_allclose(
+                        session.logits[k], reference[k][len(text) + j - 1], rtol=1e-9
+                    )
+
+    def test_append_at_capacity_raises(self):
+        cfg = tiny_config(max_positions=8)
+        state = new_model(cfg, seed=15)
+        session = DecodeSession(state, [1, 2, 3], [(0, EMPTY), mask_marker(1), EOU, EOS])
+        session.append((1, 2))
+        assert session.position == cfg.max_positions
+        with pytest.raises(CapacityError):
+            session.append((1, 2))
+        assert session.position == cfg.max_positions
 
 
 class TestLoss:

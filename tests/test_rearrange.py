@@ -6,6 +6,7 @@ import pytest
 from codec_infill.errors import InvalidInputError, InvalidSpanError, StructureError
 from codec_infill.rearrange import (
     MaskSamplingConfig,
+    _parse_layout,
     causal_mask,
     delay_stack,
     place_spans,
@@ -120,6 +121,15 @@ class TestUncausalMask:
             uncausal_mask(y)
         assert "dangling" in str(err.value)
 
+    def test_empty_relocated_span(self):
+        y = causal_mask(matrix_of(4), [Span(1, 2)])
+        y.items = y.items[:6] + [EOS]  # <M1> directly followed by EOS
+        for invert in (uncausal_mask, delay_stack):
+            with pytest.raises(StructureError) as err:
+                invert(y)
+            assert "relocated span 1 is empty" in str(err.value)
+            assert err.value.item_index == 6
+
     def test_unmatched_eos(self):
         y = causal_mask(matrix_of(4), [])
         y.items = y.items + [EOS]
@@ -155,9 +165,12 @@ class TestDelayStack:
             x, spans = random_rearrangement_case(rng)
             k = x.num_codebooks
             z = delay_stack(causal_mask(x, spans))
-            for record in z.span_table:
-                length = record.orig_end - record.orig_start
-                run = z.items[record.item_start:record.item_end]
+            unmasked, relocated = _parse_layout(z.items, lambda run, offset, mask_index: run)
+            bounds = [0] + [b for span in spans for b in (span.start, span.end)] + [x.num_frames]
+            lengths = [hi - lo for lo, hi in zip(bounds[0::2], bounds[1::2])]
+            lengths += [len(span) for span in spans]
+            assert len(unmasked + relocated) == len(lengths)
+            for run, length in zip(unmasked + relocated, lengths):
                 assert len(run) == length + k - 1
                 empties = sum(1 for step in run for v in step if v == EMPTY)
                 assert empties == k * (k - 1)
@@ -221,6 +234,42 @@ class TestUnstack:
         z.items[0] = (z.items[0][0], 5)
         with pytest.raises(StructureError):
             unstack(z)
+
+    def test_error_names_the_absolute_item_index(self):
+        """A bad step inside the relocated run is reported at its index in Z."""
+        x = CodecMatrix(np.array([[1, 2], [3, 4], [5, 6]]), codebook_sizes=(8, 8))
+        z = delay_stack(causal_mask(x, [Span(1, 2)]))
+        bad = len(z.items) - 2  # last step of the relocated run, forced EMPTY at codebook 1
+        assert z.items[bad][0] == EMPTY
+        z.items[bad] = (7, z.items[bad][1])
+        with pytest.raises(StructureError) as err:
+            unstack(z)
+        assert err.value.item_index == bad
+
+    def test_missing_eou(self):
+        z = delay_stack(causal_mask(matrix_of(4), []))
+        z.items = [it for it in z.items if it != EOU]
+        with pytest.raises(StructureError) as err:
+            unstack(z)
+        assert "missing EOU" in str(err.value)
+        assert err.value.item_index == len(z.items) - 1
+
+    def test_dangling_mask_marker(self):
+        z = delay_stack(causal_mask(matrix_of(4), [Span(1, 2)]))
+        eou = z.items.index(EOU)
+        z.items = z.items[:eou + 1]  # cut before the relocated section
+        with pytest.raises(StructureError) as err:
+            unstack(z)
+        assert "dangling" in str(err.value)
+        assert err.value.item_index == eou
+
+    def test_unmatched_eos(self):
+        z = delay_stack(causal_mask(matrix_of(4), []))
+        z.items = z.items + [EOS]
+        with pytest.raises(StructureError) as err:
+            unstack(z)
+        assert "unmatched EOS" in str(err.value)
+        assert err.value.item_index == len(z.items) - 1
 
     def test_empty_at_real_coordinate_rejected(self):
         x = CodecMatrix(np.array([[1, 2], [3, 4]]), codebook_sizes=(8, 8))

@@ -209,6 +209,31 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(tmp_path / "s.bin")
         assert loaded.step == 137
 
+    @pytest.mark.parametrize(
+        "damage",
+        ["magic", "version", "header_length", "header", "header_json", "first_tensor", "last_tensor", "extra"],
+    )
+    def test_malformed_file_raises_invalid_input(self, tmp_path, damage):
+        state = new_model(small_model_config(CODEC), seed=5)
+        save_checkpoint(tmp_path / "m.bin", state, None)
+        data = (tmp_path / "m.bin").read_bytes()
+        header_end = 16 + int.from_bytes(data[8:16], "little")
+        first = state.params["text_emb"].nbytes
+        last = state.params[list(state.params)[-1]].nbytes
+        damaged = {
+            "magic": data[:2],
+            "version": data[:6],
+            "header_length": data[:12],
+            "header": data[:header_end - 5],
+            "header_json": data[:16] + b"x" + data[17:],
+            "first_tensor": data[:header_end + first // 2],
+            "last_tensor": data[:len(data) - last // 2],
+            "extra": data + b"\x00",
+        }[damage]
+        (tmp_path / "bad.bin").write_bytes(damaged)
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(tmp_path / "bad.bin")
+
     def test_training_writes_checkpoints(self, tmp_path):
         corpus = gen_corpus(5, (5, 7), CODEC, seed=13)
         model_cfg = small_model_config(CODEC)
