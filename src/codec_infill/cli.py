@@ -326,8 +326,9 @@ def cmd_rearrange(args) -> int:
 
 def cmd_eval(args) -> int:
     corpus, codec = load_corpus(args.corpus_dir)
-    dumps = {u.id: u.tokens for u in corpus}
+    tokens = {u.id: u.tokens for u in corpus}
     records = load_manifest(args.manifest)
+    dumps = {r.id: tokens[r.utterance] for r in records if r.utterance in tokens}
     state, _ = load_checkpoint(args.checkpoint)
     decoder = TransformerDecoder(state)
     overrides = {}

@@ -1,10 +1,12 @@
 """Evaluation manifests, stratified editing evaluation, reconstruction eval.
 
-A manifest is a line-delimited JSON file of editing test cases: utterance
-id, original and edited transcripts, the edit taxonomy (insertion /
-deletion / substitution, one or two spans), and the span-length bucket
-(1-2, 3-6, or 7-12 words).  Records are validated against their own
-transcripts: the stored taxonomy must match a fresh diff.
+A manifest is a line-delimited JSON file of editing test cases: record
+id, the id of the corpus utterance it edits (``utterance``, defaulting to
+the record id), original and edited transcripts, the edit taxonomy
+(insertion / deletion / substitution, one or two spans), and the
+span-length bucket (1-2, 3-6, or 7-12 words).  Records are validated
+against their own transcripts: the stored taxonomy must match a fresh
+diff.
 
 The stratified report mirrors the taxonomy grid: per (bucket x type)
 means over single-span records, per-type totals, a two-span row (a
@@ -60,7 +62,11 @@ class EvalRecord:
     edit_types: list[str] = field(default_factory=list)
     num_spans: int = 0
     bucket: str | None = None
-    dump: str = "tokens.jsonl"
+    utterance: str | None = None  # corpus utterance the record edits; defaults to ``id``
+
+    def __post_init__(self):
+        if self.utterance is None:
+            self.utterance = self.id
 
 
 def validate_record(record: EvalRecord) -> None:
@@ -109,7 +115,7 @@ def load_manifest(path) -> list[EvalRecord]:
                     edit_types=list(payload.get("edit_types", [])),
                     num_spans=int(payload.get("num_spans", 0)),
                     bucket=payload.get("bucket"),
-                    dump=payload.get("dump", "tokens.jsonl"),
+                    utterance=str(payload.get("utterance", payload["id"])),
                 )
                 validate_record(record)
                 records.append(record)
@@ -132,7 +138,7 @@ def synthesize_manifest(
         utt = utterances[int(rng.integers(0, len(utterances)))]
         words = list(utt.transcript)
         if identity:
-            records.append(EvalRecord(f"case{len(records):04d}_{utt.id}", words, words))
+            records.append(EvalRecord(f"case{len(records):04d}_{utt.id}", words, words, utterance=utt.id))
             continue
         kind = EDIT_TYPES[int(rng.integers(0, 3))]
         span_words = int(rng.integers(1, max_span_words + 1))
@@ -162,6 +168,7 @@ def synthesize_manifest(
             edit_types=[kind],
             num_spans=1,
             bucket=bucket_for(op_word_count(script.ops[0])),
+            utterance=utt.id,
         )
         records.append(record)
     if len(records) < num_records:

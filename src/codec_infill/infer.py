@@ -13,18 +13,21 @@ marker after the whole prompt, shortest-of-N selection.
 
 Decoding contract
 -----------------
-Generation happens in stacked space.  While a span is open, only the
-leading forced-EMPTY coordinates exist (codebook k is EMPTY before step
-k - 1); everything else is sampled with the marker/EMPTY ids structurally
-banned, so fed-back inputs always look like training data.  When the
-first codebook emits the EOS id the span's frame count L is fixed; the
-remaining K - 1 delayed tail steps are then completed (sampling only the
-coordinates the delay pattern marks real) and a full EOS marker step
-closes the span.  The collected steps therefore always unstack cleanly.
+Generation happens in stacked space, one step t at a time: codebook k
+(0-based) of step t holds frame t - k, and a coordinate outside
+[0, L) is EMPTY.  While the span's frame count L is open, only the
+leading forced-EMPTY coordinates exist; everything else is sampled with
+the marker/EMPTY ids structurally banned, so fed-back inputs always look
+like training data.  When the first codebook emits the EOS id (or the
+step cap is reached) L is fixed, the steps run on to t = L + K - 2,
+sampling only the coordinates the delay pattern marks real, and a full
+EOS marker step closes the span.  The collected steps therefore always
+unstack cleanly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,43 +343,28 @@ def generate_infill(
         steps: list[tuple[int, ...]] = []
         truncated = False
         length = None
-        t = 0
-        while length is None:
-            if t >= cfg.max_generated_steps:
-                length = t
-                truncated = True
+        for t in itertools.count():
+            if length is None:
+                if t >= cfg.max_generated_steps:
+                    length, truncated = t, True
+                else:
+                    head1 = sample_token(session.logits[0], cfg, run_states[0], rng, head1_allowed)
+                    if head1 == eos_ids[0]:
+                        length = t
+            if length is not None and t == length + k_count - 1:
                 break
-            head1 = sample_token(session.logits[0], cfg, run_states[0], rng, head1_allowed)
-            if head1 == eos_ids[0]:
-                length = t
-                break
-            step = [head1]
-            run_states[0].update(head1)
-            for k in range(2, k_count + 1):
-                if t - k + 1 < 0:  # leading forced-EMPTY coordinate
+            # codebook k holds frame t - k; coordinates outside [0, length) are EMPTY
+            step = []
+            for k in range(k_count):
+                frame = t - k
+                if frame < 0 or (length is not None and frame >= length):
                     step.append(EMPTY)
                     continue
-                token = sample_token(
-                    session.logits[k - 1], cfg, run_states[k - 1], rng, real_allowed[k - 1]
+                token = head1 if k == 0 else sample_token(
+                    session.logits[k], cfg, run_states[k], rng, real_allowed[k]
                 )
-                run_states[k - 1].update(token)
+                run_states[k].update(token)
                 step.append(token)
-            steps.append(tuple(step))
-            session.append(tuple(step))
-            t += 1
-        # complete the K-1 delayed tail steps now that the length is fixed
-        for t_tail in range(length, length + k_count - 1):
-            step = []
-            for k in range(1, k_count + 1):
-                f = t_tail - k + 1
-                if 0 <= f < length:
-                    token = sample_token(
-                        session.logits[k - 1], cfg, run_states[k - 1], rng, real_allowed[k - 1]
-                    )
-                    run_states[k - 1].update(token)
-                    step.append(token)
-                else:
-                    step.append(EMPTY)
             steps.append(tuple(step))
             session.append(tuple(step))
         session.append(EOS)

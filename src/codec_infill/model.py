@@ -7,11 +7,16 @@ steps draw a single learned vector each, and a shared sinusoidal position
 encoding is added over the whole concatenation.  The final hidden state
 at every position feeds K separate MLP heads, one per codebook, whose
 vocabularies append the marker/EMPTY ids so targets can be scored
-uniformly.
+uniformly.  The special-id layout is defined once,
+:meth:`ModelConfig.special_index`: it is both a marker's embedding row
+and, offset by the codebook size, its id in every head.
 
-Training minimizes sum_k alpha_k * L_k where L_k is the mean masked
-cross-entropy of head k; positions whose target is a mask marker or the
-EMPTY filler carry no loss.
+Every encoded form is an :class:`EncodedBatch`; one utterance is a
+one-row batch.  Each position's training target is the item at the next
+position of that batch (:func:`next_item_targets`).  Training minimizes
+sum_k alpha_k * L_k where L_k is the mean masked cross-entropy of head
+k; positions whose target is a mask marker or the EMPTY filler carry no
+loss.
 
 Everything is plain numpy with hand-written reverse-mode gradients; the
 forward pass records the intermediates the backward pass needs.  All
@@ -84,33 +89,31 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
     def head_vocab_size(self, k: int) -> int:
-        return self.codebook_sizes[k] + self.max_mask_spans + 3
+        return self.codebook_sizes[k] + self.special_index("empty") + 1
+
+    def special_index(self, kind: str, index: int = 0) -> int:
+        """The one index of a marker/EMPTY, shared by its embedding and output ids.
+
+        With M = max_mask_spans: mask i -> i - 1, EOS -> M, EOU -> M + 1 and
+        EMPTY -> M + 2.  A marker's row in ``marker_emb`` is this index, and
+        head k's output id is ``codebook_sizes[k]`` plus it.
+        """
+        m = self.max_mask_spans
+        if kind == "mask":
+            if not (1 <= index <= m):
+                raise VocabularyError(f"mask index {index} exceeds max_mask_spans")
+            return index - 1
+        if kind == "eos":
+            return m
+        if kind == "eou":
+            return m + 1
+        if kind == "empty":
+            return m + 2
+        raise VocabularyError(f"unknown special kind {kind!r}")
 
     def special_output_id(self, k: int, kind: str, index: int = 0) -> int:
         """Id of a marker/EMPTY token inside head k's output vocabulary."""
-        base = self.codebook_sizes[k]
-        if kind == "mask":
-            if not (1 <= index <= self.max_mask_spans):
-                raise VocabularyError(f"mask index {index} exceeds max_mask_spans")
-            return base + index - 1
-        if kind == "eos":
-            return base + self.max_mask_spans
-        if kind == "eou":
-            return base + self.max_mask_spans + 1
-        if kind == "empty":
-            return base + self.max_mask_spans + 2
-        raise VocabularyError(f"unknown special kind {kind!r}")
-
-    def marker_embedding_index(self, token: SpecialToken) -> int:
-        if token.kind == "mask":
-            if token.index > self.max_mask_spans:
-                raise VocabularyError(f"mask index {token.index} exceeds max_mask_spans")
-            return token.index - 1
-        if token.kind == "eos":
-            return self.max_mask_spans
-        if token.kind == "eou":
-            return self.max_mask_spans + 1
-        raise VocabularyError(f"{token} has no marker embedding")
+        return self.codebook_sizes[k] + self.special_index(kind, index)
 
 
 @dataclass
@@ -217,56 +220,13 @@ def sinusoidal_positions(length: int, dim: int, dtype=np.float64, start: int = 0
 
 
 @dataclass
-class EncodedSequence:
-    """One utterance's [text; stacked items] stream as parallel id arrays."""
-
-    kind: np.ndarray        # (L,) int8
-    text_ids: np.ndarray    # (L,) int64
-    frame_ids: np.ndarray   # (L, K) int64, EMPTY slots hold -1
-    marker_ids: np.ndarray  # (L,) int64
-
-    def __len__(self):
-        return len(self.kind)
-
-
-def encode_sequence(text_ids, items, cfg: ModelConfig) -> EncodedSequence:
-    """Turn transcript ids plus stacked items into model input arrays."""
-    length = len(text_ids) + len(items)
-    if length > cfg.max_positions:
-        raise CapacityError(f"sequence length {length} exceeds max_positions {cfg.max_positions}")
-    kind = np.zeros(length, dtype=np.int8)
-    text = np.zeros(length, dtype=np.int64)
-    frames = np.full((length, cfg.num_codebooks), EMPTY, dtype=np.int64)
-    markers = np.zeros(length, dtype=np.int64)
-    for i, t in enumerate(text_ids):
-        if not (0 <= t < cfg.text_vocab_size):
-            raise VocabularyError(f"text id {t} out of range")
-        kind[i] = KIND_TEXT
-        text[i] = t
-    for j, item in enumerate(items):
-        pos = len(text_ids) + j
-        if isinstance(item, SpecialToken):
-            kind[pos] = KIND_MARKER
-            markers[pos] = cfg.marker_embedding_index(item)
-        else:
-            if len(item) != cfg.num_codebooks:
-                raise InvalidInputError(f"frame step has {len(item)} slots, expected {cfg.num_codebooks}")
-            kind[pos] = KIND_FRAME
-            for k, v in enumerate(item):
-                if v != EMPTY and not (0 <= v < cfg.codebook_sizes[k]):
-                    raise VocabularyError(f"codebook {k + 1} token {v} out of range")
-                frames[pos, k] = v
-    return EncodedSequence(kind, text, frames, markers)
-
-
-@dataclass
 class EncodedBatch:
-    """Padded batch of encoded sequences."""
+    """[text; stacked items] streams as padded parallel id arrays, one row each."""
 
-    kind: np.ndarray        # (B, L)
-    text_ids: np.ndarray    # (B, L)
-    frame_ids: np.ndarray   # (B, L, K)
-    marker_ids: np.ndarray  # (B, L)
+    kind: np.ndarray        # (B, L) int8
+    text_ids: np.ndarray    # (B, L) int64
+    frame_ids: np.ndarray   # (B, L, K) int64, EMPTY slots hold -1
+    marker_ids: np.ndarray  # (B, L) int64, ``special_index`` of each marker
     lengths: np.ndarray     # (B,)
 
     @property
@@ -278,25 +238,86 @@ class EncodedBatch:
         return self.kind.shape[1]
 
 
-def pad_sequences(seqs: list[EncodedSequence], cfg: ModelConfig) -> EncodedBatch:
-    if not seqs:
+_ID_TYPES = (int, np.integer)
+
+
+def encode_sequence(text_ids, items, cfg: ModelConfig) -> EncodedBatch:
+    """Turn transcript ids plus stacked items into a one-row batch."""
+    n_text = len(text_ids)
+    length = n_text + len(items)
+    if length > cfg.max_positions:
+        raise CapacityError(f"sequence length {length} exceeds max_positions {cfg.max_positions}")
+    k_count = cfg.num_codebooks
+    kind = np.zeros((1, length), dtype=np.int8)
+    text = np.zeros((1, length), dtype=np.int64)
+    frames = np.full((1, length, k_count), EMPTY, dtype=np.int64)
+    markers = np.zeros((1, length), dtype=np.int64)
+    for i, t in enumerate(text_ids):
+        if not (isinstance(t, _ID_TYPES) and 0 <= t < cfg.text_vocab_size):
+            raise VocabularyError(f"text id {t!r} out of range")
+        kind[0, i] = KIND_TEXT
+        text[0, i] = t
+    for pos, item in enumerate(items, start=n_text):
+        if isinstance(item, SpecialToken):
+            kind[0, pos] = KIND_MARKER
+            markers[0, pos] = cfg.special_index(item.kind, item.index)
+            continue
+        if not isinstance(item, (tuple, list, np.ndarray)) or len(item) != k_count:
+            raise InvalidInputError(
+                f"item {pos - n_text} ({item!r}) is neither a marker nor a frame step of {k_count} slots"
+            )
+        kind[0, pos] = KIND_FRAME
+        for k, v in enumerate(item):
+            if not (isinstance(v, _ID_TYPES) and (v == EMPTY or 0 <= v < cfg.codebook_sizes[k])):
+                raise VocabularyError(f"codebook {k + 1} token {v!r} out of range")
+            frames[0, pos, k] = v
+    return EncodedBatch(kind, text, frames, markers, np.array([length], dtype=np.int64))
+
+
+def pad_sequences(rows: list[EncodedBatch], cfg: ModelConfig) -> EncodedBatch:
+    """Stack one-row batches, padding each to the longest."""
+    if not rows:
         raise InvalidInputError("cannot batch zero sequences")
-    b = len(seqs)
-    length = max(len(s) for s in seqs)
-    k = cfg.num_codebooks
+    b = len(rows)
+    length = max(r.max_length for r in rows)
     kind = np.zeros((b, length), dtype=np.int8)
     text = np.zeros((b, length), dtype=np.int64)
-    frames = np.full((b, length, k), EMPTY, dtype=np.int64)
+    frames = np.full((b, length, cfg.num_codebooks), EMPTY, dtype=np.int64)
     markers = np.zeros((b, length), dtype=np.int64)
-    lengths = np.zeros(b, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        n = len(s)
-        kind[i, :n] = s.kind
-        text[i, :n] = s.text_ids
-        frames[i, :n] = s.frame_ids
-        markers[i, :n] = s.marker_ids
-        lengths[i] = n
-    return EncodedBatch(kind, text, frames, markers, lengths)
+    for i, r in enumerate(rows):
+        n = r.max_length
+        kind[i, :n] = r.kind[0]
+        text[i, :n] = r.text_ids[0]
+        frames[i, :n] = r.frame_ids[0]
+        markers[i, :n] = r.marker_ids[0]
+    return EncodedBatch(kind, text, frames, markers, np.concatenate([r.lengths for r in rows]))
+
+
+def next_item_targets(batch: EncodedBatch, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Head targets and loss mask of a batch: position t predicts the item at t + 1.
+
+    A real frame slot's target is its token, with loss; an EMPTY slot's is
+    the EMPTY id, a mask marker's its marker id, both without loss; EOS and
+    EOU are targets with loss.  Where the next item is text or padding (and
+    at each row's last position) the target is 0, without loss.
+    """
+
+    def shifted(ids, fill):
+        out = np.full_like(ids, fill)
+        out[:, :-1] = ids[:, 1:]
+        return out
+
+    kind = shifted(batch.kind, KIND_PAD)
+    frames = shifted(batch.frame_ids, EMPTY)
+    markers = shifted(batch.marker_ids, 0)
+    is_frame = (kind == KIND_FRAME)[:, :, None]
+    is_marker = (kind == KIND_MARKER)[:, :, None]
+    real = is_frame & (frames != EMPTY)
+    special = np.where(is_marker, markers[:, :, None], cfg.special_index("empty"))
+    sizes = np.asarray(cfg.codebook_sizes, dtype=np.int64)
+    targets = np.where(real, frames, np.where(is_frame | is_marker, sizes + special, 0))
+    loss_mask = real | (is_marker & (markers >= cfg.special_index("eos"))[:, :, None])
+    return targets, loss_mask
 
 
 def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start: int = 0) -> np.ndarray:
@@ -661,19 +682,18 @@ class DecodeSession:
     def __init__(self, state: ModelState, text_ids, items):
         self.state = state
         cfg = state.config
-        seq = encode_sequence(text_ids, items, cfg)
-        if len(seq) == 0:
+        row = encode_sequence(text_ids, items, cfg)
+        if row.max_length == 0:
             raise InvalidInputError("decode context must contain at least one item")
         empty = np.zeros((1, cfg.num_heads, 0, cfg.hidden_dim // cfg.num_heads), dtype=cfg.np_dtype)
         self._kv = [[empty, empty] for _ in range(cfg.num_layers)]
         self.position = 0
-        self._run(seq)
+        self._run(row)
 
-    def _run(self, seq: EncodedSequence) -> list[np.ndarray]:
-        """Run ``seq`` after the cached positions; keep the logits at its end."""
-        cfg = self.state.config
-        logits, _ = forward(self.state.params, cfg, pad_sequences([seq], cfg), kv_cache=self._kv)
-        self.position += len(seq)
+    def _run(self, row: EncodedBatch) -> list[np.ndarray]:
+        """Run ``row`` after the cached positions; keep the logits at its end."""
+        logits, _ = forward(self.state.params, self.state.config, row, kv_cache=self._kv)
+        self.position += row.max_length
         self.logits = [l[0, -1] for l in logits]
         return self.logits
 
@@ -697,7 +717,5 @@ class TransformerDecoder:
 
 def score_sequence(state: ModelState, text_ids, items):
     """Full-context forward for one utterance; logits at every position."""
-    seq = encode_sequence(text_ids, items, state.config)
-    batch = pad_sequences([seq], state.config)
-    logits, _ = forward(state.params, state.config, batch)
+    logits, _ = forward(state.params, state.config, encode_sequence(text_ids, items, state.config))
     return [l[0] for l in logits]

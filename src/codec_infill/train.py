@@ -38,11 +38,11 @@ from .model import (
     encode_sequence,
     forward,
     loss_gradient,
+    next_item_targets,
     pad_sequences,
     weighted_loss,
 )
 from .rearrange import MaskSamplingConfig, causal_mask, delay_stack, sample_mask_spans
-from .tokens import EMPTY, SpecialToken
 
 log = logging.getLogger(__name__)
 
@@ -105,11 +105,14 @@ class TrainConfig:
 class Batch:
     """Padded model inputs with next-step targets and the loss mask.
 
-    ``targets[b, t, k]`` is head k's id for the item at position t + 1;
-    the mask is False at padding, at text-internal positions, and wherever
-    the target is a mask marker or EMPTY (true elsewhere, including EOS,
-    EOU, and unmasked-span frames).  ``consumed`` counts how many input
-    utterances were examined (packed or skipped as overlong).
+    The targets are the next position of the encoded batch
+    (:func:`~codec_infill.model.next_item_targets`): ``targets[b, t, k]``
+    is head k's id for the item at position t + 1, in the special-id
+    layout :meth:`ModelConfig.special_index` defines once.  The mask is
+    False at padding, where the next item is text, and wherever the target
+    is a mask marker or EMPTY (true elsewhere, including EOS, EOU, and
+    unmasked-span frames).  ``consumed`` counts how many input utterances
+    were examined (packed or skipped as overlong).
     """
 
     inputs: EncodedBatch
@@ -119,69 +122,38 @@ class Batch:
     consumed: int = 0
 
 
-def build_training_example(transcript, matrix, model_cfg: ModelConfig, spans):
-    """Rearrange one utterance and derive inputs, targets, and loss mask."""
-    stacked = delay_stack(causal_mask(matrix, spans))
-    text_ids = list(transcript)
-    seq = encode_sequence(text_ids, stacked.items, model_cfg)
-    stream = text_ids + stacked.items
-    length = len(stream)
-    k_count = model_cfg.num_codebooks
-    targets = np.zeros((length, k_count), dtype=np.int64)
-    mask = np.zeros((length, k_count), dtype=bool)
-    for t in range(length - 1):
-        nxt = stream[t + 1]
-        if t + 1 < len(text_ids):
-            continue  # conditioning text carries no loss
-        if isinstance(nxt, SpecialToken):
-            for k in range(k_count):
-                targets[t, k] = model_cfg.special_output_id(k, nxt.kind, nxt.index)
-            if nxt.kind in ("eos", "eou"):
-                mask[t, :] = True
-        else:
-            for k in range(k_count):
-                if nxt[k] == EMPTY:
-                    targets[t, k] = model_cfg.special_output_id(k, "empty")
-                else:
-                    targets[t, k] = nxt[k]
-                    mask[t, k] = True
-    return seq, targets, mask
+def build_training_example(transcript, matrix, model_cfg: ModelConfig, spans) -> EncodedBatch:
+    """Rearrange one utterance into its one-row encoded stream."""
+    return encode_sequence(list(transcript), delay_stack(causal_mask(matrix, spans)).items, model_cfg)
 
 
 def make_batch(utterances, model_cfg: ModelConfig, train_cfg: TrainConfig, rng) -> Batch:
     """Pack utterances (spans sampled per utterance) up to the budget."""
     if not utterances:
         raise InvalidInputError("empty corpus slice")
-    seqs, targets, masks, ids = [], [], [], []
+    rows, ids = [], []
     used = 0
     consumed = 0
     limit = min(train_cfg.batch_frame_budget, model_cfg.max_positions)
     for utt in utterances:
         spans = sample_mask_spans(utt.tokens.num_frames, train_cfg.mask, rng)
-        seq, tgt, msk = build_training_example(utt.transcript, utt.tokens, model_cfg, spans)
-        if len(seq) > limit:
-            log.warning("utterance %s (%d positions) exceeds the budget; skipped", utt.id, len(seq))
+        row = build_training_example(utt.transcript, utt.tokens, model_cfg, spans)
+        length = row.max_length
+        if length > limit:
+            log.warning("utterance %s (%d positions) exceeds the budget; skipped", utt.id, length)
             consumed += 1
             continue
-        if used + len(seq) > train_cfg.batch_frame_budget and seqs:
+        if used + length > train_cfg.batch_frame_budget and rows:
             break
-        seqs.append(seq)
-        targets.append(tgt)
-        masks.append(msk)
+        rows.append(row)
         ids.append(utt.id)
-        used += len(seq)
+        used += length
         consumed += 1
-    if not seqs:
+    if not rows:
         raise InvalidInputError("no utterance fits the batch budget")
-    enc = pad_sequences(seqs, model_cfg)
-    b, length = enc.kind.shape
-    k_count = model_cfg.num_codebooks
-    tgt_arr = np.zeros((b, length, k_count), dtype=np.int64)
-    msk_arr = np.zeros((b, length, k_count), dtype=bool)
-    for i, (tgt, msk) in enumerate(zip(targets, masks)):
-        tgt_arr[i, : len(tgt)] = tgt
-        msk_arr[i, : len(msk)] = msk
-    return Batch(enc, tgt_arr, msk_arr, ids, consumed)
+    inputs = pad_sequences(rows, model_cfg)
+    targets, loss_mask = next_item_targets(inputs, model_cfg)
+    return Batch(inputs, targets, loss_mask, ids, consumed)
 
 
 # ---------------------------------------------------------------------------

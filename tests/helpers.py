@@ -3,7 +3,7 @@
 import numpy as np
 
 from codec_infill.model import ModelConfig
-from codec_infill.tokens import CodecMatrix, Span
+from codec_infill.tokens import EMPTY, CodecMatrix, Span, SpecialToken
 
 
 def random_matrix(rng, num_frames, num_codebooks, vocab=64):
@@ -47,6 +47,31 @@ def distinct_matrix(num_frames, num_codebooks):
     frames = np.arange(num_frames * num_codebooks).reshape(num_frames, num_codebooks)
     vocab = num_frames * num_codebooks
     return CodecMatrix(frames, codebook_sizes=(vocab,) * num_codebooks)
+
+
+def next_item_targets_oracle(text_ids, items, cfg: ModelConfig):
+    """Per-item reference for ``next_item_targets`` over one [text; items] stream."""
+    stream = list(text_ids) + list(items)
+    k_count = cfg.num_codebooks
+    targets = np.zeros((len(stream), k_count), dtype=np.int64)
+    mask = np.zeros((len(stream), k_count), dtype=bool)
+    for t in range(len(stream) - 1):
+        nxt = stream[t + 1]
+        if t + 1 < len(text_ids):
+            continue  # conditioning text carries no loss
+        if isinstance(nxt, SpecialToken):
+            for k in range(k_count):
+                targets[t, k] = cfg.special_output_id(k, nxt.kind, nxt.index)
+            if nxt.kind in ("eos", "eou"):
+                mask[t, :] = True
+        else:
+            for k in range(k_count):
+                if nxt[k] == EMPTY:
+                    targets[t, k] = cfg.special_output_id(k, "empty")
+                else:
+                    targets[t, k] = nxt[k]
+                    mask[t, k] = True
+    return targets, mask
 
 
 class StubSession:

@@ -7,7 +7,7 @@ import pytest
 
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill.cli import main
-from codec_infill.evaluate import EvalRecord, save_manifest, synthesize_manifest
+from codec_infill.evaluate import EvalRecord, load_manifest, save_manifest, synthesize_manifest
 from codec_infill.model import ModelConfig, new_model
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_corpus, write_corpus
 from codec_infill.tokens import (
@@ -263,13 +263,12 @@ class TestRearrangeCommand:
 
 
 def dedupe_by_utterance(records):
-    """Re-key manifest records to their utterance ids, dropping collisions."""
+    """Keep the first record of each utterance."""
     seen = set()
     out = []
     for r in records:
-        r.id = r.id.split("_", 1)[1]
-        if r.id not in seen:
-            seen.add(r.id)
+        if r.utterance not in seen:
+            seen.add(r.utterance)
             out.append(r)
     return out
 
@@ -307,7 +306,7 @@ class TestEvalCommand:
         save_manifest(manifest, records)
 
         # corrupted copy: shift one identity record's tokens
-        corrupted_id = next(r.id for r in records if not r.edit_types)
+        corrupted_id = next(r.utterance for r in records if not r.edit_types)
         mutated = []
         for u in corpus:
             if u.id == corrupted_id:
@@ -332,6 +331,35 @@ class TestEvalCommand:
             if key in ("identity", "all|total"):
                 continue
             assert dirty[key] == clean[key]  # untouched strata are bit-identical
+
+    def test_synthesized_manifest_evaluates_every_record(self, tmp_path, tiny_checkpoint):
+        """Records keyed caseNNNN_<utt> find their utterance's tokens, duplicates included."""
+        corpus = gen_corpus(3, (5, 8), CODEC, seed=27)
+        corpus_path = tmp_path / "corpus"
+        write_corpus(corpus_path, corpus, CODEC)
+        records = synthesize_manifest(corpus, CODEC, np.random.default_rng(28), 4, identity=True)
+        assert len({r.utterance for r in records}) < len(records)
+        manifest = tmp_path / "manifest.jsonl"
+        save_manifest(manifest, records)
+        code = main(
+            ["eval", str(tiny_checkpoint), str(corpus_path), str(manifest), "--out", str(tmp_path / "ev")]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "ev" / "eval_summary.json").read_text())
+        assert summary["skipped"] == 0
+        assert summary["strata"]["identity"]["count"] == len(records)
+        rows = (tmp_path / "ev" / "eval_report.jsonl").read_text().splitlines()[1:]
+        assert sorted(json.loads(row)["id"] for row in rows) == sorted(r.id for r in records)
+
+    def test_manifest_utterance_defaults_to_id(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(
+            '{"id": "utt00001", "original": [1, 2], "edited": [1, 2]}\n'
+            '{"id": "case7", "utterance": "utt00002", "original": [3], "edited": [3]}\n'
+        )
+        records = load_manifest(manifest)
+        assert [(r.id, r.utterance) for r in records] == [("utt00001", "utt00001"), ("case7", "utt00002")]
+        assert EvalRecord("x", [1], [1]).utterance == "x"
 
     def test_missing_dump_skipped(self, tmp_path, tiny_checkpoint):
         corpus = gen_corpus(6, (5, 8), CODEC, seed=26)

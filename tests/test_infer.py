@@ -25,7 +25,7 @@ from codec_infill.infer import (
     select_edit_spans,
     zero_shot_tts,
 )
-from codec_infill.model import ModelConfig
+from codec_infill.model import ModelConfig, TransformerDecoder, new_model
 from codec_infill.rearrange import stack_span
 from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, SpecialToken, mask_marker
 
@@ -277,6 +277,60 @@ class TestGenerateInfill:
                 decoder, MODEL_CFG, [0], [EOU], MODEL_CFG.max_mask_spans + 1,
                 SamplingConfig(), np.random.default_rng(5),
             )
+
+
+def pinned_generation(k_count, cap, spans):
+    """generate_infill on a tiny seeded model: K codebooks of 5 tokens, a step cap."""
+    sizes = (5,) * k_count
+    cfg = ModelConfig(
+        num_layers=1, hidden_dim=8, ffn_dim=16, num_heads=2, num_codebooks=k_count,
+        codebook_sizes=sizes, text_vocab_size=7, max_positions=512,
+        loss_weights=(1.0,) * k_count, dtype="float64",
+    )
+    state = new_model(cfg, seed=k_count)
+    frames = np.random.default_rng(k_count).integers(0, 5, size=(8, k_count))
+    context = build_infill_context(CodecMatrix(frames, codebook_sizes=sizes), spans)
+    rng = np.random.default_rng([cap, len(spans)])
+    return generate_infill(
+        TransformerDecoder(state), cfg, [1, 2, 3], context, len(spans),
+        SamplingConfig(max_generated_steps=cap), rng,
+    )
+
+
+ONE_SPAN = [Span(2, 5)]
+TWO_SPANS = [Span(1, 3), Span(5, 7)]
+
+# recorded from the implementation with separate open-length and tail loops
+PINNED_GENERATIONS = [
+    (1, 3, ONE_SPAN, [True], [[[0], [3], [1]]]),
+    (1, 3, TWO_SPANS, [False, False], [[], [[2]]]),
+    (1, 60, ONE_SPAN, [False], [[]]),
+    (1, 60, TWO_SPANS, [False, False], [[[2], [0]], [[3], [0], [2], [4]]]),
+    (2, 3, ONE_SPAN, [False], [[[2, 3], [1, 4]]]),
+    (2, 3, TWO_SPANS, [True, False], [[[2, 3], [4, 1], [1, 0]], [[3, 1]]]),
+    (2, 60, ONE_SPAN, [False], [[]]),
+    (2, 60, TWO_SPANS, [False, False], [[[0, 3], [2, 1], [0, 2], [2, 0], [1, 2]], [[1, 4], [0, 1]]]),
+    (4, 3, ONE_SPAN, [False], [[]]),
+    (4, 3, TWO_SPANS, [True, False], [[[3, 0, 4, 0], [4, 1, 0, 3], [3, 4, 4, 2]], [[2, 2, 4, 1]]]),
+    (4, 60, ONE_SPAN, [False], [[
+        [1, 0, 4, 1], [4, 1, 0, 2], [1, 3, 3, 0], [3, 4, 4, 3],
+        [0, 1, 0, 1], [1, 3, 4, 3], [4, 2, 3, 2], [0, 3, 0, 1],
+    ]]),
+    (4, 60, TWO_SPANS, [False, False], [
+        [[4, 0, 0, 0], [3, 1, 2, 2], [2, 0, 3, 3], [4, 2, 2, 4], [3, 0, 4, 2], [1, 3, 2, 3], [0, 0, 3, 2]],
+        [[1, 4, 2, 4], [4, 3, 1, 1], [3, 0, 3, 3], [4, 3, 2, 0], [3, 0, 1, 4], [2, 1, 4, 0]],
+    ]),
+]
+
+
+@pytest.mark.parametrize("k_count, cap, spans, truncated, frames", PINNED_GENERATIONS)
+def test_generate_infill_pinned_outputs(k_count, cap, spans, truncated, frames):
+    """Frames and truncation flags of a real model, K in {1, 2, 4}, caps 3 and 60."""
+    result = pinned_generation(k_count, cap, spans)
+    assert result.truncated == truncated
+    assert [s.tolist() for s in result.spans] == frames
+    for s in result.spans:
+        assert s.shape[1:] == (k_count,) and len(s) <= cap
 
 
 class TestEditPipeline:

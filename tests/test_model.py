@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from codec_infill.errors import CapacityError
+from codec_infill.errors import CapacityError, InvalidInputError, VocabularyError
 from codec_infill.model import (
     _LN_EPS,
     DecodeSession,
@@ -125,6 +125,45 @@ class TestEmbedding:
         stream = list(text) + list(items)
         for pos, item in enumerate(stream):
             np.testing.assert_allclose(emb[pos], embed_one(state.params, cfg, item, pos), rtol=1e-12)
+
+
+class TestEncoding:
+    def test_special_index_is_one_layout(self):
+        """mask i, EOS, EOU, EMPTY -> i - 1, M, M + 1, M + 2: embedding rows and head ids alike."""
+        cfg = tiny_config(codebook_sizes=(5, 6), max_mask_spans=3)
+        layout = {("mask", 1): 0, ("mask", 3): 2, ("eos", 0): 3, ("eou", 0): 4, ("empty", 0): 5}
+        for (kind, index), expected in layout.items():
+            assert cfg.special_index(kind, index) == expected
+            for k in range(cfg.num_codebooks):
+                assert cfg.special_output_id(k, kind, index) == cfg.codebook_sizes[k] + expected
+        for k in range(cfg.num_codebooks):
+            assert cfg.head_vocab_size(k) == cfg.special_output_id(k, "empty") + 1
+        row = encode_sequence([1], [mask_marker(3), (0, EMPTY), EOU, EOS], cfg)
+        assert row.lengths.tolist() == [5]
+        assert row.marker_ids.tolist() == [[0, 2, 0, 4, 3]]
+        with pytest.raises(VocabularyError):
+            encode_sequence([], [mask_marker(4)], cfg)
+
+    @pytest.mark.parametrize("item", [5, None, "ab", (1,), (1, 2, 3)])
+    def test_item_neither_marker_nor_step_is_invalid_input(self, item):
+        with pytest.raises(InvalidInputError):
+            encode_sequence([], [item], tiny_config())
+
+    @pytest.mark.parametrize("text_id", ["a", 1.0, None, 7, -1])
+    def test_bad_text_id_is_vocabulary_error(self, text_id):
+        with pytest.raises(VocabularyError):
+            encode_sequence([text_id], [], tiny_config())
+
+    @pytest.mark.parametrize("step", [("a", 1), (1.0, 1), (1, None), (5, 0), (0, -2)])
+    def test_bad_frame_slot_is_vocabulary_error(self, step):
+        with pytest.raises(VocabularyError):
+            encode_sequence([], [step], tiny_config())
+
+    def test_append_of_a_bare_id_is_invalid_input(self):
+        session = DecodeSession(new_model(tiny_config(), seed=16), [1], [mask_marker(1)])
+        with pytest.raises(InvalidInputError):
+            session.append(5)
+        assert session.position == 2
 
 
 class TestForward:

@@ -2,13 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill.errors import InvalidInputError, NonFiniteLossError
-from codec_infill.model import ModelConfig, ModelState, new_model
+from codec_infill.model import (
+    ModelConfig,
+    ModelState,
+    encode_sequence,
+    new_model,
+    next_item_targets,
+    pad_sequences,
+)
 from codec_infill.rearrange import MaskSamplingConfig, causal_mask, delay_stack
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus
-from codec_infill.tokens import EMPTY, SpecialToken, Span
+from codec_infill.tokens import EMPTY, CodecMatrix, SpecialToken, Span, mask_marker
 from codec_infill.train import (
     Batch,
     SchedulerConfig,
@@ -20,6 +29,8 @@ from codec_infill.train import (
     pseudo_epoch,
     train_loop,
 )
+
+from helpers import next_item_targets_oracle, random_matrix, random_spans
 
 
 def small_model_config(codec: ToyCodecConfig, **overrides):
@@ -81,7 +92,8 @@ class TestBatchConstruction:
         utt = corpus[0]
         model_cfg = small_model_config(ToyCodecConfig(frames_per_symbol=1))
         spans = [Span(1, 4)]
-        seq, targets, mask = build_training_example(utt.transcript, utt.tokens, model_cfg, spans)
+        row = build_training_example(utt.transcript, utt.tokens, model_cfg, spans)
+        targets, mask = (a[0] for a in next_item_targets(row, model_cfg))
         stacked = delay_stack(causal_mask(utt.tokens, spans))
         stream = list(utt.transcript) + stacked.items
         n_text = len(utt.transcript)
@@ -135,6 +147,77 @@ class TestBatchConstruction:
         total = int(batch.inputs.lengths.sum())
         assert total <= 200
         assert len(batch.utterance_ids) >= 1
+
+
+def check_targets_against_oracle(streams, cfg):
+    """next_item_targets of the padded rows equals the per-item oracle, row by row.
+
+    Returns what the checked positions were followed by: the item kinds of
+    the streams ("mask", "eos", "eou", "empty", "text", "frame"), "pad" for
+    padding after a shorter row, and "end" for the last position.
+    """
+    batch = pad_sequences([encode_sequence(text, items, cfg) for text, items in streams], cfg)
+    targets, mask = next_item_targets(batch, cfg)
+    assert targets.shape == mask.shape == batch.frame_ids.shape
+    seen = set()
+    for b, (text, items) in enumerate(streams):
+        want_targets, want_mask = next_item_targets_oracle(text, items, cfg)
+        n = len(want_targets)
+        np.testing.assert_array_equal(targets[b, :n], want_targets)
+        np.testing.assert_array_equal(mask[b, :n], want_mask)
+        assert not targets[b, n - 1:].any() and not mask[b, n - 1:].any()
+        stream = list(text) + list(items)
+        for nxt in stream[1:]:
+            if isinstance(nxt, SpecialToken):
+                seen.add(nxt.kind)
+            elif isinstance(nxt, tuple):
+                seen.add("empty" if EMPTY in nxt else "frame")
+            else:
+                seen.add("text")
+        seen.add("pad" if n < batch.max_length else "end")
+    return seen
+
+
+@st.composite
+def target_streams(draw):
+    """Model config plus 1-4 [transcript; stacked items] streams of mixed lengths."""
+    k_count = draw(st.integers(1, 4))
+    max_spans = draw(st.integers(1, 3))
+    cfg = small_model_config(
+        ToyCodecConfig(), num_codebooks=k_count, codebook_sizes=(64,) * k_count,
+        loss_weights=(1.0,) * k_count, max_mask_spans=max_spans,
+    )
+    streams = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        matrix = random_matrix(rng, draw(st.integers(1, 12)), k_count)
+        spans = random_spans(rng, matrix.num_frames, max_spans=max_spans)
+        text = draw(st.lists(st.integers(0, cfg.text_vocab_size - 1), max_size=5))
+        streams.append((text, delay_stack(causal_mask(matrix, spans)).items))
+    return streams, cfg
+
+
+class TestNextItemTargets:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(target_streams())
+    def test_matches_per_item_oracle(self, case):
+        streams, cfg = case
+        check_targets_against_oracle(streams, cfg)
+
+    def test_covers_every_kind_of_next_item(self):
+        """One fixed batch whose positions are followed by every kind of item."""
+        cfg = small_model_config(CODEC)
+        frames = np.arange(12 * 4).reshape(12, 4) % CODEC.codebook_size
+
+        def stacked(num_frames, spans):
+            matrix = CodecMatrix(frames[:num_frames], codebook_sizes=CODEC.codebook_sizes)
+            return delay_stack(causal_mask(matrix, spans)).items
+
+        long = stacked(12, [Span(5, 7), Span(9, 11)])
+        short = stacked(3, [Span(0, 2)])
+        seen = check_targets_against_oracle([([3, 4, 5], long), ([6], short)], cfg)
+        assert seen == {"mask", "eos", "eou", "empty", "text", "frame", "pad", "end"}
+        assert mask_marker(2) in long
 
 
 class TestTrainLoop:
