@@ -241,6 +241,8 @@ def cmd_edit(args) -> int:
         "candidate_lengths": report.candidate_lengths,
         "chosen_index": report.chosen_index,
         "candidates": [dataclasses.asdict(c) for c in report.candidates],
+        "prefill_positions": report.prefill_positions,
+        "decode_steps": report.decode_steps,
         "decoded_transcript": decode_tokens(out_matrix, codec).symbols,
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
@@ -281,6 +283,8 @@ def cmd_tts(args) -> int:
         "candidate_lengths": report.candidate_lengths,
         "chosen_index": report.chosen_index,
         "truncated": report.truncated,
+        "prefill_positions": report.prefill_positions,
+        "decode_steps": report.decode_steps,
         "decoded_transcript": decode_tokens(out_matrix, codec).symbols,
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:

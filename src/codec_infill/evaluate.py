@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .infer import EditConfig, SamplingConfig, build_infill_context, diff_transcripts, edit_speech, generate_infill
-from .metrics import energy_distance, f0_distance, mcd_distance, symbol_error_rate
+from .metrics import F0Config, SpectrogramConfig, energy_distance, f0_distance, mcd_distance, symbol_error_rate
 from .model import ModelConfig
 from .rearrange import splice
 from .synthcodec import (
@@ -102,23 +102,51 @@ def save_manifest(path, records: list[EvalRecord]) -> None:
             fh.write(json.dumps(asdict(r), separators=(",", ":"), sort_keys=True) + "\n")
 
 
+_REQUIRED = object()
+
+
+def _manifest_field(payload: dict, name: str, convert, where: str, default=_REQUIRED):
+    if name not in payload:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} is missing field '{name}'")
+        return default
+    try:
+        return convert(payload[name])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{where} field '{name}' is malformed: {err}") from err
+
+
 def load_manifest(path) -> list[EvalRecord]:
+    """Records of a manifest file; a malformed line raises ``ConfigError`` naming it."""
+    ids = lambda values: [int(v) for v in values]
+    names = lambda values: [str(v) for v in values]
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"manifest {path} line {number}"
+            try:
                 payload = json.loads(line)
-                record = EvalRecord(
-                    id=str(payload["id"]),
-                    original=[int(v) for v in payload["original"]],
-                    edited=[int(v) for v in payload["edited"]],
-                    edit_types=list(payload.get("edit_types", [])),
-                    num_spans=int(payload.get("num_spans", 0)),
-                    bucket=payload.get("bucket"),
-                    utterance=str(payload.get("utterance", payload["id"])),
-                )
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"{where} is not valid JSON: {err}") from err
+            if not isinstance(payload, dict):
+                raise ConfigError(f"{where} is a JSON {type(payload).__name__}, not an object")
+            record_id = _manifest_field(payload, "id", str, where)
+            record = EvalRecord(
+                id=record_id,
+                original=_manifest_field(payload, "original", ids, where),
+                edited=_manifest_field(payload, "edited", ids, where),
+                edit_types=_manifest_field(payload, "edit_types", names, where, []),
+                num_spans=_manifest_field(payload, "num_spans", int, where, 0),
+                bucket=payload.get("bucket"),
+                utterance=_manifest_field(payload, "utterance", str, where, record_id),
+            )
+            try:
                 validate_record(record)
-                records.append(record)
+            except ConfigError as err:
+                raise ConfigError(f"{where}: {err}") from err
+            records.append(record)
     return records
 
 
@@ -181,6 +209,20 @@ def synthesize_manifest(
 # ---------------------------------------------------------------------------
 
 
+# the distances frame signals with their default analysis windows
+_MIN_SCORED_SAMPLES = max(SpectrogramConfig().window_length, F0Config().window_length)
+
+
+def _scored_waveform(tokens: CodecMatrix, codec_cfg: ToyCodecConfig) -> np.ndarray:
+    """Rendered waveform, padded with silence to at least one analysis window.
+
+    An edit can come out shorter than a window (a span closed at once);
+    it is scored as that sound followed by silence rather than rejected.
+    """
+    wav = render_waveform(tokens, codec_cfg)
+    return np.pad(wav, (0, max(0, _MIN_SCORED_SAMPLES - len(wav))))
+
+
 def _strata_keys(record: EvalRecord) -> list[str]:
     if not record.edit_types:
         return ["identity", "all|total"]
@@ -233,8 +275,8 @@ def run_eval(
         )
         truth, _ = encode_transcript(record.edited, codec_cfg)
         ser = symbol_error_rate(record.edited, decode_tokens(out, codec_cfg).symbols)
-        wav_out = render_waveform(out, codec_cfg)
-        wav_truth = render_waveform(truth, codec_cfg)
+        wav_out = _scored_waveform(out, codec_cfg)
+        wav_truth = _scored_waveform(truth, codec_cfg)
         row = {
             "id": record.id,
             "ser": ser,
@@ -321,7 +363,7 @@ def masked_reconstruction_eval(
         context = build_infill_context(utt.tokens, [span])
         rng = np.random.default_rng([sampling_cfg.seed, 7000 + i])
         result = generate_infill(
-            decoder, model_cfg, list(utt.transcript), context, 1, sampling_cfg, rng
+            decoder, model_cfg, [(list(utt.transcript), context, 1)], sampling_cfg, [rng]
         )
         out = splice(utt.tokens, [span], result.spans)
         gen_len = len(result.spans[0])

@@ -23,9 +23,10 @@ forward pass records the intermediates the backward pass needs.  All
 functions are deterministic given their inputs.
 
 ``forward`` is the only implementation of the network.  Training runs it
-over padded batches; a :class:`DecodeSession` runs it over the context
-(prefill) and then over each appended item, passing a per-layer
-key/value cache so every call continues the positions before it.
+over right-padded batches.  A :class:`DecodeSession` decodes several rows
+at once: it runs ``forward`` over their left-padded contexts (prefill,
+once per distinct context) and then over one appended item per row,
+passing a :class:`KVCache` so every call continues each row's positions.
 
 Architecture choices not pinned elsewhere, recorded here: pre-norm
 blocks, exact (erf-based) GELU in the FFN and heads, LayerNorm eps 1e-5,
@@ -203,19 +204,20 @@ def new_model(cfg: ModelConfig, seed: int = 0) -> ModelState:
 # ---------------------------------------------------------------------------
 
 
-def sinusoidal_positions(length: int, dim: int, dtype=np.float64, start: int = 0) -> np.ndarray:
+def sinusoidal_positions(length: int, dim: int, dtype=np.float64, start=0) -> np.ndarray:
     """Classic sin/cos rows for positions start .. start + length - 1.
 
     Row j encodes position p = start + j: pe[j, 2i] = sin(p * r_i),
-    pe[j, 2i+1] = cos(p * r_i).
+    pe[j, 2i+1] = cos(p * r_i).  ``start`` may be one offset per row of a
+    batch, giving a (rows, length, dim) table.
     """
-    positions = np.arange(start, start + length, dtype=np.float64)[:, None]
+    positions = (np.asarray(start)[..., None] + np.arange(length)).astype(np.float64)[..., None]
     half = np.arange(dim // 2, dtype=np.float64)
     rates = np.power(10000.0, -2.0 * half / dim)
     angles = positions * rates
-    pe = np.zeros((length, dim), dtype=np.float64)
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles)
+    pe = np.zeros(angles.shape[:-1] + (dim,), dtype=np.float64)
+    pe[..., 0::2] = np.sin(angles)
+    pe[..., 1::2] = np.cos(angles)
     return pe.astype(dtype)
 
 
@@ -237,41 +239,77 @@ class EncodedBatch:
     def max_length(self):
         return self.kind.shape[1]
 
+    def rows(self, index) -> "EncodedBatch":
+        """The batch made of the given rows, in the given order."""
+        return EncodedBatch(
+            self.kind[index], self.text_ids[index], self.frame_ids[index],
+            self.marker_ids[index], self.lengths[index],
+        )
+
 
 _ID_TYPES = (int, np.integer)
 
 
+def encode_batch(contexts, cfg: ModelConfig) -> EncodedBatch:
+    """Encode ``(text_ids, items)`` streams as the rows of one decode batch.
+
+    Rows are left-padded to the longest, so that every row ends in the
+    last column.
+    """
+    lengths = np.array([len(text) + len(items) for text, items in contexts], dtype=np.int64)
+    if lengths.size and lengths.max() > cfg.max_positions:
+        raise CapacityError(
+            f"sequence length {lengths.max()} exceeds max_positions {cfg.max_positions}"
+        )
+    b, width, k_count = len(contexts), int(lengths.max(initial=0)), cfg.num_codebooks
+    kind = np.zeros((b, width), dtype=np.int8)
+    text = np.zeros((b, width), dtype=np.int64)
+    frames = np.full((b, width, k_count), EMPTY, dtype=np.int64)
+    markers = np.zeros((b, width), dtype=np.int64)
+    for row, (text_ids, items) in enumerate(contexts):
+        first = int(width - lengths[row])
+        for pos, t in enumerate(text_ids, start=first):
+            if not (isinstance(t, _ID_TYPES) and 0 <= t < cfg.text_vocab_size):
+                raise VocabularyError(f"text id {t!r} out of range")
+            kind[row, pos] = KIND_TEXT
+            text[row, pos] = t
+        first += len(text_ids)
+        for pos, item in enumerate(items, start=first):
+            if isinstance(item, SpecialToken):
+                kind[row, pos] = KIND_MARKER
+                markers[row, pos] = cfg.special_index(item.kind, item.index)
+                continue
+            if not isinstance(item, (tuple, list, np.ndarray)) or len(item) != k_count:
+                raise InvalidInputError(
+                    f"item {pos - first} ({item!r}) is neither a marker nor a frame step of {k_count} slots"
+                )
+            kind[row, pos] = KIND_FRAME
+            for k, v in enumerate(item):
+                if not (isinstance(v, _ID_TYPES) and (v == EMPTY or 0 <= v < cfg.codebook_sizes[k])):
+                    raise VocabularyError(f"codebook {k + 1} token {v!r} out of range")
+                frames[row, pos, k] = v
+    return EncodedBatch(kind, text, frames, markers, lengths)
+
+
 def encode_sequence(text_ids, items, cfg: ModelConfig) -> EncodedBatch:
     """Turn transcript ids plus stacked items into a one-row batch."""
-    n_text = len(text_ids)
-    length = n_text + len(items)
-    if length > cfg.max_positions:
-        raise CapacityError(f"sequence length {length} exceeds max_positions {cfg.max_positions}")
-    k_count = cfg.num_codebooks
-    kind = np.zeros((1, length), dtype=np.int8)
-    text = np.zeros((1, length), dtype=np.int64)
-    frames = np.full((1, length, k_count), EMPTY, dtype=np.int64)
-    markers = np.zeros((1, length), dtype=np.int64)
-    for i, t in enumerate(text_ids):
-        if not (isinstance(t, _ID_TYPES) and 0 <= t < cfg.text_vocab_size):
-            raise VocabularyError(f"text id {t!r} out of range")
-        kind[0, i] = KIND_TEXT
-        text[0, i] = t
-    for pos, item in enumerate(items, start=n_text):
-        if isinstance(item, SpecialToken):
-            kind[0, pos] = KIND_MARKER
-            markers[0, pos] = cfg.special_index(item.kind, item.index)
-            continue
-        if not isinstance(item, (tuple, list, np.ndarray)) or len(item) != k_count:
-            raise InvalidInputError(
-                f"item {pos - n_text} ({item!r}) is neither a marker nor a frame step of {k_count} slots"
-            )
-        kind[0, pos] = KIND_FRAME
-        for k, v in enumerate(item):
-            if not (isinstance(v, _ID_TYPES) and (v == EMPTY or 0 <= v < cfg.codebook_sizes[k])):
-                raise VocabularyError(f"codebook {k + 1} token {v!r} out of range")
-            frames[0, pos, k] = v
-    return EncodedBatch(kind, text, frames, markers, np.array([length], dtype=np.int64))
+    return encode_batch([(text_ids, items)], cfg)
+
+
+def distinct_rows(batch: EncodedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(first row of each distinct stream, index of each row's stream among them)."""
+    index: dict[bytes, int] = {}
+    firsts: list[int] = []
+    inverse = np.empty(batch.batch_size, dtype=np.int64)
+    for row in range(batch.batch_size):
+        key = b"".join(
+            a[row].tobytes() for a in (batch.kind, batch.text_ids, batch.frame_ids, batch.marker_ids)
+        )
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(row)
+        inverse[row] = index[key]
+    return np.array(firsts, dtype=np.int64), inverse
 
 
 def pad_sequences(rows: list[EncodedBatch], cfg: ModelConfig) -> EncodedBatch:
@@ -320,8 +358,10 @@ def next_item_targets(batch: EncodedBatch, cfg: ModelConfig) -> tuple[np.ndarray
     return targets, loss_mask
 
 
-def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start: int = 0) -> np.ndarray:
+def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0) -> np.ndarray:
     """Input vectors of a batch whose first column sits at position ``start``.
+
+    ``start`` is one position for every row, or one per row.
 
     Text and marker items draw one learned vector each.  A frame step sums
     its K codebook embeddings, and every EMPTY slot adds the shared EMPTY
@@ -345,7 +385,7 @@ def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start: int
     marker_mask = batch.kind == KIND_MARKER
     if marker_mask.any():
         emb[marker_mask] = params["marker_emb"][batch.marker_ids[marker_mask]]
-    emb += sinusoidal_positions(length, d, cfg.np_dtype, start)[None, :, :]
+    emb += sinusoidal_positions(length, d, cfg.np_dtype, start)
     return emb
 
 
@@ -414,27 +454,27 @@ def _layer_norm_backward(d_out, gain, cache):
     return d_x, d_gain, d_bias
 
 
-def _causal_bias(batch: EncodedBatch, dtype, past: int = 0) -> np.ndarray:
-    """Additive attention bias: causal, pad keys hidden, self always visible.
+def _causal_bias(key_ok: np.ndarray, length: int, dtype) -> np.ndarray:
+    """Additive attention bias of ``length`` queries, the last of the keys.
 
-    The keys are ``past`` cached positions followed by the batch's own.
-    Cached keys are all visible: only an unpadded row carries a cache.
+    ``key_ok`` (B, P) marks the keys that hold a real position (padding
+    does not).  A query sees the real keys at or before it, and always
+    itself.
     """
-    b, length = batch.kind.shape
+    past = key_ok.shape[1] - length
     query = np.arange(past, past + length)[:, None]
     key = np.arange(past + length)
-    key_ok = np.ones((b, 1, past + length), dtype=bool)
-    key_ok[:, 0, past:] = batch.kind != KIND_PAD
-    allow = ((key <= query) & key_ok) | (key == query)
+    allow = ((key <= query) & key_ok[:, None, :]) | (key == query)
     bias = np.where(allow, dtype.type(0.0), dtype.type(-np.inf))
-    return bias[:, None, :, :]  # (B, 1, L, past + L)
+    return bias[:, None, :, :]  # (B, 1, L, P)
 
 
 def _attention_forward(params, prefix, x, bias, cfg, kv=None):
-    """Multi-head self-attention; ``kv`` is this layer's [keys, values] cache.
+    """Multi-head self-attention; ``kv`` is this layer's (keys, values, column).
 
-    With a cache, the cached keys/values precede this call's own and the
-    concatenation is written back, so the next call sees every position.
+    With a cache, this call's keys/values are written into the cache
+    buffers at ``column`` and attention runs over every column up to
+    them, so the next call sees every position.
     """
     b, length, d = x.shape
     h, dh = cfg.num_heads, cfg.hidden_dim // cfg.num_heads
@@ -445,11 +485,13 @@ def _attention_forward(params, prefix, x, bias, cfg, kv=None):
     k = k.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
     v = v.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
     if kv is not None:
-        k = np.concatenate([kv[0], k], axis=2)
-        v = np.concatenate([kv[1], v], axis=2)
-        kv[0], kv[1] = k, v
+        keys, values, past = kv
+        end = past + length
+        keys[:, :, past:end] = k
+        values[:, :, past:end] = v
+        k, v = keys[:, :, :end], values[:, :, :end]
     scores = (q @ k.transpose(0, 1, 3, 2)) / np.asarray(np.sqrt(dh), dtype=x.dtype)
-    scores = scores + bias
+    scores += bias
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -522,26 +564,36 @@ def forward(
     ``logits[k]`` has shape (B, L, head_vocab_k); position i's logits are
     computed from positions <= i only.
 
-    ``kv_cache`` (decoding only) holds one [keys, values] pair per layer,
-    each (B, H, P, head_dim) for the P positions run so far; the batch
-    continues them at position P, and its own keys/values are appended
-    in place.  The gradient cache (``want_cache``) covers no cached keys.
+    ``kv_cache`` (decoding only) is a :class:`KVCache` over the same
+    rows: the batch continues its columns, each row at its own position,
+    and its own keys/values are written into it.  Decoding needs only the
+    next-item logits, so with a cache the heads run at the last column
+    alone (L = 1 in ``logits``).  The gradient cache (``want_cache``)
+    covers no cached keys.
     """
-    past = 0 if kv_cache is None else kv_cache[0][0].shape[2]
-    emb = _embed_batch(params, cfg, batch, start=past)
-    bias = _causal_bias(batch, emb.dtype, past)
+    key_ok = batch.kind != KIND_PAD
+    start = past = 0
+    if kv_cache is not None:
+        past = kv_cache.extend(key_ok)
+        start = past - kv_cache.pad
+        key_ok = kv_cache.valid[:, : past + batch.max_length]
+    emb = _embed_batch(params, cfg, batch, start=start)
+    bias = _causal_bias(key_ok, batch.max_length, emb.dtype)
     x = emb
     layer_caches = []
     for i in range(cfg.num_layers):
         p = f"layer{i}"
         normed1, ln1_cache = _layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
-        kv = None if kv_cache is None else kv_cache[i]
+        kv = None if kv_cache is None else (kv_cache.keys[i], kv_cache.values[i], past)
         attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, bias, cfg, kv)
         x = x + attn_out
         normed2, ln2_cache = _layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         ffn_out, ffn_cache = _ffn_forward(params, f"{p}.ffn", normed2)
         x = x + ffn_out
-        layer_caches.append((ln1_cache, attn_cache, ln2_cache, ffn_cache))
+        if want_cache:  # otherwise each layer's intermediates are freed as it ends
+            layer_caches.append((ln1_cache, attn_cache, ln2_cache, ffn_cache))
+    if kv_cache is not None:
+        x = x[:, -1:]
     hidden, final_cache = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
 
     logits = []
@@ -670,38 +722,100 @@ def loss_gradient(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
 # ---------------------------------------------------------------------------
 
 
-class DecodeSession:
-    """Grows a context one item at a time, caching per-layer keys/values.
+class KVCache:
+    """Keys/values of every layer for the rows of a decode session.
 
-    ``logits`` always holds the K next-item logit vectors at the current
-    context end.  The prefill and every append run the same batched
-    ``forward`` with the session's key/value cache, so scored prefixes
-    and incrementally decoded prefixes agree.
+    ``keys[i]``/``values[i]`` are (rows, H, capacity, head_dim) buffers
+    whose first ``length`` columns are filled; they start at the context
+    width and at least double when a call needs more columns.  Rows are
+    left-padded: the first ``pad[r]`` columns of row r hold no position
+    (``valid`` is false there), and column c of row r holds position
+    c - pad[r].
     """
 
-    def __init__(self, state: ModelState, text_ids, items):
+    def __init__(self, cfg: ModelConfig, pad, capacity: int):
+        shape = (len(pad), cfg.num_heads, capacity, cfg.hidden_dim // cfg.num_heads)
+        self.keys = [np.empty(shape, dtype=cfg.np_dtype) for _ in range(cfg.num_layers)]
+        self.values = [np.empty(shape, dtype=cfg.np_dtype) for _ in range(cfg.num_layers)]
+        self.valid = np.zeros((len(pad), capacity), dtype=bool)
+        self.pad = np.asarray(pad, dtype=np.int64)
+        self.length = 0
+
+    def extend(self, valid: np.ndarray) -> int:
+        """Claim columns for a call whose (rows, n) positions are ``valid``; returns the first."""
+        past, n = self.length, valid.shape[1]
+        capacity = self.valid.shape[1]
+        if past + n > capacity:
+            extra = max(capacity, past + n - capacity)
+            grow = ((0, 0), (0, 0), (0, extra), (0, 0))
+            self.keys = [np.pad(a, grow) for a in self.keys]
+            self.values = [np.pad(a, grow) for a in self.values]
+            self.valid = np.pad(self.valid, ((0, 0), (0, extra)))
+        self.valid[:, past : past + n] = valid
+        self.length = past + n
+        return past
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows, in the given order."""
+        self.keys = [a[rows] for a in self.keys]
+        self.values = [a[rows] for a in self.values]
+        self.valid = self.valid[rows]
+        self.pad = self.pad[rows]
+
+
+class DecodeSession:
+    """Decodes several rows in step, one item per row per call, with a KV cache.
+
+    Each row starts from its own ``(text_ids, items)`` context.  Contexts
+    are left-padded so that every row ends in the same column; a row's
+    positions count from its own first item and its padding is never
+    attended to.  Identical contexts are prefilled once and their cache
+    rows repeated; ``prefill_positions`` counts the positions the prefill
+    ran (distinct contexts times the padded width).
+
+    ``position`` is the number of columns run so far, and ``logits[k]``
+    holds head k's next-item logits of every row, shape (rows, V_k).
+    :meth:`append` extends every row by one item; :meth:`keep` lets rows
+    that are done leave.  The prefill and every append run the same
+    batched ``forward``, so scored prefixes and incrementally decoded
+    prefixes agree.
+    """
+
+    def __init__(self, state: ModelState, contexts):
         self.state = state
         cfg = state.config
-        row = encode_sequence(text_ids, items, cfg)
-        if row.max_length == 0:
-            raise InvalidInputError("decode context must contain at least one item")
-        empty = np.zeros((1, cfg.num_heads, 0, cfg.hidden_dim // cfg.num_heads), dtype=cfg.np_dtype)
-        self._kv = [[empty, empty] for _ in range(cfg.num_layers)]
+        batch = encode_batch(contexts, cfg)
+        if batch.batch_size == 0 or batch.lengths.min() == 0:
+            raise InvalidInputError("every decode context must contain at least one item")
+        firsts, inverse = distinct_rows(batch)
+        width = batch.max_length
+        self._kv = KVCache(cfg, width - batch.lengths[firsts], width)
         self.position = 0
-        self._run(row)
+        self._run(batch.rows(firsts))
+        self.prefill_positions = len(firsts) * width
+        if len(firsts) < batch.batch_size:
+            self.keep(inverse)
 
-    def _run(self, row: EncodedBatch) -> list[np.ndarray]:
-        """Run ``row`` after the cached positions; keep the logits at its end."""
-        logits, _ = forward(self.state.params, self.state.config, row, kv_cache=self._kv)
-        self.position += row.max_length
-        self.logits = [l[0, -1] for l in logits]
+    def _run(self, batch: EncodedBatch) -> list[np.ndarray]:
+        """Run ``batch`` after the cached columns; keep the logits at its end."""
+        logits, _ = forward(self.state.params, self.state.config, batch, kv_cache=self._kv)
+        self.position += batch.max_length
+        self.logits = [l[:, -1] for l in logits]
         return self.logits
 
-    def append(self, item) -> list[np.ndarray]:
-        """Extend the context by one item; returns the new next-item logits."""
-        if self.position >= self.state.config.max_positions:
+    def append(self, items) -> list[np.ndarray]:
+        """Extend row r by ``items[r]``; returns the new next-item logits."""
+        cfg = self.state.config
+        if not items or len(items) != len(self._kv.pad):
+            raise InvalidInputError(f"append takes one item for each of the {len(self._kv.pad)} rows")
+        if self.position - self._kv.pad.min() >= cfg.max_positions:
             raise CapacityError("decode context exceeded max_positions")
-        return self._run(encode_sequence([], [item], self.state.config))
+        return self._run(encode_batch([((), [item]) for item in items], cfg))
+
+    def keep(self, rows) -> None:
+        """Continue with the given rows only (indices among the current rows)."""
+        self._kv.keep(rows)
+        self.logits = [l[rows] for l in self.logits]
 
 
 class TransformerDecoder:
@@ -711,8 +825,8 @@ class TransformerDecoder:
     def __init__(self, state: ModelState):
         self.state = state
 
-    def new_session(self, text_ids, items) -> DecodeSession:
-        return DecodeSession(self.state, text_ids, items)
+    def new_session(self, contexts) -> DecodeSession:
+        return DecodeSession(self.state, contexts)
 
 
 def score_sequence(state: ModelState, text_ids, items):

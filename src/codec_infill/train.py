@@ -235,8 +235,10 @@ def train_loop(
 ) -> tuple[ModelState, list[dict]]:
     """Optimize until total_steps; returns the state and per-step metrics.
 
-    Writes ``metrics.jsonl`` and periodic checkpoints under ``run_dir``
-    when given.  Aborts on a non-finite loss, dumping the offending batch
+    Each metrics entry holds the step, learning rate, loss, per-codebook
+    losses, the gradient's global norm before clipping (``grad_norm``)
+    and whether it was clipped.  Writes ``metrics.jsonl`` and periodic
+    checkpoints under ``run_dir`` when given.  Aborts on a non-finite loss, dumping the offending batch
     id.  Deterministic given the seed (or a restored rng state).
     """
     if not utterances:
@@ -285,10 +287,14 @@ def train_loop(
                 for name in grads_sum:
                     grads_sum[name] /= train_cfg.grad_accum
                 per_k = [v / train_cfg.grad_accum for v in per_k]
-            clip_global_norm(grads_sum, train_cfg.grad_clip)
+            grad_norm = clip_global_norm(grads_sum, train_cfg.grad_clip)
             optimizer.step(state.params, grads_sum, lr)
             state.step += 1
-            entry = {"step": t, "lr": lr, "loss": total, "loss_k": per_k}
+            clipped = bool(train_cfg.grad_clip > 0 and grad_norm > train_cfg.grad_clip)
+            entry = {
+                "step": t, "lr": lr, "loss": total, "loss_k": per_k,
+                "grad_norm": grad_norm, "clipped": clipped,
+            }
             metrics.append(entry)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(entry, sort_keys=True) + "\n")

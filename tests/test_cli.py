@@ -203,6 +203,22 @@ class TestEditCommand:
             0.05, 0.06, 0.07, 0.08, 0.09, 0.1, 0.11, 0.12, 0.13, 0.14
         ]
 
+    def test_report_counts_the_batched_decode(self, tmp_path, corpus_dir, tiny_checkpoint):
+        utts, _ = load_corpus(corpus_dir)
+        utt = utts[1]
+        target = list(utt.transcript)
+        target[2] = (target[2] + 1) % CODEC.alphabet_size
+        request = write_json(
+            tmp_path / "request.json",
+            {"id": utt.id, "corpus_dir": str(corpus_dir), "target": target,
+             "sampling": {"max_generated_steps": 6, "seed": 3}},
+        )
+        assert main(["edit", str(tiny_checkpoint), str(request), "--out", str(tmp_path / "edit")]) == 0
+        report = json.loads((tmp_path / "edit" / "report.json").read_text())
+        # one batched decode: a mask marker, at most 6 + K - 1 frame steps and EOS
+        assert 0 < report["decode_steps"] <= 1 + 6 + CODEC.num_codebooks
+        assert report["prefill_positions"] > 0
+
 
 class TestTtsCommand:
     def test_prompt_preserved_and_five_candidates(self, tmp_path, corpus_dir, tiny_checkpoint):
@@ -230,6 +246,34 @@ class TestTtsCommand:
         assert report["chosen_index"] == int(np.argmin(report["candidate_lengths"]))
         out = read_token_dump(tmp_path / "tts" / "tts_tokens.jsonl")[0].matrix
         assert np.array_equal(out.frames[: len(frames)], frames)
+
+    def test_report_counts_one_shared_prefill(self, tmp_path, corpus_dir, tiny_checkpoint):
+        utts, _ = load_corpus(corpus_dir)
+        utt = utts[2]
+        half = len(utt.transcript) // 2
+        frames = utt.tokens.frames[: CODEC.frames_per_symbol * half]
+        dump = tmp_path / "prompt.jsonl"
+        write_token_dump(
+            dump,
+            [TokenDumpRecord(utt.id, CodecMatrix(frames, CODEC.frame_rate, CODEC.codebook_sizes))],
+        )
+        code = main(
+            [
+                "tts", str(tiny_checkpoint), str(dump),
+                " ".join(str(s) for s in utt.transcript[:half]),
+                " ".join(str(s) for s in utt.transcript[half:]),
+                "--codec-config", str(corpus_dir / "codec_config.json"),
+                "--out", str(tmp_path / "tts"),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "tts" / "report.json").read_text())
+        # the five samples share one context, prefilled once: the transcript, the stacked
+        # prompt (F + K - 1 steps), the marker, an empty stacked span (K - 1 steps) and EOU
+        k = CODEC.num_codebooks
+        assert report["prefill_positions"] == len(utt.transcript) + (len(frames) + k - 1) + 1 + (k - 1) + 1
+        # the longest sample's marker, its frames plus K - 1 delay steps, and EOS
+        assert report["decode_steps"] == 1 + max(report["candidate_lengths"]) + k
 
 
 class TestRearrangeCommand:
@@ -360,6 +404,29 @@ class TestEvalCommand:
         records = load_manifest(manifest)
         assert [(r.id, r.utterance) for r in records] == [("utt00001", "utt00001"), ("case7", "utt00002")]
         assert EvalRecord("x", [1], [1]).utterance == "x"
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ('{"id": "a", "original": [1]}', "'edited'"),
+            ("{not json", "not valid JSON"),
+            ('[1, 2, 3]', "list"),
+            ('{"id": "a", "original": [1], "edited": 5}', "'edited'"),
+            ('{"id": "a", "original": [1], "edited": [2], "edit_types": [1, "x"], "num_spans": 1}', "edit_types"),
+        ],
+    )
+    def test_malformed_manifest_line_is_a_config_error(self, tmp_path, tiny_checkpoint, capsys, line, named):
+        corpus = gen_corpus(2, (5, 8), CODEC, seed=29)
+        write_corpus(tmp_path / "corpus", corpus, CODEC)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text('{"id": "ok", "original": [1, 2], "edited": [1, 2]}\n\n' + line + "\n")
+        code = main(
+            ["eval", str(tiny_checkpoint), str(tmp_path / "corpus"), str(manifest), "--out", str(tmp_path / "ev")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "line 3" in err and named in err
 
     def test_missing_dump_skipped(self, tmp_path, tiny_checkpoint):
         corpus = gen_corpus(6, (5, 8), CODEC, seed=26)

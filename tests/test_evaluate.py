@@ -8,6 +8,7 @@ from codec_infill.evaluate import (
     EvalRecord,
     bucket_for,
     load_manifest,
+    masked_reconstruction_eval,
     run_eval,
     sample_reconstruction_cases,
     save_manifest,
@@ -118,6 +119,21 @@ class TestRunEval:
         assert outcome.skipped == 1
         assert len(outcome.reports) == len(records) - 1
 
+    def test_output_shorter_than_one_window_is_scored(self):
+        """Every word substituted and one generated frame: a 320-sample output, under the 640-sample window."""
+        (utt,) = gen_corpus(1, (5, 9), CODEC, seed=4)
+        edited = [(s + 1) % CODEC.alphabet_size for s in utt.transcript]
+        record = EvalRecord("r0", list(utt.transcript), edited, ["substitution"], 1, bucket_for(len(edited)))
+        outcome = run_eval(
+            StubDecoder(MODEL_CFG, 1), MODEL_CFG, [record], {"r0": utt.tokens}, CODEC,
+            EditConfig(), SamplingConfig(seed=9),
+        )
+        (row,) = outcome.reports
+        assert row["candidate_lengths"] == [1] * 10
+        for key in ("ser", "mcd", "f0_dist", "energy_dist"):
+            assert np.isfinite(row[key])
+        assert row["mcd"] > 0.0
+
 
 class TestReconstructionCases:
     def test_spans_within_bounds_and_width(self):
@@ -129,3 +145,14 @@ class TestReconstructionCases:
             utt = by_id[case.utterance_id]
             assert 0 <= case.symbol_start < case.symbol_end <= len(utt.transcript)
             assert case.symbol_end - case.symbol_start <= 5
+
+    def test_reconstruction_eval_keeps_unedited_frames(self):
+        corpus = gen_corpus(6, (5, 9), CODEC, seed=11)
+        cases = sample_reconstruction_cases(corpus, np.random.default_rng(12), 4, max_span_symbols=2)
+        outcome = masked_reconstruction_eval(
+            StubDecoder(MODEL_CFG, 5), MODEL_CFG, CODEC, {u.id: u for u in corpus}, cases,
+            SamplingConfig(seed=13),
+        )
+        assert outcome.num_cases == outcome.unedited_intact_count == 4
+        assert [row["generated_frames"] for row in outcome.cases] == [5] * 4
+        assert not any(row["truncated"] for row in outcome.cases)

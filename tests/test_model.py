@@ -160,9 +160,9 @@ class TestEncoding:
             encode_sequence([], [step], tiny_config())
 
     def test_append_of_a_bare_id_is_invalid_input(self):
-        session = DecodeSession(new_model(tiny_config(), seed=16), [1], [mask_marker(1)])
+        session = DecodeSession(new_model(tiny_config(), seed=16), [([1], [mask_marker(1)])])
         with pytest.raises(InvalidInputError):
-            session.append(5)
+            session.append([5])
         assert session.position == 2
 
 
@@ -249,12 +249,12 @@ class TestForward:
         cfg = tiny_config()
         state = new_model(cfg, seed=13)
         text, items = random_context(np.random.default_rng(14), cfg, num_frames=5)
-        session = DecodeSession(state, text, items[:3])
+        session = DecodeSession(state, [(text, items[:3])])
         for item in items[3:]:
-            session.append(item)
+            session.append([item])
         reference = score_sequence(state, text, items)
         for k in range(cfg.num_codebooks):
-            np.testing.assert_allclose(session.logits[k], reference[k][-1], rtol=1e-9)
+            np.testing.assert_allclose(session.logits[k][0], reference[k][-1], rtol=1e-9)
 
     @pytest.mark.parametrize("with_text", [False, True])
     def test_incremental_decode_matches_batched_forward_at_every_split(self, with_text):
@@ -271,24 +271,72 @@ class TestForward:
         assert any(isinstance(it, tuple) and EMPTY in it for it in items)
         reference = score_sequence(state, text, items)
         for split in range(0 if text else 1, len(items) + 1):
-            session = DecodeSession(state, text, items[:split])
+            session = DecodeSession(state, [(text, items[:split])])
             for j in range(split, len(items) + 1):
                 if j > split:
-                    session.append(items[j - 1])
+                    session.append([items[j - 1]])
                 assert session.position == len(text) + j
                 for k in range(cfg.num_codebooks):
                     np.testing.assert_allclose(
-                        session.logits[k], reference[k][len(text) + j - 1], rtol=1e-9
+                        session.logits[k][0], reference[k][len(text) + j - 1], rtol=1e-9
                     )
+
+    def test_rows_match_one_row_sessions_at_every_step(self):
+        """Rows of different text and context lengths (one repeated) track one-row sessions.
+
+        The rows are left-padded to one width; every row's logits must equal
+        its own one-row session's after the prefill and after every append,
+        also after rows leave the batch.
+        """
+        cfg = tiny_config()
+        state = new_model(cfg, seed=17)
+        rng = np.random.default_rng(18)
+        contexts = []
+        for text_len, frames in [(3, 6), (0, 2), (1, 7), (2, 4)]:
+            text, items = random_context(rng, cfg, num_frames=frames)
+            contexts.append((text[:text_len], items))
+        contexts.append(contexts[2])
+        contexts.append(([4], [mask_marker(1)]))
+        widths = [len(t) + len(i) for t, i in contexts]
+        batched = DecodeSession(state, contexts)
+        assert batched.position == max(widths)
+        assert batched.prefill_positions == 5 * max(widths)  # the repeated context runs once
+        alone = [DecodeSession(state, [c]) for c in contexts]
+        rows = list(range(len(contexts)))
+        steps = [(int(rng.integers(0, 5)), EMPTY) if s % 3 else EOS for s in range(8)]
+        for s in range(9):
+            if s:
+                items = [steps[s - 1] if r % 2 else (s % 5, r % 5) for r in rows]
+                batched.append(items)
+                for r, item in zip(rows, items):
+                    alone[r].append([item])
+            if s == 4:
+                rows = [5, 0, 3]  # rows 1, 2 and 4 leave; the rest change order
+                batched.keep([5, 0, 3])
+            assert batched.position == max(widths) + s
+            for j, r in enumerate(rows):
+                assert alone[r].position == widths[r] + s
+                for k in range(cfg.num_codebooks):
+                    np.testing.assert_allclose(batched.logits[k][j], alone[r].logits[k][0], rtol=1e-9)
+
+    def test_identical_contexts_prefill_once(self):
+        cfg = tiny_config()
+        state = new_model(cfg, seed=19)
+        text, items = random_context(np.random.default_rng(20), cfg)
+        session = DecodeSession(state, [(text, items)] * 5)
+        assert session.prefill_positions == len(text) + len(items)
+        assert all(np.array_equal(l, np.repeat(l[:1], 5, axis=0)) for l in session.logits)
+        with pytest.raises(InvalidInputError):
+            session.append([(1, 2)] * 4)  # one item per row
 
     def test_append_at_capacity_raises(self):
         cfg = tiny_config(max_positions=8)
         state = new_model(cfg, seed=15)
-        session = DecodeSession(state, [1, 2, 3], [(0, EMPTY), mask_marker(1), EOU, EOS])
-        session.append((1, 2))
+        session = DecodeSession(state, [([1, 2, 3], [(0, EMPTY), mask_marker(1), EOU, EOS])])
+        session.append([(1, 2)])
         assert session.position == cfg.max_positions
         with pytest.raises(CapacityError):
-            session.append((1, 2))
+            session.append([(1, 2)])
         assert session.position == cfg.max_positions
 
 

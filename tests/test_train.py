@@ -1,5 +1,7 @@
 """Schedule, batching, training-loop, and checkpoint tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,28 @@ class TestTrainLoop:
         (state, metrics), _, _ = self.run_small(steps=200, utts=5, base_lr=6e-3)
         first, last = metrics[0]["loss"], metrics[-1]["loss"]
         assert last <= 0.2 * first, f"loss {first} -> {last}"
+
+    def test_metrics_record_grad_norm_and_clipping(self, tmp_path):
+        """``clipped`` is set exactly on the steps whose pre-clip norm exceeds grad_clip."""
+        corpus = gen_corpus(5, (5, 7), CODEC, seed=10)
+        model_cfg = small_model_config(CODEC)
+
+        def run(grad_clip, run_dir=None):
+            tcfg = TrainConfig(batch_frame_budget=512, total_steps=12, seed=0, grad_clip=grad_clip)
+            state = new_model(model_cfg, seed=0)
+            return train_loop(corpus, state, tcfg, SchedulerConfig(base_lr=6e-3), run_dir=run_dir)[1]
+
+        unclipped = run(0.0)
+        assert not any(e["clipped"] for e in unclipped)
+        norms = sorted(e["grad_norm"] for e in unclipped)
+        grad_clip = norms[len(norms) // 2]
+        metrics = run(grad_clip, tmp_path)
+        assert [e["clipped"] for e in metrics] == [e["grad_norm"] > grad_clip for e in metrics]
+        assert 0 < sum(e["clipped"] for e in metrics) < len(metrics)
+        logged = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        assert [(e["grad_norm"], e["clipped"]) for e in logged] == [
+            (e["grad_norm"], e["clipped"]) for e in metrics
+        ]
 
     def test_nonfinite_loss_aborts_with_batch_id(self, tmp_path):
         corpus = gen_corpus(3, (5, 6), CODEC, seed=11)
