@@ -5,8 +5,9 @@ canonical JSON header (sorted keys, no whitespace) describing the model
 config, training step, rng state and tensor table, then the raw tensor
 bytes concatenated in the documented parameter order.  Writing the same
 state twice produces identical bytes.  Loading checks the length of every
-read and rejects bytes after the last tensor, so a truncated or corrupt
-file raises :class:`InvalidInputError`.
+read, rejects bytes after the last tensor and checks every tensor's
+name, shape and dtype against the config, so a truncated, corrupt or
+mis-shaped file raises :class:`InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import ModelConfig, ModelState, parameter_names
+from .model import ModelConfig, ModelState, parameter_names, parameter_shapes
 
 MAGIC = b"CILM"
 FORMAT_VERSION = 1
@@ -52,7 +53,7 @@ def save_checkpoint(path, state: ModelState, rng_state: dict | None = None) -> N
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict | None]:
-    """Read a checkpoint; a truncated, malformed or overlong file raises InvalidInputError."""
+    """Read a checkpoint; a truncated, malformed, overlong or mis-shaped file raises InvalidInputError."""
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
     offset = 0
@@ -90,6 +91,13 @@ def load_checkpoint(path) -> tuple[ModelState, dict | None]:
         params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(data):
         raise InvalidInputError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
-    if list(params) != parameter_names(cfg):
+    shapes = parameter_shapes(cfg)
+    if list(params) != list(shapes):
         raise InvalidInputError("checkpoint tensor table does not match the config")
+    for name, tensor in params.items():
+        if tensor.shape != shapes[name] or tensor.dtype != cfg.np_dtype:
+            raise InvalidInputError(
+                f"checkpoint tensor {name} is {tensor.dtype} {tensor.shape}; "
+                f"the config needs {cfg.np_dtype} {shapes[name]}"
+            )
     return ModelState(params, cfg, step=step), header.get("rng_state")

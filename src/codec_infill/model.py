@@ -5,9 +5,10 @@ the delay-stacked codec items.  A frame step embeds as the sum of its K
 codebook embeddings (EMPTY slots draw one shared learned vector), marker
 steps draw a single learned vector each, and a shared sinusoidal position
 encoding is added over the whole concatenation.  The final hidden state
-at every position feeds K separate MLP heads, one per codebook, whose
-vocabularies append the marker/EMPTY ids so targets can be scored
-uniformly.  The special-id layout is defined once,
+feeds K separate MLP heads, one per codebook, at the positions the
+caller asks for (training: those that carry loss; decoding: each row's
+last); their vocabularies append the marker/EMPTY ids so targets can be
+scored uniformly.  The special-id layout is defined once,
 :meth:`ModelConfig.special_index`: it is both a marker's embedding row
 and, offset by the codebook size, its id in every head.
 
@@ -22,8 +23,10 @@ Everything is plain numpy with hand-written reverse-mode gradients; the
 forward pass records the intermediates the backward pass needs.  All
 functions are deterministic given their inputs.
 
-``forward`` is the only implementation of the network.  Training runs it
-over right-padded batches.  A :class:`DecodeSession` decodes several rows
+``forward`` is the only implementation of the network.  It keeps the
+real positions of a batch packed as one (N, d) array, so padding costs
+only its share of the attention core.  Training runs it over
+right-padded batches.  A :class:`DecodeSession` decodes several rows
 at once: it runs ``forward`` over their left-padded contexts (prefill,
 once per distinct context) and then over one appended item per row,
 passing a :class:`KVCache` so every call continues each row's positions.
@@ -126,72 +129,51 @@ class ModelState:
     step: int = 0
 
 
-def parameter_names(cfg: ModelConfig) -> list[str]:
-    """Canonical parameter order; checkpoints serialize tensors this way."""
-    names = ["text_emb"]
-    names += [f"codebook_emb_{k}" for k in range(cfg.num_codebooks)]
-    names += ["empty_emb", "marker_emb"]
-    for i in range(cfg.num_layers):
-        names += [
-            f"layer{i}.ln1.gain", f"layer{i}.ln1.bias",
-            f"layer{i}.attn.wq", f"layer{i}.attn.bq",
-            f"layer{i}.attn.wk", f"layer{i}.attn.bk",
-            f"layer{i}.attn.wv", f"layer{i}.attn.bv",
-            f"layer{i}.attn.wo", f"layer{i}.attn.bo",
-            f"layer{i}.ln2.gain", f"layer{i}.ln2.bias",
-            f"layer{i}.ffn.w1", f"layer{i}.ffn.b1",
-            f"layer{i}.ffn.w2", f"layer{i}.ffn.b2",
-        ]
-    names += ["final_ln.gain", "final_ln.bias"]
-    for k in range(cfg.num_codebooks):
-        for j in range(cfg.head_mlp_layers):
-            names += [f"head{k}.w{j}", f"head{k}.b{j}"]
-    return names
-
-
-def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the canonical order checkpoints serialize."""
     d, f = cfg.hidden_dim, cfg.ffn_dim
-    dt = cfg.np_dtype
-    s = cfg.init_scale
-
-    def w(*shape):
-        return (rng.standard_normal(shape) * s).astype(dt)
-
-    def zeros(*shape):
-        return np.zeros(shape, dtype=dt)
-
-    params: dict[str, np.ndarray] = {}
-    params["text_emb"] = w(cfg.text_vocab_size, d)
+    shapes = {"text_emb": (cfg.text_vocab_size, d)}
     for k in range(cfg.num_codebooks):
-        params[f"codebook_emb_{k}"] = w(cfg.codebook_sizes[k], d)
-    params["empty_emb"] = w(1, d)
-    params["marker_emb"] = w(cfg.max_mask_spans + 2, d)
+        shapes[f"codebook_emb_{k}"] = (cfg.codebook_sizes[k], d)
+    shapes["empty_emb"] = (1, d)
+    shapes["marker_emb"] = (cfg.max_mask_spans + 2, d)
     for i in range(cfg.num_layers):
         p = f"layer{i}"
-        params[f"{p}.ln1.gain"] = np.ones(d, dtype=dt)
-        params[f"{p}.ln1.bias"] = zeros(d)
-        params[f"{p}.attn.wq"] = w(d, d)
-        params[f"{p}.attn.bq"] = zeros(d)
-        params[f"{p}.attn.wk"] = w(d, d)
-        params[f"{p}.attn.bk"] = zeros(d)
-        params[f"{p}.attn.wv"] = w(d, d)
-        params[f"{p}.attn.bv"] = zeros(d)
-        params[f"{p}.attn.wo"] = w(d, d)
-        params[f"{p}.attn.bo"] = zeros(d)
-        params[f"{p}.ln2.gain"] = np.ones(d, dtype=dt)
-        params[f"{p}.ln2.bias"] = zeros(d)
-        params[f"{p}.ffn.w1"] = w(d, f)
-        params[f"{p}.ffn.b1"] = zeros(f)
-        params[f"{p}.ffn.w2"] = w(f, d)
-        params[f"{p}.ffn.b2"] = zeros(d)
-    params["final_ln.gain"] = np.ones(d, dtype=dt)
-    params["final_ln.bias"] = zeros(d)
+        shapes[f"{p}.ln1.gain"] = shapes[f"{p}.ln1.bias"] = (d,)
+        for name in ("q", "k", "v", "o"):
+            shapes[f"{p}.attn.w{name}"] = (d, d)
+            shapes[f"{p}.attn.b{name}"] = (d,)
+        shapes[f"{p}.ln2.gain"] = shapes[f"{p}.ln2.bias"] = (d,)
+        shapes[f"{p}.ffn.w1"], shapes[f"{p}.ffn.b1"] = (d, f), (f,)
+        shapes[f"{p}.ffn.w2"], shapes[f"{p}.ffn.b2"] = (f, d), (d,)
+    shapes["final_ln.gain"] = shapes["final_ln.bias"] = (d,)
     for k in range(cfg.num_codebooks):
         dims = [d] * cfg.head_mlp_layers + [cfg.head_vocab_size(k)]
         for j in range(cfg.head_mlp_layers):
-            params[f"head{k}.w{j}"] = w(dims[j], dims[j + 1])
-            params[f"head{k}.b{j}"] = zeros(dims[j + 1])
-    assert list(params) == parameter_names(cfg)
+            shapes[f"head{k}.w{j}"], shapes[f"head{k}.b{j}"] = (dims[j], dims[j + 1]), (dims[j + 1],)
+    return shapes
+
+
+def parameter_names(cfg: ModelConfig) -> list[str]:
+    """Canonical parameter order; checkpoints serialize tensors this way."""
+    return list(parameter_shapes(cfg))
+
+
+def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
+    """Unit LayerNorm gains, zero biases, normal(0, init_scale) weights and embeddings.
+
+    Weights are drawn in the canonical parameter order.
+    """
+    dt = cfg.np_dtype
+    params: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(cfg).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "gain":
+            params[name] = np.ones(shape, dtype=dt)
+        elif leaf.startswith("b"):  # bias, attention bq..bo, FFN and head b<j>
+            params[name] = np.zeros(shape, dtype=dt)
+        else:
+            params[name] = (rng.standard_normal(shape) * cfg.init_scale).astype(dt)
     return params
 
 
@@ -359,52 +341,59 @@ def next_item_targets(batch: EncodedBatch, cfg: ModelConfig) -> tuple[np.ndarray
 
 
 def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0) -> np.ndarray:
-    """Input vectors of a batch whose first column sits at position ``start``.
+    """Input vectors of the real positions of a batch, packed row-major: (N, d).
 
-    ``start`` is one position for every row, or one per row.
+    The batch's first column sits at position ``start``, one position for
+    every row or one per row.  Padding gets no vector.
 
     Text and marker items draw one learned vector each.  A frame step sums
     its K codebook embeddings, and every EMPTY slot adds the shared EMPTY
     vector.  The sinusoidal encoding of the absolute position is added.
     """
-    b, length = batch.kind.shape
-    d = cfg.hidden_dim
-    emb = np.zeros((b, length, d), dtype=cfg.np_dtype)
-    text_mask = batch.kind == KIND_TEXT
-    if text_mask.any():
-        emb[text_mask] = params["text_emb"][batch.text_ids[text_mask]]
-    frame_mask = batch.kind == KIND_FRAME
-    if frame_mask.any():
-        real = frame_mask[:, :, None] & (batch.frame_ids >= 0)  # (B, L, K)
-        ids = np.maximum(batch.frame_ids, 0)
+    real = batch.kind != KIND_PAD
+    kind = batch.kind[real]
+    emb = np.zeros((kind.size, cfg.hidden_dim), dtype=cfg.np_dtype)
+    text = kind == KIND_TEXT
+    if text.any():
+        emb[text] = params["text_emb"][batch.text_ids[real][text]]
+    frame = kind == KIND_FRAME
+    if frame.any():
+        ids = batch.frame_ids[real]
+        slot = frame[:, None] & (ids >= 0)  # (N, K) real codebook tokens
+        ids = np.maximum(ids, 0)
         for k in range(cfg.num_codebooks):
             table = params[f"codebook_emb_{k}"]
-            np.add(emb, table[ids[:, :, k]], out=emb, where=real[:, :, k, None])
-        empty_count = (frame_mask[:, :, None] & ~real).sum(axis=2)
-        emb += empty_count[:, :, None].astype(cfg.np_dtype) * params["empty_emb"][0]
-    marker_mask = batch.kind == KIND_MARKER
-    if marker_mask.any():
-        emb[marker_mask] = params["marker_emb"][batch.marker_ids[marker_mask]]
-    emb += sinusoidal_positions(length, d, cfg.np_dtype, start)
+            np.add(emb, table[ids[:, k]], out=emb, where=slot[:, k, None])
+        empty_count = (frame[:, None] & ~slot).sum(axis=1)
+        emb += empty_count[:, None].astype(cfg.np_dtype) * params["empty_emb"][0]
+    marker = kind == KIND_MARKER
+    if marker.any():
+        emb[marker] = params["marker_emb"][batch.marker_ids[real][marker]]
+    pe = sinusoidal_positions(batch.max_length, cfg.hidden_dim, cfg.np_dtype, start)
+    emb += np.broadcast_to(pe, real.shape + pe.shape[-1:])[real]
     return emb
 
 
 def _embed_backward(params: dict, cfg: ModelConfig, batch: EncodedBatch, d_emb, grads: dict):
-    text_mask = batch.kind == KIND_TEXT
-    if text_mask.any():
-        np.add.at(grads["text_emb"], batch.text_ids[text_mask], d_emb[text_mask])
-    frame_mask = batch.kind == KIND_FRAME
-    if frame_mask.any():
+    """Add the gradient of the packed input vectors ``d_emb`` to the embedding tables."""
+    real = batch.kind != KIND_PAD
+    kind = batch.kind[real]
+    text = kind == KIND_TEXT
+    if text.any():
+        np.add.at(grads["text_emb"], batch.text_ids[real][text], d_emb[text])
+    frame = kind == KIND_FRAME
+    if frame.any():
+        ids = batch.frame_ids[real][frame]
+        d_frame = d_emb[frame]
         for k in range(cfg.num_codebooks):
-            ids = batch.frame_ids[:, :, k]
-            real = frame_mask & (ids >= 0)
-            if real.any():
-                np.add.at(grads[f"codebook_emb_{k}"], ids[real], d_emb[real])
-        empty_count = ((batch.frame_ids < 0) & frame_mask[:, :, None]).sum(axis=2)
-        grads["empty_emb"][0] += (empty_count[:, :, None] * d_emb).sum(axis=(0, 1))
-    marker_mask = batch.kind == KIND_MARKER
-    if marker_mask.any():
-        np.add.at(grads["marker_emb"], batch.marker_ids[marker_mask], d_emb[marker_mask])
+            slot = ids[:, k] >= 0
+            if slot.any():
+                np.add.at(grads[f"codebook_emb_{k}"], ids[slot, k], d_frame[slot])
+        empty_count = (ids < 0).sum(axis=1)
+        grads["empty_emb"][0] += (empty_count[:, None] * d_frame).sum(axis=0)
+    marker = kind == KIND_MARKER
+    if marker.any():
+        np.add.at(grads["marker_emb"], batch.marker_ids[real][marker], d_emb[marker])
 
 
 # ---------------------------------------------------------------------------
@@ -469,24 +458,35 @@ def _causal_bias(key_ok: np.ndarray, length: int, dtype) -> np.ndarray:
     return bias[:, None, :, :]  # (B, 1, L, P)
 
 
-def _attention_forward(params, prefix, x, bias, cfg, kv=None):
-    """Multi-head self-attention; ``kv`` is this layer's (keys, values, column).
+def _split_heads(a, real, cfg):
+    """Packed (N, d) rows -> (B, H, L, head_dim) at their batch columns, zero at padding."""
+    b, length = real.shape
+    full = np.zeros((b, length, cfg.hidden_dim), dtype=a.dtype)
+    full[real] = a
+    return full.reshape(b, length, cfg.num_heads, -1).transpose(0, 2, 1, 3)
 
-    With a cache, this call's keys/values are written into the cache
-    buffers at ``column`` and attention runs over every column up to
-    them, so the next call sees every position.
+
+def _merge_heads(a, real):
+    """(B, H, L, head_dim) -> the packed (N, d) rows of the real positions."""
+    return a.transpose(0, 2, 1, 3)[real].reshape(-1, a.shape[1] * a.shape[3])
+
+
+def _attention_forward(params, prefix, x, real, bias, cfg, kv=None):
+    """Multi-head self-attention over packed rows ``x``; ``kv`` is this layer's (keys, values, column).
+
+    Only the attention core runs in the (B, H, L, head_dim) layout of the
+    batch columns; the projections run on the packed rows.  With a cache,
+    this call's keys/values are written into the cache buffers at
+    ``column`` and attention runs over every column up to them, so the
+    next call sees every position.
     """
-    b, length, d = x.shape
-    h, dh = cfg.num_heads, cfg.hidden_dim // cfg.num_heads
-    q = x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"]
-    k = x @ params[f"{prefix}.wk"] + params[f"{prefix}.bk"]
-    v = x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"]
-    q = q.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
-    k = k.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
-    v = v.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
+    dh = cfg.hidden_dim // cfg.num_heads
+    q = _split_heads(x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"], real, cfg)
+    k = _split_heads(x @ params[f"{prefix}.wk"] + params[f"{prefix}.bk"], real, cfg)
+    v = _split_heads(x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"], real, cfg)
     if kv is not None:
         keys, values, past = kv
-        end = past + length
+        end = past + real.shape[1]
         keys[:, :, past:end] = k
         values[:, :, past:end] = v
         k, v = keys[:, :, :end], values[:, :, :end]
@@ -495,22 +495,18 @@ def _attention_forward(params, prefix, x, bias, cfg, kv=None):
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
-    context = weights @ v
-    merged = context.transpose(0, 2, 1, 3).reshape(b, length, d)
+    merged = _merge_heads(weights @ v, real)
     out = merged @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
-    return out, (x, q, k, v, weights, merged)
+    return out, (x, real, q, k, v, weights, merged)
 
 
 def _attention_backward(params, prefix, d_out, cache, cfg, grads):
-    x, q, k, v, weights, merged = cache
-    b, length, d = x.shape
-    h, dh = cfg.num_heads, d // cfg.num_heads
-    flat = lambda a: a.reshape(-1, a.shape[-1])
+    x, real, q, k, v, weights, merged = cache
+    dh = cfg.hidden_dim // cfg.num_heads
 
-    grads[f"{prefix}.wo"] += flat(merged).T @ flat(d_out)
-    grads[f"{prefix}.bo"] += d_out.sum(axis=(0, 1))
-    d_merged = d_out @ params[f"{prefix}.wo"].T
-    d_context = d_merged.reshape(b, length, h, dh).transpose(0, 2, 1, 3)
+    grads[f"{prefix}.wo"] += merged.T @ d_out
+    grads[f"{prefix}.bo"] += d_out.sum(axis=0)
+    d_context = _split_heads(d_out @ params[f"{prefix}.wo"].T, real, cfg)
 
     d_weights = d_context @ v.transpose(0, 1, 3, 2)
     d_v = weights.transpose(0, 1, 3, 2) @ d_context
@@ -520,14 +516,11 @@ def _attention_backward(params, prefix, d_out, cache, cfg, grads):
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 1, 3, 2) @ q
 
-    def unsplit(a):
-        return a.transpose(0, 2, 1, 3).reshape(b, length, d)
-
-    d_q, d_k, d_v = unsplit(d_q), unsplit(d_k), unsplit(d_v)
     d_x = np.zeros_like(x)
     for name, dval in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
-        grads[f"{prefix}.{name}"] += flat(x).T @ flat(dval)
-        grads[f"{prefix}.b{name[1]}"] += dval.sum(axis=(0, 1))
+        dval = _merge_heads(dval, real)
+        grads[f"{prefix}.{name}"] += x.T @ dval
+        grads[f"{prefix}.b{name[1]}"] += dval.sum(axis=0)
         d_x += dval @ params[f"{prefix}.{name}"].T
     return d_x
 
@@ -541,13 +534,12 @@ def _ffn_forward(params, prefix, x):
 
 def _ffn_backward(params, prefix, d_out, cache, grads):
     x, pre, phi, act = cache
-    flat = lambda a: a.reshape(-1, a.shape[-1])
-    grads[f"{prefix}.w2"] += flat(act).T @ flat(d_out)
-    grads[f"{prefix}.b2"] += d_out.sum(axis=(0, 1))
+    grads[f"{prefix}.w2"] += act.T @ d_out
+    grads[f"{prefix}.b2"] += d_out.sum(axis=0)
     d_act = d_out @ params[f"{prefix}.w2"].T
     d_pre = _gelu_grad(pre, phi, d_act)
-    grads[f"{prefix}.w1"] += flat(x).T @ flat(d_pre)
-    grads[f"{prefix}.b1"] += d_pre.sum(axis=(0, 1))
+    grads[f"{prefix}.w1"] += x.T @ d_pre
+    grads[f"{prefix}.b1"] += d_pre.sum(axis=0)
     return d_pre @ params[f"{prefix}.w1"].T
 
 
@@ -557,44 +549,56 @@ def _ffn_backward(params, prefix, d_out, cache, grads):
 
 
 def forward(
-    params: dict, cfg: ModelConfig, batch: EncodedBatch, want_cache: bool = False, kv_cache=None
+    params: dict,
+    cfg: ModelConfig,
+    batch: EncodedBatch,
+    heads_at: np.ndarray,
+    want_cache: bool = False,
+    kv_cache=None,
 ):
     """Run the network; returns (logits per codebook, cache or None).
 
-    ``logits[k]`` has shape (B, L, head_vocab_k); position i's logits are
-    computed from positions <= i only.
+    The residual stream holds the real positions of the batch
+    (``kind != PAD``) packed row-major into one (N, d) array: the
+    embedding, the LayerNorms, the attention projections, the FFN and the
+    residual adds run on those N rows, and only the attention core
+    (scores, softmax, context) places them at their (B, L) columns.
+    Padding costs nothing outside that core.
+
+    The heads (final LayerNorm and the K head MLPs) run only at the
+    positions the (B, L) boolean ``heads_at`` marks, which must be real
+    positions: ``logits[k]`` has shape (heads_at.sum(), V_k), one row per
+    marked position in row-major order.  A position's logits are
+    computed from positions <= it only.
 
     ``kv_cache`` (decoding only) is a :class:`KVCache` over the same
     rows: the batch continues its columns, each row at its own position,
-    and its own keys/values are written into it.  Decoding needs only the
-    next-item logits, so with a cache the heads run at the last column
-    alone (L = 1 in ``logits``).  The gradient cache (``want_cache``)
-    covers no cached keys.
+    and its own keys/values are written into it.  The gradient cache
+    (``want_cache``) covers no cached keys.
     """
-    key_ok = batch.kind != KIND_PAD
+    real = batch.kind != KIND_PAD
+    key_ok = real
     start = past = 0
     if kv_cache is not None:
-        past = kv_cache.extend(key_ok)
+        past = kv_cache.extend(real)
         start = past - kv_cache.pad
         key_ok = kv_cache.valid[:, : past + batch.max_length]
-    emb = _embed_batch(params, cfg, batch, start=start)
-    bias = _causal_bias(key_ok, batch.max_length, emb.dtype)
-    x = emb
+    x = _embed_batch(params, cfg, batch, start=start)
+    bias = _causal_bias(key_ok, batch.max_length, x.dtype)
     layer_caches = []
     for i in range(cfg.num_layers):
         p = f"layer{i}"
         normed1, ln1_cache = _layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
         kv = None if kv_cache is None else (kv_cache.keys[i], kv_cache.values[i], past)
-        attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, bias, cfg, kv)
+        attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, real, bias, cfg, kv)
         x = x + attn_out
         normed2, ln2_cache = _layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
         ffn_out, ffn_cache = _ffn_forward(params, f"{p}.ffn", normed2)
         x = x + ffn_out
         if want_cache:  # otherwise each layer's intermediates are freed as it ends
             layer_caches.append((ln1_cache, attn_cache, ln2_cache, ffn_cache))
-    if kv_cache is not None:
-        x = x[:, -1:]
-    hidden, final_cache = _layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
+    heads = heads_at[real]  # (N,) packed rows the heads run at
+    hidden, final_cache = _layer_norm(x[heads], params["final_ln.gain"], params["final_ln.bias"])
 
     logits = []
     head_caches = []
@@ -617,6 +621,7 @@ def forward(
     if want_cache:
         cache = {
             "batch": batch,
+            "heads": heads,
             "layer_caches": layer_caches,
             "final_cache": final_cache,
             "head_caches": head_caches,
@@ -625,9 +630,8 @@ def forward(
 
 
 def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dict:
-    """Gradients of a scalar whose logit-gradients are ``d_logits``."""
+    """Gradients of a scalar whose logit-gradients are ``d_logits`` (rows as ``forward``'s logits)."""
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-    batch = cache["batch"]
 
     d_hidden = None
     for k in range(cfg.num_codebooks):
@@ -636,16 +640,17 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
             h_in, pre, phi = cache["head_caches"][k][j]
             # non-last layers applied GELU after the affine map
             d_pre = d_x if pre is None else _gelu_grad(pre, phi, d_x)
-            flat_in = h_in.reshape(-1, h_in.shape[-1])
-            flat_d = d_pre.reshape(-1, d_pre.shape[-1])
-            grads[f"head{k}.w{j}"] += flat_in.T @ flat_d
-            grads[f"head{k}.b{j}"] += d_pre.sum(axis=tuple(range(d_pre.ndim - 1)))
+            grads[f"head{k}.w{j}"] += h_in.T @ d_pre
+            grads[f"head{k}.b{j}"] += d_pre.sum(axis=0)
             d_x = d_pre @ params[f"head{k}.w{j}"].T
         d_hidden = d_x if d_hidden is None else d_hidden + d_x
 
-    d_x, d_gain, d_bias = _layer_norm_backward(d_hidden, params["final_ln.gain"], cache["final_cache"])
+    d_heads, d_gain, d_bias = _layer_norm_backward(d_hidden, params["final_ln.gain"], cache["final_cache"])
     grads["final_ln.gain"] += d_gain
     grads["final_ln.bias"] += d_bias
+    heads = cache["heads"]
+    d_x = np.zeros((heads.size, cfg.hidden_dim), dtype=d_heads.dtype)
+    d_x[heads] = d_heads
 
     for i in reversed(range(cfg.num_layers)):
         p = f"layer{i}"
@@ -663,7 +668,7 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
         grads[f"{p}.ln1.bias"] += d_bias
         d_x = d_x + d_in
 
-    _embed_backward(params, cfg, batch, d_x, grads)
+    _embed_backward(params, cfg, cache["batch"], d_x, grads)
     return grads
 
 
@@ -784,7 +789,16 @@ class DecodeSession:
     def __init__(self, state: ModelState, contexts):
         self.state = state
         cfg = state.config
-        batch = encode_batch(contexts, cfg)
+        # the same context object (``[context] * n``) is encoded once
+        unique, seen = [], {}
+        by_object = np.empty(len(contexts), dtype=np.int64)
+        for row, (text_ids, items) in enumerate(contexts):
+            key = (id(text_ids), id(items))
+            if key not in seen:
+                seen[key] = len(unique)
+                unique.append((text_ids, items))
+            by_object[row] = seen[key]
+        batch = encode_batch(unique, cfg)
         if batch.batch_size == 0 or batch.lengths.min() == 0:
             raise InvalidInputError("every decode context must contain at least one item")
         firsts, inverse = distinct_rows(batch)
@@ -793,14 +807,17 @@ class DecodeSession:
         self.position = 0
         self._run(batch.rows(firsts))
         self.prefill_positions = len(firsts) * width
-        if len(firsts) < batch.batch_size:
-            self.keep(inverse)
+        if len(firsts) < len(contexts):
+            self.keep(inverse[by_object])
 
     def _run(self, batch: EncodedBatch) -> list[np.ndarray]:
-        """Run ``batch`` after the cached columns; keep the logits at its end."""
-        logits, _ = forward(self.state.params, self.state.config, batch, kv_cache=self._kv)
+        """Run ``batch`` after the cached columns; keep the logits of its last column."""
+        heads_at = np.zeros(batch.kind.shape, dtype=bool)
+        heads_at[:, -1] = True  # every row ends in the last column
+        self.logits, _ = forward(
+            self.state.params, self.state.config, batch, heads_at, kv_cache=self._kv
+        )
         self.position += batch.max_length
-        self.logits = [l[:, -1] for l in logits]
         return self.logits
 
     def append(self, items) -> list[np.ndarray]:
@@ -830,6 +847,7 @@ class TransformerDecoder:
 
 
 def score_sequence(state: ModelState, text_ids, items):
-    """Full-context forward for one utterance; logits at every position."""
-    logits, _ = forward(state.params, state.config, encode_sequence(text_ids, items, state.config))
-    return [l[0] for l in logits]
+    """Full-context forward for one utterance; logits (L, V_k) at every position."""
+    batch = encode_sequence(text_ids, items, state.config)
+    logits, _ = forward(state.params, state.config, batch, batch.kind != KIND_PAD)
+    return logits

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -220,8 +221,11 @@ def batch_stream(utterances, model_cfg, train_cfg, rng):
 
 
 def evaluation_loss(state: ModelState, batch: Batch) -> float:
-    logits, _ = forward(state.params, state.config, batch.inputs)
-    total, _, _ = weighted_loss(logits, batch.targets, batch.loss_mask, state.config.loss_weights)
+    heads = batch.loss_mask.any(axis=-1)
+    logits, _ = forward(state.params, state.config, batch.inputs, heads)
+    total, _, _ = weighted_loss(
+        logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights
+    )
     return total
 
 
@@ -237,9 +241,13 @@ def train_loop(
 
     Each metrics entry holds the step, learning rate, loss, per-codebook
     losses, the gradient's global norm before clipping (``grad_norm``)
-    and whether it was clipped.  Writes ``metrics.jsonl`` and periodic
-    checkpoints under ``run_dir`` when given.  Aborts on a non-finite loss, dumping the offending batch
-    id.  Deterministic given the seed (or a restored rng state).
+    and whether it was clipped, and where the step went: the real
+    ``positions`` of its batches, the ``head_positions`` the heads ran at
+    (those with any loss), their ``pad_fraction``, ``batch_size`` (rows)
+    and the step's wall time ``step_ms``.  Writes ``metrics.jsonl`` and
+    periodic checkpoints under ``run_dir`` when given.  Aborts on a
+    non-finite loss, dumping the offending batch id.  Deterministic given
+    the seed (or a restored rng state).
     """
     if not utterances:
         raise InvalidInputError("empty corpus")
@@ -256,25 +264,27 @@ def train_loop(
         metrics_fh = open(run_path / "metrics.jsonl", "a", encoding="utf-8")
     try:
         while state.step < train_cfg.total_steps:
+            started = time.perf_counter()
             t = state.step
             lr = eden_lr(t, pseudo_epoch(t, sched_cfg), sched_cfg)
             grads_sum = None
             total = 0.0
             per_k = None
             batch = None
+            positions = head_positions = padded = rows = 0
             for _ in range(train_cfg.grad_accum):
                 batch = next(stream)
-                logits, cache = forward(state.params, state.config, batch.inputs, want_cache=True)
-                loss_value, loss_k, _ = weighted_loss(
-                    logits, batch.targets, batch.loss_mask, state.config.loss_weights
-                )
+                heads = batch.loss_mask.any(axis=-1)
+                targets, loss_mask = batch.targets[heads], batch.loss_mask[heads]
+                logits, cache = forward(state.params, state.config, batch.inputs, heads, want_cache=True)
+                loss_value, loss_k, _ = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
                 if not np.isfinite(loss_value):
                     batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
                     if run_path is not None:
                         with open(run_path / "nonfinite_batch.json", "w", encoding="utf-8") as fh:
                             json.dump({"step": t, "utterances": batch.utterance_ids}, fh)
                     raise NonFiniteLossError(f"non-finite loss {loss_value} at step {t}", batch_id)
-                d_logits = loss_gradient(logits, batch.targets, batch.loss_mask, state.config.loss_weights)
+                d_logits = loss_gradient(logits, targets, loss_mask, state.config.loss_weights)
                 grads = backward(state.params, state.config, cache, d_logits)
                 if grads_sum is None:
                     grads_sum = grads
@@ -283,6 +293,10 @@ def train_loop(
                         grads_sum[name] += grads[name]
                 total += loss_value / train_cfg.grad_accum
                 per_k = loss_k if per_k is None else [a + b for a, b in zip(per_k, loss_k)]
+                positions += int(batch.inputs.lengths.sum())
+                head_positions += int(heads.sum())
+                padded += batch.inputs.kind.size
+                rows += batch.inputs.batch_size
             if train_cfg.grad_accum > 1:
                 for name in grads_sum:
                     grads_sum[name] /= train_cfg.grad_accum
@@ -294,6 +308,9 @@ def train_loop(
             entry = {
                 "step": t, "lr": lr, "loss": total, "loss_k": per_k,
                 "grad_norm": grad_norm, "clipped": clipped,
+                "positions": positions, "head_positions": head_positions,
+                "pad_fraction": 1.0 - positions / padded, "batch_size": rows,
+                "step_ms": (time.perf_counter() - started) * 1e3,
             }
             metrics.append(entry)
             if metrics_fh is not None:

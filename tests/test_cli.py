@@ -180,6 +180,21 @@ class TestEditCommand:
         assert "truncated" in err
         assert "Traceback" not in err
 
+    def test_mis_shaped_checkpoint_is_a_pipeline_error(self, tmp_path, corpus_dir, capsys):
+        utts, _ = load_corpus(corpus_dir)
+        request = write_json(
+            tmp_path / "request.json",
+            {"id": utts[0].id, "corpus_dir": str(corpus_dir), "target": utts[0].transcript},
+        )
+        state = new_model(small_model_config(), seed=0)
+        state.params["layer0.ffn.w1"] = state.params["layer0.ffn.w1"][:, :-4]
+        save_checkpoint(tmp_path / "bad.bin", state, None)
+        code = main(["edit", str(tmp_path / "bad.bin"), str(request), "--out", str(tmp_path / "edit")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "layer0.ffn.w1" in err
+        assert "Traceback" not in err
+
     def test_substitution_reports_ten_candidates(self, tmp_path, corpus_dir, tiny_checkpoint):
         utts, _ = load_corpus(corpus_dir)
         utt = utts[1]

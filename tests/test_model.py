@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from codec_infill import model
 from codec_infill.errors import CapacityError, InvalidInputError, VocabularyError
 from codec_infill.model import (
     _LN_EPS,
+    KIND_PAD,
     DecodeSession,
     EncodedBatch,
     ModelConfig,
@@ -18,6 +20,7 @@ from codec_infill.model import (
     init_params,
     loss_gradient,
     new_model,
+    next_item_targets,
     pad_sequences,
     score_sequence,
     sinusoidal_positions,
@@ -81,7 +84,7 @@ def embed_one(params, cfg, item, pos):
         seq = encode_sequence([item], [], cfg)
     else:
         seq = encode_sequence([], [item], cfg)
-    return _embed_batch(params, cfg, pad_sequences([seq], cfg), start=pos)[0, 0]
+    return _embed_batch(params, cfg, pad_sequences([seq], cfg), start=pos)[0]
 
 
 class TestEmbedding:
@@ -121,7 +124,7 @@ class TestEmbedding:
         text, items = random_context(np.random.default_rng(3), cfg)
         seq = encode_sequence(text, items, cfg)
         batch = pad_sequences([seq], cfg)
-        emb = _embed_batch(state.params, cfg, batch)[0]
+        emb = _embed_batch(state.params, cfg, batch)
         stream = list(text) + list(items)
         for pos, item in enumerate(stream):
             np.testing.assert_allclose(emb[pos], embed_one(state.params, cfg, item, pos), rtol=1e-12)
@@ -319,11 +322,20 @@ class TestForward:
                 for k in range(cfg.num_codebooks):
                     np.testing.assert_allclose(batched.logits[k][j], alone[r].logits[k][0], rtol=1e-9)
 
-    def test_identical_contexts_prefill_once(self):
+    def test_identical_contexts_prefill_once(self, monkeypatch):
         cfg = tiny_config()
         state = new_model(cfg, seed=19)
         text, items = random_context(np.random.default_rng(20), cfg)
+        encoded = []
+        real_encode_batch = model.encode_batch
+
+        def encode_batch(contexts, cfg):
+            encoded.append(len(contexts))
+            return real_encode_batch(contexts, cfg)
+
+        monkeypatch.setattr(model, "encode_batch", encode_batch)
         session = DecodeSession(state, [(text, items)] * 5)
+        assert encoded == [1]  # the one context object is encoded once
         assert session.prefill_positions == len(text) + len(items)
         assert all(np.array_equal(l, np.repeat(l[:1], 5, axis=0)) for l in session.logits)
         with pytest.raises(InvalidInputError):
@@ -338,6 +350,62 @@ class TestForward:
         with pytest.raises(CapacityError):
             session.append([(1, 2)])
         assert session.position == cfg.max_positions
+
+
+class TestPackedPositions:
+    """Padding takes no part in the packed forward, and the heads' rows do not change the math."""
+
+    def case(self, seed):
+        """Three rows of different lengths, alone and padded into one batch."""
+        cfg = tiny_config()
+        params = init_params(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        rows = [encode_sequence(*random_context(rng, cfg, num_frames=n), cfg) for n in (4, 7, 5)]
+        batch = pad_sequences(rows, cfg)
+        targets, mask = next_item_targets(batch, cfg)
+        return cfg, params, rows, batch, targets, mask
+
+    def loss_and_grads(self, params, cfg, batch, targets, mask, heads_at):
+        logits, cache = forward(params, cfg, batch, heads_at, want_cache=True)
+        targets, mask = targets[heads_at], mask[heads_at]
+        total, _, _ = weighted_loss(logits, targets, mask, cfg.loss_weights)
+        d_logits = loss_gradient(logits, targets, mask, cfg.loss_weights)
+        return total, backward(params, cfg, cache, d_logits)
+
+    def assert_same_grads(self, got, want):
+        # attn.bk's gradient is zero in exact arithmetic (softmax ignores a shift
+        # shared by every key), so it holds only rounding: compare it absolutely
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-15, err_msg=name)
+
+    def test_padding_is_inert(self):
+        """Each row of a padded batch gives the logits and loss gradients of that row run alone."""
+        cfg, params, rows, batch, targets, mask = self.case(30)
+        assert (batch.kind == KIND_PAD).any()
+        logits, _ = forward(params, cfg, batch, batch.kind != KIND_PAD)
+        assert [l.shape[0] for l in logits] == [batch.lengths.sum()] * cfg.num_codebooks
+        ends = np.cumsum(batch.lengths)
+        for r, row in enumerate(rows):
+            n = row.max_length
+            alone, _ = forward(params, cfg, row, row.kind != KIND_PAD)
+            for k in range(cfg.num_codebooks):
+                np.testing.assert_allclose(logits[k][ends[r] - n : ends[r]], alone[k], rtol=1e-10)
+            only_r = mask.copy()
+            only_r[np.arange(len(rows)) != r] = False
+            loss_b, grads_b = self.loss_and_grads(params, cfg, batch, targets, only_r, only_r.any(-1))
+            row_targets, row_mask = targets[r : r + 1, :n], mask[r : r + 1, :n]
+            loss_a, grads_a = self.loss_and_grads(params, cfg, row, row_targets, row_mask, row_mask.any(-1))
+            assert loss_b == pytest.approx(loss_a, rel=1e-10)
+            self.assert_same_grads(grads_b, grads_a)
+
+    def test_heads_at_loss_rows_equal_heads_at_every_real_position(self):
+        cfg, params, _, batch, targets, mask = self.case(32)
+        lossy, real = mask.any(axis=-1), batch.kind != KIND_PAD
+        assert lossy.sum() < real.sum()
+        loss_a, grads_a = self.loss_and_grads(params, cfg, batch, targets, mask, lossy)
+        loss_b, grads_b = self.loss_and_grads(params, cfg, batch, targets, mask, real)
+        assert loss_a == pytest.approx(loss_b, rel=1e-10)
+        self.assert_same_grads(grads_a, grads_b)
 
 
 class TestLoss:
@@ -387,13 +455,15 @@ class TestLoss:
 
 class TestGradients:
     def loss_fn(self, params, cfg, batch, targets, mask, weights):
-        logits, _ = forward(params, cfg, batch)
-        total, _, _ = weighted_loss(logits, targets, mask, weights)
+        heads = mask.any(axis=-1)
+        logits, _ = forward(params, cfg, batch, heads)
+        total, _, _ = weighted_loss(logits, targets[heads], mask[heads], weights)
         return total
 
     def analytic_grads(self, params, cfg, batch, targets, mask, weights):
-        logits, cache = forward(params, cfg, batch, want_cache=True)
-        d_logits = loss_gradient(logits, targets, mask, weights)
+        heads = mask.any(axis=-1)
+        logits, cache = forward(params, cfg, batch, heads, want_cache=True)
+        d_logits = loss_gradient(logits, targets[heads], mask[heads], weights)
         return backward(params, cfg, cache, d_logits)
 
     def test_finite_difference_agreement(self):

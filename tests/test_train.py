@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codec_infill import train
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill.errors import InvalidInputError, NonFiniteLossError
 from codec_infill.model import (
@@ -271,6 +272,55 @@ class TestTrainLoop:
             (e["grad_norm"], e["clipped"]) for e in metrics
         ]
 
+    def test_pinned_float32_trajectory(self):
+        """Eight steps of the float32 small model follow the losses recorded before the
+        forward packed its positions; only float rounding may differ (rtol 1e-6)."""
+        corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
+        state = new_model(small_model_config(CODEC, dtype="float32"), seed=0)
+        tcfg = TrainConfig(batch_frame_budget=512, total_steps=8, seed=0)
+        _, metrics = train_loop(corpus, state, tcfg, SchedulerConfig(base_lr=3e-3))
+        pinned = [
+            36.75717582045281, 36.71466988488607, 36.61427680228523, 36.555971902658335,
+            36.44331725399823, 36.185458161676586, 36.151214426735876, 35.67351035896405,
+        ]
+        np.testing.assert_allclose([e["loss"] for e in metrics], pinned, rtol=1e-6)
+
+    def test_metrics_say_where_the_step_went(self, tmp_path, monkeypatch):
+        batches = []
+        real_make_batch = train.make_batch
+
+        def make_batch(*args, **kwargs):
+            batches.append(real_make_batch(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(train, "make_batch", make_batch)
+        (_, metrics), _, _ = self.run_small(tmp_path, steps=4, utts=12)
+        assert len(batches) == len(metrics) == 4
+        logged = [json.loads(line) for line in (tmp_path / "metrics.jsonl").read_text().splitlines()]
+        for entry, line, batch in zip(metrics, logged, batches):
+            assert entry["positions"] == batch.inputs.lengths.sum()
+            assert entry["head_positions"] == batch.loss_mask.any(-1).sum()
+            assert entry["head_positions"] < entry["positions"]
+            assert entry["batch_size"] == batch.inputs.batch_size
+            assert entry["pad_fraction"] == 1 - entry["positions"] / batch.inputs.kind.size
+            assert entry["step_ms"] > 0
+            assert {k: line[k] for k in entry} == entry
+
+    def test_step_calls_each_training_layer_once(self, monkeypatch):
+        """The benchmark's trace times these four names; a step must call each through ``train``."""
+        calls = dict.fromkeys(("forward", "weighted_loss", "loss_gradient", "backward"), 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(train, name, counted(name, getattr(train, name)))
+        self.run_small(steps=1)
+        assert calls == dict.fromkeys(calls, 1)
+
     def test_nonfinite_loss_aborts_with_batch_id(self, tmp_path):
         corpus = gen_corpus(3, (5, 6), CODEC, seed=11)
         model_cfg = small_model_config(CODEC)
@@ -338,6 +388,17 @@ class TestCheckpoint:
             "extra": data + b"\x00",
         }[damage]
         (tmp_path / "bad.bin").write_bytes(damaged)
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("fault", ["shape", "dtype"])
+    def test_mis_shaped_tensor_raises_invalid_input(self, tmp_path, fault):
+        state = new_model(small_model_config(CODEC), seed=5)
+        if fault == "shape":
+            state.params["layer0.ffn.w1"] = state.params["layer0.ffn.w1"][:, :-4]
+        else:
+            state.params["text_emb"] = state.params["text_emb"].astype(np.float32)
+        save_checkpoint(tmp_path / "bad.bin", state, None)
         with pytest.raises(InvalidInputError):
             load_checkpoint(tmp_path / "bad.bin")
 
