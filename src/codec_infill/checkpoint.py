@@ -19,6 +19,7 @@ import struct
 import numpy as np
 
 from .errors import InvalidInputError
+from .jsonio import config_to_json
 from .model import ModelConfig, ModelState, parameter_names, parameter_shapes
 
 MAGIC = b"CILM"
@@ -34,10 +35,7 @@ def save_checkpoint(path, state: ModelState, rng_state: dict | None = None) -> N
         tensors.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
     header = {
-        "config": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in vars(state.config).items()
-        },
+        "config": config_to_json(state.config),
         "step": state.step,
         "rng_state": rng_state,
         "tensors": tensors,

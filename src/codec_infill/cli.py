@@ -24,9 +24,10 @@ from .checkpoint import load_checkpoint
 from .errors import CodecInfillError, ConfigError, NumericalError
 from .evaluate import load_manifest, run_eval
 from .infer import EditConfig, SamplingConfig, edit_speech, zero_shot_tts
+from .jsonio import config_from_json, get_field, read_json, write_json, write_json_lines
 from .metrics import MCD_SCALE
 from .model import ModelConfig, TransformerDecoder, new_model
-from .rearrange import MaskSamplingConfig, causal_mask, delay_stack, format_items, uncausal_mask, unstack
+from .rearrange import causal_mask, delay_stack, format_items, uncausal_mask, unstack
 from .synthcodec import (
     ToyCodecConfig,
     decode_tokens,
@@ -52,30 +53,18 @@ EXIT_PIPELINE = 1
 # Config plumbing
 # ---------------------------------------------------------------------------
 
-_TUPLE_FIELDS = {"codebook_sizes", "loss_weights", "render_gains", "margin_schedule"}
+
+@dataclasses.dataclass
+class CorpusConfig:
+    num_utterances: int = 1100
+    num_validation: int = 100
+    min_symbols: int = 5
+    max_symbols: int = 20
+    seed: int = 0
 
 
-def _build_section(cls, payload: dict, section: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    clean = {}
-    for key, value in payload.items():
-        if key not in names:
-            raise ConfigError(f"unknown config field '{section}.{key}'")
-        clean[key] = tuple(value) if key in _TUPLE_FIELDS and isinstance(value, list) else value
-    try:
-        return cls(**clean)
-    except CodecInfillError as err:
-        raise ConfigError(f"invalid config section '{section}': {err}") from err
-    except TypeError as err:
-        raise ConfigError(f"invalid config section '{section}': {err}") from err
-
-
-def _load_config(path, overrides) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+def _apply_overrides(payload: dict, overrides) -> dict:
+    """``payload`` with each ``section.key=value`` override set; a value that is not JSON is a string."""
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not of the form key=value")
@@ -88,8 +77,14 @@ def _load_config(path, overrides) -> dict:
         keys = dotted.split(".")
         for key in keys[:-1]:
             node = node.setdefault(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override '{item}' sets a key inside '{key}', which is not an object")
         node[keys[-1]] = value
     return payload
+
+
+def _load_config(path, overrides) -> dict:
+    return read_json(path, lambda payload: _apply_overrides(payload, overrides))
 
 
 def _config_hash(payload) -> str:
@@ -127,12 +122,22 @@ def _out_dir(args, default_name: str) -> Path:
     return path
 
 
-def _sampling_from(payload: dict) -> SamplingConfig:
-    return _build_section(SamplingConfig, payload, "sampling")
+def _symbol_ids(text: str, argument: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split()]
+    except ValueError as err:
+        raise ConfigError(f"{argument} '{text}' is not space-separated symbol ids") from err
 
 
-def _edit_cfg_from(payload: dict) -> EditConfig:
-    return _build_section(EditConfig, payload, "edit")
+def _dump_record(path, record_id) -> TokenDumpRecord:
+    """The record ``record_id`` of a token dump, or its first record when no id is given."""
+    records = read_token_dump(path)
+    if not records:
+        raise ConfigError(f"{path} holds no token records")
+    for record in records:
+        if record_id is None or record.id == record_id:
+            return record
+    raise ConfigError(f"record '{record_id}' not found in {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +147,15 @@ def _edit_cfg_from(payload: dict) -> EditConfig:
 
 def cmd_gen_data(args) -> int:
     payload = _load_config(args.config, args.set)
-    codec = _build_section(ToyCodecConfig, payload.get("codec", {}), "codec")
-    corpus_payload = dict(payload.get("corpus", {}))
-    defaults = {
-        "num_utterances": 1100,
-        "num_validation": 100,
-        "min_symbols": 5,
-        "max_symbols": 20,
-        "seed": 0,
-    }
-    for key in corpus_payload:
-        if key not in defaults:
-            raise ConfigError(f"unknown config field 'corpus.{key}'")
-    merged = {**defaults, **corpus_payload}
+    codec = config_from_json(ToyCodecConfig, payload.get("codec", {}), "codec")
+    corpus = config_from_json(CorpusConfig, payload.get("corpus", {}), "corpus")
     out = _out_dir(args, "corpus")
     utterances = gen_corpus(
-        merged["num_utterances"],
-        (merged["min_symbols"], merged["max_symbols"]),
+        corpus.num_utterances,
+        (corpus.min_symbols, corpus.max_symbols),
         codec,
-        merged["seed"],
-        merged["num_validation"],
+        corpus.seed,
+        corpus.num_validation,
     )
     write_corpus(out, utterances, codec)
     n_train = sum(1 for u in utterances if u.split == "train")
@@ -172,20 +166,19 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     payload = _load_config(args.config, args.set)
-    if "data_dir" not in payload:
-        raise ConfigError("missing config field 'data_dir'")
-    corpus, codec = load_corpus(payload["data_dir"])
+    corpus, codec = load_corpus(get_field(payload, "data_dir", str))
     train_utts = [u for u in corpus if u.split == "train"]
-    model_payload = dict(payload.get("model", {}))
-    model_payload.setdefault("num_codebooks", codec.num_codebooks)
-    model_payload.setdefault("codebook_sizes", codec.codebook_sizes)
-    model_payload.setdefault("text_vocab_size", codec.alphabet_size)
-    model_cfg = _build_section(ModelConfig, model_payload, "model")
-    sched_cfg = _build_section(SchedulerConfig, payload.get("scheduler", {}), "scheduler")
-    train_payload = dict(payload.get("train", {}))
-    mask_payload = train_payload.pop("mask", {})
-    train_cfg = _build_section(TrainConfig, train_payload, "train")
-    train_cfg.mask = _build_section(MaskSamplingConfig, mask_payload, "train.mask")
+    model_payload = payload.get("model", {})
+    if isinstance(model_payload, dict):  # config_from_json rejects any other value
+        model_payload = {
+            "num_codebooks": codec.num_codebooks,
+            "codebook_sizes": codec.codebook_sizes,
+            "text_vocab_size": codec.alphabet_size,
+            **model_payload,
+        }
+    model_cfg = config_from_json(ModelConfig, model_payload, "model")
+    sched_cfg = config_from_json(SchedulerConfig, payload.get("scheduler", {}), "scheduler")
+    train_cfg = config_from_json(TrainConfig, payload.get("train", {}), "train")
     out = _out_dir(args, "run")
 
     rng_state = None
@@ -195,35 +188,40 @@ def cmd_train(args) -> int:
             raise ConfigError("resume checkpoint config differs from the requested model")
         print(f"resumed from {args.resume} at step {state.step}")
     else:
-        state = new_model(model_cfg, seed=int(payload.get("init_seed", 0)))
-    with open(out / "train_header.json", "w", encoding="utf-8") as fh:
-        json.dump(_report_header(payload, train_cfg.seed), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        state = new_model(model_cfg, seed=get_field(payload, "init_seed", int, 0))
+    write_json(out / "train_header.json", _report_header(payload, train_cfg.seed))
     state, metrics = train_loop(train_utts, state, train_cfg, sched_cfg, run_dir=out, rng_state=rng_state)
     print(f"trained to step {state.step}; final loss {metrics[-1]['loss']:.4f}" if metrics else "no steps run")
     print(f"checkpoints and metrics under {out}")
     return EXIT_OK
 
 
+def _edit_request(request: dict) -> tuple:
+    """(request, id, corpus_dir, original or None, target, sampling, edit config) of an edit request."""
+    ids = lambda values: [int(v) for v in values]
+    edit_payload = request.get("edit", {})
+    if "margin_schedule" in request and isinstance(edit_payload, dict):  # the request-level schedule wins
+        edit_payload = {**edit_payload, "margin_schedule": request["margin_schedule"]}
+    return (
+        request,
+        get_field(request, "id", str),
+        get_field(request, "corpus_dir", str),
+        get_field(request, "original", ids, None),
+        get_field(request, "target", ids),
+        config_from_json(SamplingConfig, request.get("sampling", {}), "sampling"),
+        config_from_json(EditConfig, edit_payload, "edit"),
+    )
+
+
 def cmd_edit(args) -> int:
-    with open(args.request, "r", encoding="utf-8") as fh:
-        request = json.load(fh)
-    for field in ("id", "corpus_dir", "target"):
-        if field not in request:
-            raise ConfigError(f"edit request is missing field '{field}'")
-    corpus, codec = load_corpus(request["corpus_dir"])
+    request, utt_id, corpus_dir, original, target, sampling, edit_cfg = read_json(args.request, _edit_request)
+    corpus, codec = load_corpus(corpus_dir)
     by_id = {u.id: u for u in corpus}
-    if request["id"] not in by_id:
-        raise ConfigError(f"utterance '{request['id']}' not found in the corpus")
-    utt = by_id[request["id"]]
-    original = [int(v) for v in request.get("original", utt.transcript)]
-    target = [int(v) for v in request["target"]]
-    sampling = _sampling_from(request.get("sampling", {}))
-    edit_payload = dict(request.get("edit", {}))
-    if "margin_schedule" in request:
-        edit_payload["margin_schedule"] = tuple(request["margin_schedule"])
-        edit_payload.setdefault("num_candidates", len(edit_payload["margin_schedule"]))
-    edit_cfg = _edit_cfg_from(edit_payload)
+    if utt_id not in by_id:
+        raise ConfigError(f"utterance '{utt_id}' not found in the corpus")
+    utt = by_id[utt_id]
+    if original is None:
+        original = list(utt.transcript)
 
     state, _ = load_checkpoint(args.checkpoint)
     decoder = TransformerDecoder(state)
@@ -234,7 +232,7 @@ def cmd_edit(args) -> int:
     out = _out_dir(args, "edit")
     write_token_dump(out / "edited_tokens.jsonl", [TokenDumpRecord(f"{utt.id}_edited", out_matrix)])
     write_wav(out / "edited.wav", render_waveform(out_matrix, codec), codec.sample_rate)
-    payload = {
+    write_json(out / "report.json", {
         "header": _report_header(request, sampling.seed),
         "id": utt.id,
         "identity": report.identity,
@@ -244,28 +242,16 @@ def cmd_edit(args) -> int:
         "prefill_positions": report.prefill_positions,
         "decode_steps": report.decode_steps,
         "decoded_transcript": decode_tokens(out_matrix, codec).symbols,
-    }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"edited tokens, waveform, and report under {out}")
     return EXIT_OK
 
 
 def cmd_tts(args) -> int:
-    records = read_token_dump(args.prompt_dump)
-    if not records:
-        raise ConfigError(f"{args.prompt_dump} holds no token records")
-    record = records[0]
-    if args.id is not None:
-        matches = [r for r in records if r.id == args.id]
-        if not matches:
-            raise ConfigError(f"record '{args.id}' not found in {args.prompt_dump}")
-        record = matches[0]
-    codec_path = args.codec_config or str(Path(args.prompt_dump).parent / "codec_config.json")
-    codec = load_codec_config(Path(codec_path).parent if codec_path.endswith(".json") else codec_path)
-    prompt_text = [int(v) for v in args.prompt_text.split()]
-    target_text = [int(v) for v in args.target_text.split()]
+    record = _dump_record(args.prompt_dump, args.id)
+    codec = load_codec_config(args.codec_config or Path(args.prompt_dump).parent / "codec_config.json")
+    prompt_text = _symbol_ids(args.prompt_text, "prompt_text")
+    target_text = _symbol_ids(args.target_text, "target_text")
     sampling = SamplingConfig(seed=args.seed)
     edit_cfg = EditConfig()
     state, _ = load_checkpoint(args.checkpoint)
@@ -276,7 +262,7 @@ def cmd_tts(args) -> int:
     out = _out_dir(args, "tts")
     write_token_dump(out / "tts_tokens.jsonl", [TokenDumpRecord(f"{record.id}_tts", out_matrix)])
     write_wav(out / "tts.wav", render_waveform(out_matrix, codec), codec.sample_rate)
-    payload = {
+    write_json(out / "report.json", {
         "header": _report_header({"prompt": prompt_text, "target": target_text}, sampling.seed),
         "id": record.id,
         "identity": report.identity,
@@ -286,33 +272,20 @@ def cmd_tts(args) -> int:
         "prefill_positions": report.prefill_positions,
         "decode_steps": report.decode_steps,
         "decoded_transcript": decode_tokens(out_matrix, codec).symbols,
-    }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"continuation tokens, waveform, and report under {out}")
     return EXIT_OK
 
 
 def _parse_spans(text: str) -> list[Span]:
-    spans = []
-    if text:
-        for chunk in text.split(","):
-            lo, hi = chunk.split(":")
-            spans.append(Span(int(lo), int(hi)))
-    return spans
+    try:
+        return [Span(*map(int, chunk.split(":"))) for chunk in text.split(",")] if text else []
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"--spans '{text}' is not a comma-separated list of start:end") from err
 
 
 def cmd_rearrange(args) -> int:
-    records = read_token_dump(args.dump)
-    if not records:
-        raise ConfigError(f"{args.dump} holds no token records")
-    record = records[0]
-    if args.id is not None:
-        matches = [r for r in records if r.id == args.id]
-        if not matches:
-            raise ConfigError(f"record '{args.id}' not found in {args.dump}")
-        record = matches[0]
+    record = _dump_record(args.dump, args.id)
     spans = _parse_spans(args.spans) if args.spans is not None else record.spans
     y = causal_mask(record.matrix, spans)
     z = delay_stack(y)
@@ -321,9 +294,8 @@ def cmd_rearrange(args) -> int:
     print("Y:", format_items(y.items))
     print("Z:", format_items(z.items))
     if args.roundtrip:
-        back, back_spans = uncausal_mask(y)
-        assert back == record.matrix and back_spans == spans, "causal round-trip failed"
-        assert unstack(z) == y, "stacking round-trip failed"
+        if uncausal_mask(y) != (record.matrix, spans) or unstack(z) != y:
+            raise CodecInfillError(f"round-trip of {record.id} failed")
         print("round-trip OK")
     return EXIT_OK
 
@@ -333,34 +305,18 @@ def cmd_eval(args) -> int:
     tokens = {u.id: u.tokens for u in corpus}
     records = load_manifest(args.manifest)
     dumps = {r.id: tokens[r.utterance] for r in records if r.utterance in tokens}
+    overrides = _apply_overrides({}, args.set)
+    for section in set(overrides) - {"sampling", "edit"}:
+        raise ConfigError(f"unknown config field '{section}'; eval takes sampling.* and edit.* overrides")
+    sampling = config_from_json(SamplingConfig, overrides.get("sampling", {}), "sampling")
+    edit_cfg = config_from_json(EditConfig, overrides.get("edit", {}), "edit")
     state, _ = load_checkpoint(args.checkpoint)
     decoder = TransformerDecoder(state)
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"override '{item}' is not of the form key=value")
-        key, raw = item.split("=", 1)
-        try:
-            overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            overrides[key] = raw
-    sampling = _sampling_from(
-        {k.split(".", 1)[1]: v for k, v in overrides.items() if k.startswith("sampling.")}
-    )
-    edit_cfg = _edit_cfg_from(
-        {k.split(".", 1)[1]: v for k, v in overrides.items() if k.startswith("edit.")}
-    )
     outcome = run_eval(decoder, state.config, records, dumps, codec, edit_cfg, sampling)
     out = _out_dir(args, "eval")
     header = _report_header({"manifest": str(args.manifest), "overrides": overrides}, sampling.seed)
-    with open(out / "eval_report.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for row in outcome.reports:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    summary = {"header": header, "strata": outcome.strata, "skipped": outcome.skipped}
-    with open(out / "eval_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_lines(out / "eval_report.jsonl", [{"header": header}, *outcome.reports])
+    write_json(out / "eval_summary.json", {"header": header, "strata": outcome.strata, "skipped": outcome.skipped})
     print(f"evaluated {len(outcome.reports)} records ({outcome.skipped} skipped)")
     for key, row in outcome.strata.items():
         print(
@@ -409,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prompt_text", help="space-separated symbol ids of the prompt")
     p.add_argument("target_text", help="space-separated symbol ids to synthesize")
     p.add_argument("--id", default=None, help="record id inside the prompt dump")
-    p.add_argument("--codec-config", default=None)
+    p.add_argument("--codec-config", default=None, help="codec config file (default: codec_config.json beside the dump)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tts)

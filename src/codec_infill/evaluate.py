@@ -18,14 +18,13 @@ the rendered output and the rendered ground-truth encoding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .infer import EditConfig, SamplingConfig, build_infill_context, diff_transcripts, edit_speech, generate_infill
+from .jsonio import get_field, read_json_lines, write_json_lines
 from .metrics import F0Config, SpectrogramConfig, energy_distance, f0_distance, mcd_distance, symbol_error_rate
 from .model import ModelConfig
 from .rearrange import splice
@@ -97,57 +96,27 @@ def validate_record(record: EvalRecord) -> None:
 
 
 def save_manifest(path, records: list[EvalRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(asdict(r), separators=(",", ":"), sort_keys=True) + "\n")
+    write_json_lines(path, (asdict(r) for r in records))
 
 
-_REQUIRED = object()
-
-
-def _manifest_field(payload: dict, name: str, convert, where: str, default=_REQUIRED):
-    if name not in payload:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where} is missing field '{name}'")
-        return default
-    try:
-        return convert(payload[name])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where} field '{name}' is malformed: {err}") from err
+def _record_from_payload(payload: dict) -> EvalRecord:
+    ids = lambda values: [int(v) for v in values]
+    record = EvalRecord(
+        id=get_field(payload, "id", str),
+        original=get_field(payload, "original", ids),
+        edited=get_field(payload, "edited", ids),
+        edit_types=get_field(payload, "edit_types", lambda values: [str(v) for v in values], []),
+        num_spans=get_field(payload, "num_spans", int, 0),
+        bucket=payload.get("bucket"),
+        utterance=get_field(payload, "utterance", str, None),
+    )
+    validate_record(record)
+    return record
 
 
 def load_manifest(path) -> list[EvalRecord]:
     """Records of a manifest file; a malformed line raises ``ConfigError`` naming it."""
-    ids = lambda values: [int(v) for v in values]
-    names = lambda values: [str(v) for v in values]
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"manifest {path} line {number}"
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{where} is not valid JSON: {err}") from err
-            if not isinstance(payload, dict):
-                raise ConfigError(f"{where} is a JSON {type(payload).__name__}, not an object")
-            record_id = _manifest_field(payload, "id", str, where)
-            record = EvalRecord(
-                id=record_id,
-                original=_manifest_field(payload, "original", ids, where),
-                edited=_manifest_field(payload, "edited", ids, where),
-                edit_types=_manifest_field(payload, "edit_types", names, where, []),
-                num_spans=_manifest_field(payload, "num_spans", int, where, 0),
-                bucket=payload.get("bucket"),
-                utterance=_manifest_field(payload, "utterance", str, where, record_id),
-            )
-            try:
-                validate_record(record)
-            except ConfigError as err:
-                raise ConfigError(f"{where}: {err}") from err
-            records.append(record)
-    return records
+    return read_json_lines(path, _record_from_payload)
 
 
 def synthesize_manifest(

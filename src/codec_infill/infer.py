@@ -238,15 +238,12 @@ class SamplingConfig:
 @dataclass
 class EditConfig:
     margin_schedule: tuple[float, ...] = tuple(round(0.05 + 0.01 * i, 2) for i in range(10))
-    num_candidates: int = 10
     num_discard_longest: int = 4
     tts_num_samples: int = 5
 
     def __post_init__(self):
-        if self.num_discard_longest >= self.num_candidates:
-            raise InvalidInputError("num_discard_longest must be < num_candidates")
-        if len(self.margin_schedule) != self.num_candidates:
-            raise InvalidInputError("margin_schedule length must equal num_candidates")
+        if self.num_discard_longest >= len(self.margin_schedule):
+            raise InvalidInputError("num_discard_longest must be < the number of margins")
 
 
 @dataclass

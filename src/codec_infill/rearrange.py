@@ -101,7 +101,6 @@ class MaskSamplingConfig:
     min_spans: int = 1
     max_spans: int = 3
     max_span_len: int = 60
-    seed: int | None = None
 
     def __post_init__(self):
         if not (1 <= self.min_spans <= self.max_spans):

@@ -16,15 +16,15 @@ is a pure function of its inputs.
 
 from __future__ import annotations
 
-import json
 import wave
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, VocabularyError
+from .errors import ConfigError, InvalidInputError, VocabularyError
 from .infer import Alignment
+from .jsonio import config_from_json, config_to_json, get_field, read_json, read_json_lines, write_json, write_json_lines
 from .tokens import CodecMatrix, Span, TokenDumpRecord, read_token_dump, write_token_dump
 
 # per-codebook sinusoid bands: (base Hz, top Hz, step Hz per token id)
@@ -283,42 +283,41 @@ def write_corpus(out_dir, utterances: list[ToyUtterance], cfg: ToyCodecConfig) -
     out.mkdir(parents=True, exist_ok=True)
     dump_name = "tokens.jsonl"
     write_token_dump(out / dump_name, [TokenDumpRecord(u.id, u.tokens) for u in utterances])
-    with open(out / "manifest.jsonl", "w", encoding="utf-8") as fh:
-        for u in utterances:
-            record = {"id": u.id, "transcript": u.transcript, "dump": dump_name, "split": u.split}
-            fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
-    with open(out / "codec_config.json", "w", encoding="utf-8") as fh:
-        payload = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(cfg).items()}
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_lines(
+        out / "manifest.jsonl",
+        ({"id": u.id, "transcript": u.transcript, "dump": dump_name, "split": u.split} for u in utterances),
+    )
+    write_json(out / "codec_config.json", config_to_json(cfg))
 
 
-def load_codec_config(corpus_dir) -> ToyCodecConfig:
-    with open(Path(corpus_dir) / "codec_config.json", "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload["render_gains"] = tuple(payload["render_gains"])
-    return ToyCodecConfig(**payload)
+def load_codec_config(path) -> ToyCodecConfig:
+    """The codec config file at ``path`` (a corpus's ``codec_config.json``)."""
+    return read_json(path, lambda payload: config_from_json(ToyCodecConfig, payload, "codec"))
+
+
+def _manifest_entry(payload: dict) -> tuple[str, list[int], str, str]:
+    return (
+        get_field(payload, "id", str),
+        get_field(payload, "transcript", lambda v: [int(s) for s in v]),
+        get_field(payload, "dump", str),
+        get_field(payload, "split", str),
+    )
 
 
 def load_corpus(corpus_dir) -> tuple[list[ToyUtterance], ToyCodecConfig]:
     corpus_dir = Path(corpus_dir)
-    cfg = load_codec_config(corpus_dir)
-    records = {}
-    with open(corpus_dir / "manifest.jsonl", "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                r = json.loads(line)
-                records[r["id"]] = r
+    cfg = load_codec_config(corpus_dir / "codec_config.json")
+    manifest = corpus_dir / "manifest.jsonl"
+    entries = {entry[0]: entry for entry in read_json_lines(manifest, _manifest_entry)}
     dumps = {}
-    for r in records.values():
-        dumps.setdefault(r["dump"], None)
-    for name in dumps:
-        dumps[name] = {rec.id: rec for rec in read_token_dump(corpus_dir / name)}
+    for _, _, name, _ in entries.values():
+        if name not in dumps:
+            dumps[name] = {rec.id: rec for rec in read_token_dump(corpus_dir / name)}
     utterances = []
-    for rid, r in records.items():
-        rec = dumps[r["dump"]][rid]
-        transcript = [int(s) for s in r["transcript"]]
+    for rid, transcript, name, split in entries.values():
+        if rid not in dumps[name]:
+            raise ConfigError(f"{manifest}: utterance '{rid}' is not in dump {name}")
         utterances.append(
-            ToyUtterance(rid, transcript, rec.matrix, exact_alignment(len(transcript), cfg), r["split"])
+            ToyUtterance(rid, transcript, dumps[name][rid].matrix, exact_alignment(len(transcript), cfg), split)
         )
     return utterances, cfg

@@ -15,12 +15,12 @@ The on-disk dump format is line-delimited JSON, one utterance per line:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpanError
+from .jsonio import get_field, read_json_lines, write_json_lines
 
 # Filler id occupying stacked slots that the delay pattern leaves without a
 # real token.  Never appears inside a CodecMatrix or a rearranged sequence.
@@ -143,7 +143,7 @@ class TokenDumpRecord:
     spans: list[Span] = field(default_factory=list)
 
 
-def dump_record_to_json(record: TokenDumpRecord) -> str:
+def _record_payload(record: TokenDumpRecord) -> dict:
     payload = {
         "id": record.id,
         "frame_rate": record.matrix.frame_rate,
@@ -152,31 +152,21 @@ def dump_record_to_json(record: TokenDumpRecord) -> str:
     }
     if record.spans:
         payload["spans"] = [[s.start, s.end] for s in record.spans]
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return payload
 
 
-def dump_record_from_json(line: str) -> TokenDumpRecord:
-    payload = json.loads(line)
-    sizes = tuple(int(v) for v in payload["codebook_sizes"])
-    frames = np.asarray(payload["frames"], dtype=np.int64)
-    if frames.size == 0:
-        frames = frames.reshape(0, len(sizes))
-    matrix = CodecMatrix(frames, frame_rate=int(payload["frame_rate"]), codebook_sizes=sizes)
-    spans = [Span(int(a), int(b)) for a, b in payload.get("spans", [])]
-    return TokenDumpRecord(str(payload["id"]), matrix, spans)
+def _record_from_payload(payload: dict) -> TokenDumpRecord:
+    sizes = get_field(payload, "codebook_sizes", lambda v: tuple(int(n) for n in v))
+    frames = get_field(payload, "frames", lambda v: np.asarray(v, dtype=np.int64))
+    matrix = CodecMatrix(frames, frame_rate=get_field(payload, "frame_rate", int), codebook_sizes=sizes)
+    spans = get_field(payload, "spans", lambda v: [Span(int(a), int(b)) for a, b in v], [])
+    return TokenDumpRecord(get_field(payload, "id", str), matrix, spans)
 
 
 def write_token_dump(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(dump_record_to_json(record) + "\n")
+    write_json_lines(path, (_record_payload(record) for record in records))
 
 
 def read_token_dump(path) -> list[TokenDumpRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(dump_record_from_json(line))
-    return records
+    """Records of a dump file; a malformed line raises ``ConfigError`` naming it."""
+    return read_json_lines(path, _record_from_payload)

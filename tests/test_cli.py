@@ -459,3 +459,181 @@ class TestEvalCommand:
         assert code == 0
         summary = json.loads((tmp_path / "ev" / "eval_summary.json").read_text())
         assert summary["skipped"] == 1
+
+
+
+MALFORMED = {}
+
+
+def malformed(case):
+    """Register a case: it builds its inputs and returns the argv and the strings stderr must name."""
+    MALFORMED[case.__name__] = case
+    return case
+
+
+def dump_with_line(tmp_path, line: bytes):
+    dump = tmp_path / "dump.jsonl"
+    good = b'{"codebook_sizes": [8], "frame_rate": 50, "frames": [[1], [2]], "id": "ok"}'
+    dump.write_bytes(good + b"\n" + line + b"\n")
+    return ["rearrange", str(dump)], [str(dump), "line 2"]
+
+
+def corpus_with(tmp_path, corpus_dir, name, text):
+    """A copy of the corpus whose file ``name`` holds ``text``."""
+    copy = tmp_path / "corpus"
+    copy.mkdir()
+    for path in corpus_dir.iterdir():
+        (copy / path.name).write_bytes(path.read_bytes())
+    (copy / name).write_text(text)
+    return copy
+
+
+def tts_with_codec_config(tmp_path, corpus_dir, checkpoint, text):
+    """tts reading the codec config ``my_codec.json``; a valid codec_config.json sits beside it."""
+    config = corpus_with(tmp_path, corpus_dir, "my_codec.json", text) / "my_codec.json"
+    argv = ["tts", str(checkpoint), str(corpus_dir / "tokens.jsonl"), "1 2", "3", "--codec-config", str(config)]
+    return argv + ["--out", str(tmp_path / "tts")], [str(config)]
+
+
+def edit_with_request(tmp_path, corpus_dir, checkpoint, **fields):
+    request = write_json(tmp_path / "request.json", {"id": "utt00001", "corpus_dir": str(corpus_dir), **fields})
+    return ["edit", str(checkpoint), str(request), "--out", str(tmp_path / "edit")], [str(request)]
+
+
+def gen_data_with_config(tmp_path, payload, *overrides):
+    config = write_json(tmp_path / "gen.json", payload)
+    argv = ["gen-data", "--config", str(config), "--out", str(tmp_path / "out")]
+    for item in overrides:
+        argv += ["--set", item]
+    return argv, [str(config)]
+
+
+@malformed
+def dump_line_not_json(tmp_path, corpus_dir, checkpoint):
+    argv, names = dump_with_line(tmp_path, b"{not json")
+    return argv, names + ["not valid JSON"]
+
+
+@malformed
+def dump_line_not_utf8(tmp_path, corpus_dir, checkpoint):
+    argv, names = dump_with_line(tmp_path, b'{"id": "\xff"}')
+    return argv, names + ["utf-8"]
+
+
+@malformed
+def dump_line_a_list(tmp_path, corpus_dir, checkpoint):
+    argv, names = dump_with_line(tmp_path, b"[1, 2]")
+    return argv, names + ["list"]
+
+
+@malformed
+def dump_line_without_frames(tmp_path, corpus_dir, checkpoint):
+    argv, names = dump_with_line(tmp_path, b'{"id": "x", "frame_rate": 50, "codebook_sizes": [8]}')
+    return argv, names + ["'frames'"]
+
+
+@malformed
+def dump_frames_not_t_by_k(tmp_path, corpus_dir, checkpoint):
+    argv, names = dump_with_line(tmp_path, b'{"id": "x", "frame_rate": 50, "codebook_sizes": [8], "frames": [1, 2]}')
+    return argv, names + ["(T, K)"]
+
+
+@malformed
+def dump_frames_ragged(tmp_path, corpus_dir, checkpoint):
+    line = b'{"id": "x", "frame_rate": 50, "codebook_sizes": [8, 8], "frames": [[1, 2], [3]]}'
+    argv, names = dump_with_line(tmp_path, line)
+    return argv, names + ["'frames'"]
+
+
+@malformed
+def corpus_manifest_line_without_dump(tmp_path, corpus_dir, checkpoint):
+    lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
+    entry = json.loads(lines[1])
+    del entry["dump"]
+    corpus = corpus_with(tmp_path, corpus_dir, "manifest.jsonl", "\n".join([lines[0], json.dumps(entry), *lines[2:]]))
+    argv, _ = edit_with_request(tmp_path, corpus, checkpoint, target=[1])
+    return argv, [str(corpus / "manifest.jsonl"), "line 2", "'dump'"]
+
+
+@malformed
+def codec_config_unknown_field(tmp_path, corpus_dir, checkpoint):
+    argv, names = tts_with_codec_config(tmp_path, corpus_dir, checkpoint, json.dumps({"bogus": 1}))
+    return argv, names + ["codec.bogus"]
+
+
+@malformed
+def codec_config_not_an_object(tmp_path, corpus_dir, checkpoint):
+    argv, names = tts_with_codec_config(tmp_path, corpus_dir, checkpoint, "[4, 2]")
+    return argv, names + ["list"]
+
+
+@malformed
+def edit_target_not_ids(tmp_path, corpus_dir, checkpoint):
+    argv, names = edit_with_request(tmp_path, corpus_dir, checkpoint, target=[1, "a"])
+    return argv, names + ["'target'"]
+
+
+@malformed
+def edit_num_candidates_removed(tmp_path, corpus_dir, checkpoint):
+    argv, names = edit_with_request(tmp_path, corpus_dir, checkpoint, target=[1], edit={"num_candidates": 10})
+    return argv, names + ["edit.num_candidates"]
+
+
+@malformed
+def config_top_level_a_list(tmp_path, corpus_dir, checkpoint):
+    argv, names = gen_data_with_config(tmp_path, [{"codec": {}}])
+    return argv, names + ["list"]
+
+
+@malformed
+def config_override_into_a_scalar(tmp_path, corpus_dir, checkpoint):
+    argv, names = gen_data_with_config(tmp_path, {}, "codec=3", "codec.alphabet_size=10")
+    return argv, names + ["codec.alphabet_size=10"]
+
+
+@malformed
+def config_train_mask_seed_removed(tmp_path, corpus_dir, checkpoint):
+    config = write_json(tmp_path / "train.json", {
+        "data_dir": str(corpus_dir),
+        "model": {"num_layers": 1, "hidden_dim": 32, "ffn_dim": 64, "num_heads": 2, "max_positions": 512},
+        "train": {"batch_frame_budget": 512, "total_steps": 1, "mask": {"seed": 1}},
+    })
+    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], ["train.mask.seed"]
+
+
+@malformed
+def eval_set_outside_sampling_and_edit(tmp_path, corpus_dir, checkpoint):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n')
+    argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--set", "seed=3", "--out", str(tmp_path / "ev")]
+    return argv, ["'seed'"]
+
+
+@malformed
+def rearrange_spans_not_start_end(tmp_path, corpus_dir, checkpoint):
+    return ["rearrange", str(corpus_dir / "tokens.jsonl"), "--spans", "1:4,6"], ["--spans", "'1:4,6'"]
+
+
+@malformed
+def tts_text_not_ids(tmp_path, corpus_dir, checkpoint):
+    codec = str(corpus_dir / "codec_config.json")
+    argv = ["tts", str(checkpoint), str(corpus_dir / "tokens.jsonl"), "1 x", "3", "--codec-config", codec]
+    return argv + ["--out", str(tmp_path / "tts")], ["prompt_text", "'1 x'"]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_fails_typed_and_names_the_input(self, tmp_path, corpus_dir, tiny_checkpoint, capsys, case):
+        argv, names = MALFORMED[case](tmp_path, corpus_dir, tiny_checkpoint)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err
+
+    def test_failed_round_trip_is_a_pipeline_error(self, corpus_dir, capsys, monkeypatch):
+        monkeypatch.setattr("codec_infill.cli.unstack", lambda z: None)
+        code = main(["rearrange", str(corpus_dir / "tokens.jsonl"), "--spans", "1:4", "--roundtrip"])
+        assert code == 1
+        assert "round-trip of" in capsys.readouterr().err

@@ -1,0 +1,102 @@
+"""JSON files: the one written form, and one typed error for every malformed input."""
+
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from codec_infill.errors import CodecInfillError, ConfigError
+from codec_infill.evaluate import load_manifest, save_manifest, synthesize_manifest
+from codec_infill.jsonio import (
+    config_from_json,
+    config_to_json,
+    get_field,
+    read_json,
+    read_json_lines,
+    write_json,
+    write_json_lines,
+)
+from codec_infill.rearrange import MaskSamplingConfig
+from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_codec_config, load_corpus, write_corpus
+from codec_infill.tokens import read_token_dump
+from codec_infill.train import TrainConfig
+
+CODEC = ToyCodecConfig()
+
+
+class TestWrittenForm:
+    def test_json_is_indented_sorted_and_ends_in_a_newline(self, tmp_path):
+        write_json(tmp_path / "a.json", {"b": (1, 2), "a": None})
+        assert (tmp_path / "a.json").read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+
+    def test_json_lines_are_compact_sorted_and_streamed(self, tmp_path):
+        write_json_lines(tmp_path / "a.jsonl", ({"b": i, "a": [i]} for i in range(2)))
+        assert (tmp_path / "a.jsonl").read_text() == '{"a":[0],"b":0}\n{"a":[1],"b":1}\n'
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text('{"a": 1}\n\n{"a": 2}\n')
+        assert read_json_lines(path, lambda payload: get_field(payload, "a", int)) == [1, 2]
+        path.write_text('{"a": 1}\n\n{"a": 2}\n \n{"a": "x"}\n')
+        with pytest.raises(ConfigError, match=r"a\.jsonl line 5: field 'a' is malformed"):
+            read_json_lines(path, lambda payload: get_field(payload, "a", int))
+
+
+class TestConfigFromJson:
+    def test_json_round_trip_restores_tuples_and_nested_configs(self, tmp_path):
+        for cfg, cls in [
+            (ToyCodecConfig(render_gains=(1.0, 0.5, 0.25, 0.125)), ToyCodecConfig),
+            (TrainConfig(total_steps=7, mask=MaskSamplingConfig(max_spans=2)), TrainConfig),
+        ]:
+            write_json(tmp_path / "cfg.json", config_to_json(cfg))
+            assert read_json(tmp_path / "cfg.json", lambda payload: config_from_json(cls, payload, "x")) == cfg
+
+    def test_invalid_value_names_the_section(self):
+        with pytest.raises(ConfigError, match=r"'train\.mask'"):
+            config_from_json(TrainConfig, {"mask": {"min_spans": 0}}, "train")
+
+
+@pytest.fixture(scope="module")
+def corpus_files(tmp_path_factory):
+    """A valid corpus plus an eval manifest, and a scratch copy the fuzz test corrupts."""
+    valid = tmp_path_factory.mktemp("valid")
+    corpus = gen_corpus(3, (2, 3), CODEC, seed=0)
+    write_corpus(valid, corpus, CODEC)
+    records = synthesize_manifest(corpus, CODEC, np.random.default_rng(0), 2, max_span_words=1)
+    save_manifest(valid / "eval.jsonl", records)
+    work = tmp_path_factory.mktemp("work")
+    shutil.copytree(valid, work, dirs_exist_ok=True)
+    return valid, work
+
+
+READERS = {
+    "tokens.jsonl": read_token_dump,
+    "eval.jsonl": load_manifest,
+    "codec_config.json": load_codec_config,
+    "manifest.jsonl": lambda path: load_corpus(path.parent),
+}
+TOKENS = [b"", b"1", b"-", b'"', b"[", b"]", b"{", b"}", b",", b":", b"null", b"1e999", b"Infinity", b"\xff", b"9" * 20]
+
+
+class TestEveryMalformedFileFailsTyped:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        name=st.sampled_from(sorted(READERS)),
+        where=st.floats(0.0, 1.0),
+        cut=st.integers(0, 8),
+        token=st.sampled_from(TOKENS),
+        truncate=st.booleans(),
+    )
+    def test_truncated_or_corrupted_file(self, corpus_files, name, where, cut, token, truncate):
+        valid, work = corpus_files
+        data = (valid / name).read_bytes()
+        i = int(where * len(data))
+        (work / name).write_bytes(data[:i] if truncate else data[:i] + token + data[i + cut:])
+        try:
+            READERS[name](work / name)
+        except (CodecInfillError, FileNotFoundError):
+            pass  # FileNotFoundError: a corrupted dump name in the corpus manifest (exit 3)
+        finally:
+            (work / name).write_bytes(data)
