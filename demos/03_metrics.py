@@ -3,6 +3,8 @@
 Generated speech rarely has the same length as the reference, so every
 distance first aligns the two feature tracks with dynamic time warping
 and then averages pointwise differences along the alignment path.
+The sample rate is an argument of every feature that depends on it
+(MFCC, F0); evaluation passes the codec's.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from codec_infill import (
     symbol_error_rate,
 )
 
-SR = 16000
+SR = 16000  # the rate the tones below are sampled at
 
 
 def sinusoid(freq, seconds=0.5):
@@ -39,9 +41,11 @@ print("MCD(x, x + 1) =", round(mcd(m, m + 1.0), 4), "(closed form 11.0724)")
 # --- F0 tracking on pure tones ----------------------------------------------
 print("\nF0 estimates:")
 for freq in (100, 220, 300, 500):
-    track = f0_track(sinusoid(freq))
+    track = f0_track(sinusoid(freq), SR)
     print(f"  {freq:3d} Hz tone -> median {np.median(track[track > 0]):7.2f} Hz")
-print("  silence      ->", f0_track(np.zeros(SR // 4)).max(), "(unvoiced)")
+print("  silence      ->", f0_track(np.zeros(SR // 4), SR).max(), "(unvoiced)")
+tone_24k = np.sin(2 * np.pi * 220 * np.arange(12000) / 24000)
+print(f"  220 Hz tone sampled at 24 kHz -> median {np.median(f0_track(tone_24k, 24000)):.2f} Hz")
 
 # --- energy doubles with amplitude ------------------------------------------
 wav = sinusoid(220)
@@ -56,4 +60,4 @@ print("aligned F0 distance (+10 Hz, different lengths):",
 
 # --- the desk-scale intelligibility stand-in ----------------------------------
 print("\nsymbol error rate('a b c' vs 'a x c') =", round(symbol_error_rate(list("abc"), list("axc")), 3))
-print("MFCC of a 1-second tone has shape", mfcc(sinusoid(200, 1.0)).shape)
+print("MFCC of a 1-second tone has shape", mfcc(sinusoid(200, 1.0), SR).shape)

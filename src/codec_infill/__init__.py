@@ -48,8 +48,6 @@ from .synthcodec import (
     render_waveform,
 )
 from .metrics import (
-    F0Config,
-    SpectrogramConfig,
     aligned_distance,
     dtw_align,
     energy_track,

@@ -18,8 +18,8 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .jsonio import config_to_json
+from .errors import ConfigError, InvalidInputError
+from .jsonio import config_from_json, config_to_json
 from .model import ModelConfig, ModelState, parameter_names, parameter_shapes
 
 MAGIC = b"CILM"
@@ -72,16 +72,13 @@ def load_checkpoint(path) -> tuple[ModelState, dict | None]:
     head = take(head_len, "header")
     try:
         header = json.loads(bytes(head).decode("utf-8"))
-        cfg_payload = dict(header["config"])
-        for key in ("codebook_sizes", "loss_weights"):
-            cfg_payload[key] = tuple(cfg_payload[key])
-        cfg = ModelConfig(**cfg_payload)
+        cfg = config_from_json(ModelConfig, header["config"], "config")
         step = int(header["step"])
         specs = [
             (spec["name"], np.dtype(spec["dtype"]), tuple(int(n) for n in spec["shape"]))
             for spec in header["tensors"]
         ]
-    except (KeyError, TypeError, ValueError) as err:
+    except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise InvalidInputError(f"checkpoint {path} has a malformed header: {err!r}") from err
     params = {}
     for name, dtype, shape in specs:

@@ -24,8 +24,8 @@ from .checkpoint import load_checkpoint
 from .errors import CodecInfillError, ConfigError, NumericalError
 from .evaluate import load_manifest, run_eval
 from .infer import EditConfig, SamplingConfig, edit_speech, zero_shot_tts
-from .jsonio import config_from_json, get_field, read_json, write_json, write_json_lines
-from .metrics import MCD_SCALE
+from .jsonio import check_keys, config_from_json, get_field, read_json, write_json, write_json_lines
+from .metrics import F0_RANGE_HZ, FFT_SIZE, HOP, LOG_FLOOR, MCD_SCALE, MEL_BANDS, MFCC_ORDER, VOICING_THRESHOLD, WINDOW_LENGTH
 from .model import ModelConfig, TransformerDecoder, new_model
 from .rearrange import causal_mask, delay_stack, format_items, uncausal_mask, unstack
 from .synthcodec import (
@@ -83,8 +83,9 @@ def _apply_overrides(payload: dict, overrides) -> dict:
     return payload
 
 
-def _load_config(path, overrides) -> dict:
-    return read_json(path, lambda payload: _apply_overrides(payload, overrides))
+def _load_config(path, overrides, known) -> dict:
+    """The config file at ``path`` with the overrides set; a top-level key outside ``known`` raises ConfigError."""
+    return read_json(path, lambda payload: check_keys(_apply_overrides(payload, overrides), known))
 
 
 def _config_hash(payload) -> str:
@@ -101,14 +102,14 @@ def _report_header(payload, seed) -> dict:
             "dtw_steps": [[1, 0], [0, 1], [1, 1]],
             "dtw_local_distance": "euclidean",
             "mcd_scale": MCD_SCALE,
-            "window_length": 640,
-            "hop": 160,
-            "fft_size": 1024,
-            "mel_bands": 40,
-            "mfcc_order": 13,
-            "f0_range_hz": [80, 600],
-            "voicing_threshold": 0.3,
-            "log_floor": 1e-10,
+            "window_length": WINDOW_LENGTH,
+            "hop": HOP,
+            "fft_size": FFT_SIZE,
+            "mel_bands": MEL_BANDS,
+            "mfcc_order": MFCC_ORDER,
+            "f0_range_hz": list(F0_RANGE_HZ),
+            "voicing_threshold": VOICING_THRESHOLD,
+            "log_floor": LOG_FLOOR,
         },
     }
 
@@ -146,7 +147,7 @@ def _dump_record(path, record_id) -> TokenDumpRecord:
 
 
 def cmd_gen_data(args) -> int:
-    payload = _load_config(args.config, args.set)
+    payload = _load_config(args.config, args.set, {"codec", "corpus"})
     codec = config_from_json(ToyCodecConfig, payload.get("codec", {}), "codec")
     corpus = config_from_json(CorpusConfig, payload.get("corpus", {}), "corpus")
     out = _out_dir(args, "corpus")
@@ -165,7 +166,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    payload = _load_config(args.config, args.set)
+    payload = _load_config(args.config, args.set, {"data_dir", "init_seed", "model", "scheduler", "train"})
     corpus, codec = load_corpus(get_field(payload, "data_dir", str))
     train_utts = [u for u in corpus if u.split == "train"]
     model_payload = payload.get("model", {})
@@ -198,6 +199,7 @@ def cmd_train(args) -> int:
 
 def _edit_request(request: dict) -> tuple:
     """(request, id, corpus_dir, original or None, target, sampling, edit config) of an edit request."""
+    check_keys(request, {"id", "corpus_dir", "original", "target", "sampling", "edit", "margin_schedule"})
     ids = lambda values: [int(v) for v in values]
     edit_payload = request.get("edit", {})
     if "margin_schedule" in request and isinstance(edit_payload, dict):  # the request-level schedule wins
@@ -306,8 +308,7 @@ def cmd_eval(args) -> int:
     records = load_manifest(args.manifest)
     dumps = {r.id: tokens[r.utterance] for r in records if r.utterance in tokens}
     overrides = _apply_overrides({}, args.set)
-    for section in set(overrides) - {"sampling", "edit"}:
-        raise ConfigError(f"unknown config field '{section}'; eval takes sampling.* and edit.* overrides")
+    check_keys(overrides, {"sampling", "edit"})
     sampling = config_from_json(SamplingConfig, overrides.get("sampling", {}), "sampling")
     edit_cfg = config_from_json(EditConfig, overrides.get("edit", {}), "edit")
     state, _ = load_checkpoint(args.checkpoint)

@@ -13,7 +13,8 @@ means over single-span records, per-type totals, a two-span row (a
 two-span record counts under each of its edit types), and an overall
 row.  Metrics per record: symbol error rate of the decoded output
 against the edited transcript, plus MCD / F0 / energy distances between
-the rendered output and the rendered ground-truth encoding.
+the rendered output and the rendered ground-truth encoding, analysed at
+the codec's sample rate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .infer import EditConfig, SamplingConfig, build_infill_context, diff_transcripts, edit_speech, generate_infill
 from .jsonio import get_field, read_json_lines, write_json_lines
-from .metrics import F0Config, SpectrogramConfig, energy_distance, f0_distance, mcd_distance, symbol_error_rate
+from .metrics import WINDOW_LENGTH, energy_distance, f0_distance, mcd_distance, symbol_error_rate
 from .model import ModelConfig
 from .rearrange import splice
 from .synthcodec import (
@@ -178,10 +179,6 @@ def synthesize_manifest(
 # ---------------------------------------------------------------------------
 
 
-# the distances frame signals with their default analysis windows
-_MIN_SCORED_SAMPLES = max(SpectrogramConfig().window_length, F0Config().window_length)
-
-
 def _scored_waveform(tokens: CodecMatrix, codec_cfg: ToyCodecConfig) -> np.ndarray:
     """Rendered waveform, padded with silence to at least one analysis window.
 
@@ -189,7 +186,7 @@ def _scored_waveform(tokens: CodecMatrix, codec_cfg: ToyCodecConfig) -> np.ndarr
     it is scored as that sound followed by silence rather than rejected.
     """
     wav = render_waveform(tokens, codec_cfg)
-    return np.pad(wav, (0, max(0, _MIN_SCORED_SAMPLES - len(wav))))
+    return np.pad(wav, (0, max(0, WINDOW_LENGTH - len(wav))))
 
 
 def _strata_keys(record: EvalRecord) -> list[str]:
@@ -249,8 +246,8 @@ def run_eval(
         row = {
             "id": record.id,
             "ser": ser,
-            "mcd": mcd_distance(wav_truth, wav_out),
-            "f0_dist": f0_distance(wav_truth, wav_out),
+            "mcd": mcd_distance(wav_truth, wav_out, codec_cfg.sample_rate),
+            "f0_dist": f0_distance(wav_truth, wav_out, codec_cfg.sample_rate),
             "energy_dist": energy_distance(wav_truth, wav_out),
             "edit_types": record.edit_types,
             "num_spans": record.num_spans,

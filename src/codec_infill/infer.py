@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, InvalidInputError
+from .metrics import edit_distance_table
 from .model import ModelConfig
 from .rearrange import causal_mask, delay_stack, splice, stack_span, unstack_span
 from .tokens import EMPTY, EOS, EOU, CodecMatrix, Span, mask_marker, validate_spans
@@ -78,21 +79,10 @@ def diff_transcripts(original: list, target: list) -> EditScript:
     deletions, then insertions on ties, which yields a deterministic
     backtrace; runs of non-match steps collapse into single ops.
     """
-    n, m = len(original), len(target)
-    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
-    cost[:, 0] = np.arange(n + 1)
-    cost[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            same = original[i - 1] == target[j - 1]
-            cost[i, j] = min(
-                cost[i - 1, j - 1] + (0 if same else 1),
-                cost[i - 1, j] + 1,
-                cost[i, j - 1] + 1,
-            )
+    cost = edit_distance_table(original, target)
     # backtrace into (op, i, j) steps
     steps = []
-    i, j = n, m
+    i, j = len(original), len(target)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and original[i - 1] == target[j - 1] and cost[i, j] == cost[i - 1, j - 1]:
             steps.append(("match", i - 1, j - 1))

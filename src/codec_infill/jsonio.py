@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 
 from .errors import CodecInfillError, ConfigError
 
@@ -64,25 +66,50 @@ def write_json_lines(path, payloads) -> None:
             fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
 
 
+def check_keys(payload: dict, known) -> dict:
+    """``payload`` itself; a key of it outside ``known`` raises ConfigError naming the key."""
+    for key in payload:
+        if key not in known:
+            raise ConfigError(f"unknown key '{key}'; the known keys are {', '.join(sorted(known))}")
+    return payload
+
+
 def config_from_json(cls, payload, section: str):
-    """A ``cls`` config dataclass from its JSON object; unknown or invalid fields raise ConfigError."""
+    """A ``cls`` config dataclass from its JSON object.
+
+    An unknown field, a value not of its field's declared type (int,
+    float, str, bool, ``tuple[X, ...]`` from a list, ``X | None`` or a
+    nested config) or a value the config rejects raises ConfigError
+    naming the field.
+    """
     if not isinstance(payload, dict):
         raise ConfigError(f"config section '{section}' is a JSON {type(payload).__name__}, not an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
     values = {}
     for key, value in payload.items():
-        if key not in fields:
+        if key not in hints:
             raise ConfigError(f"unknown config field '{section}.{key}'")
-        spec = fields[key]
-        if dataclasses.is_dataclass(spec.default_factory):
-            value = config_from_json(spec.default_factory, value, f"{section}.{key}")
-        elif isinstance(spec.default, tuple) and isinstance(value, list):
-            value = tuple(value)
-        values[key] = value
+        values[key] = _typed(hints[key], value, f"{section}.{key}")
     try:
         return cls(**values)
     except (CodecInfillError, TypeError, ValueError) as err:
         raise ConfigError(f"invalid config section '{section}': {err}") from err
+
+
+def _typed(hint, value, name: str):
+    """``value`` checked against the field type ``hint``; a JSON list becomes a tuple."""
+    if dataclasses.is_dataclass(hint):
+        return config_from_json(hint, value, name)
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        return None if value is None else _typed(args[0], value, name)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(_typed(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
+    elif isinstance(value, (int, float) if hint is float else hint) and isinstance(value, bool) == (hint is bool):
+        return value  # an int is a float, but a bool is no int
+    expected = hint.__name__ if isinstance(hint, type) else hint
+    raise ConfigError(f"config field '{name}' must be {expected}, not {type(value).__name__} {value!r}")
 
 
 def config_to_json(cfg) -> dict:

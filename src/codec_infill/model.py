@@ -73,8 +73,6 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        self.codebook_sizes = tuple(self.codebook_sizes)
-        self.loss_weights = tuple(self.loss_weights)
         if self.num_codebooks < 1:
             raise InvalidInputError("num_codebooks must be >= 1")
         if len(self.codebook_sizes) != self.num_codebooks:
@@ -87,6 +85,12 @@ class ModelConfig:
             raise InvalidInputError("hidden_dim must be divisible by num_heads")
         if self.head_mlp_layers < 1:
             raise InvalidInputError("head_mlp_layers must be >= 1")
+        try:
+            floating = np.issubdtype(np.dtype(self.dtype), np.floating)
+        except TypeError:
+            floating = False
+        if not floating:
+            raise InvalidInputError(f"dtype '{self.dtype}' is not a numpy float type")
 
     @property
     def np_dtype(self):

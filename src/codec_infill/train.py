@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import InvalidInputError, NonFiniteLossError
+from .errors import ConfigError, InvalidInputError, NonFiniteLossError
 from .model import (
     EncodedBatch,
     ModelConfig,
@@ -247,10 +247,17 @@ def train_loop(
     and the step's wall time ``step_ms``.  Writes ``metrics.jsonl`` and
     periodic checkpoints under ``run_dir`` when given.  Aborts on a
     non-finite loss, dumping the offending batch id.  Deterministic given
-    the seed (or a restored rng state).
+    the seed (or a restored rng state).  A mask sampler that can draw more
+    spans than the model has mask markers is a ConfigError before the
+    first step.
     """
     if not utterances:
         raise InvalidInputError("empty corpus")
+    if train_cfg.mask.max_spans > state.config.max_mask_spans:
+        raise ConfigError(
+            f"train.mask.max_spans {train_cfg.mask.max_spans} exceeds "
+            f"model.max_mask_spans {state.config.max_mask_spans}"
+        )
     rng = np.random.default_rng(train_cfg.seed)
     if rng_state is not None:
         rng.bit_generator.state = rng_state

@@ -74,6 +74,19 @@ def next_item_targets_oracle(text_ids, items, cfg: ModelConfig):
     return targets, mask
 
 
+def levenshtein_oracle(ref, hyp) -> int:
+    """Rolling-row, cell-by-cell reference for ``metrics.levenshtein``."""
+    n, m = len(ref), len(hyp)
+    row = np.arange(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        prev = row.copy()
+        row[0] = i
+        for j in range(1, m + 1):
+            same = ref[i - 1] == hyp[j - 1]
+            row[j] = min(prev[j - 1] + (0 if same else 1), prev[j] + 1, row[j - 1] + 1)
+    return int(row[m])
+
+
 def nucleus_distribution(logits, cfg, run_state, allowed=None):
     """Per-row reference for the nucleus inside ``infer.sample_token``.
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
-from codec_infill.cli import main
+from codec_infill import metrics
+from codec_infill.cli import _report_header, main
 from codec_infill.evaluate import EvalRecord, load_manifest, save_manifest, synthesize_manifest
 from codec_infill.model import ModelConfig, new_model
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_corpus, write_corpus
@@ -128,6 +129,17 @@ class TestTrainCommand:
         resumed, _ = load_checkpoint(tmp_path / "run2" / "ckpt_final.bin")
         assert resumed.step == 7
 
+    def test_mask_spans_beyond_the_model_markers_exit_2_before_training(self, tmp_path, corpus_dir, capsys):
+        payload = self.train_config(corpus_dir)
+        payload["train"]["mask"] = {"max_spans": 5}
+        cfg = write_json(tmp_path / "train.json", payload)
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "train.mask.max_spans 5" in err and "model.max_mask_spans 3" in err
+        assert not list((tmp_path / "run").glob("ckpt_*.bin"))
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+
     def test_nan_abort_exit_4(self, tmp_path, corpus_dir, capsys):
         state = new_model(
             ModelConfig(
@@ -147,6 +159,32 @@ class TestTrainCommand:
         )
         assert code == 4
         assert "utt" in capsys.readouterr().err
+
+
+class TestReportHeader:
+    def test_constants_are_the_metrics_constants(self):
+        constants = _report_header({}, 0)["constants"]
+        assert constants == {
+            "dtw_steps": [[1, 0], [0, 1], [1, 1]],
+            "dtw_local_distance": "euclidean",
+            "mcd_scale": metrics.MCD_SCALE,
+            "window_length": metrics.WINDOW_LENGTH,
+            "hop": metrics.HOP,
+            "fft_size": metrics.FFT_SIZE,
+            "mel_bands": metrics.MEL_BANDS,
+            "mfcc_order": metrics.MFCC_ORDER,
+            "f0_range_hz": list(metrics.F0_RANGE_HZ),
+            "voicing_threshold": metrics.VOICING_THRESHOLD,
+            "log_floor": metrics.LOG_FLOOR,
+        }
+
+    def test_written_constants_are_pinned(self):
+        assert json.dumps(_report_header({}, 0)["constants"], sort_keys=True) == (
+            '{"dtw_local_distance": "euclidean", "dtw_steps": [[1, 0], [0, 1], [1, 1]], '
+            '"f0_range_hz": [80, 600], "fft_size": 1024, "hop": 160, "log_floor": 1e-10, '
+            '"mcd_scale": 4.3429448190325175, "mel_bands": 40, "mfcc_order": 13, '
+            '"voicing_threshold": 0.3, "window_length": 640}'
+        )
 
 
 class TestEditCommand:
@@ -599,6 +637,46 @@ def config_train_mask_seed_removed(tmp_path, corpus_dir, checkpoint):
         "train": {"batch_frame_budget": 512, "total_steps": 1, "mask": {"seed": 1}},
     })
     return ["train", "--config", str(config), "--out", str(tmp_path / "run")], ["train.mask.seed"]
+
+
+@malformed
+def config_corpus_num_utterances_a_string(tmp_path, corpus_dir, checkpoint):
+    argv, names = gen_data_with_config(tmp_path, {"corpus": {"num_utterances": "5"}})
+    return argv, ["corpus.num_utterances", "str"]
+
+
+@malformed
+def config_model_dtype_unknown(tmp_path, corpus_dir, checkpoint):
+    config = write_json(tmp_path / "train.json", {
+        "data_dir": str(corpus_dir),
+        "model": {"num_layers": 1, "hidden_dim": 32, "ffn_dim": 64, "num_heads": 2, "dtype": "float99"},
+        "train": {"batch_frame_budget": 512, "total_steps": 1},
+    })
+    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], ["'model'", "dtype 'float99'"]
+
+
+@malformed
+def config_gen_data_unknown_top_level_key(tmp_path, corpus_dir, checkpoint):
+    argv, names = gen_data_with_config(tmp_path, {"modle": {}})
+    return argv, names + ["'modle'"]
+
+
+@malformed
+def config_train_unknown_top_level_key(tmp_path, corpus_dir, checkpoint):
+    config = write_json(tmp_path / "train.json", {"data_dir": str(corpus_dir), "schedular": {"base_lr": 0.1}})
+    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], [str(config), "'schedular'"]
+
+
+@malformed
+def config_override_adds_unknown_top_level_key(tmp_path, corpus_dir, checkpoint):
+    argv, names = gen_data_with_config(tmp_path, {}, "corpuss.seed=3")
+    return argv, names + ["'corpuss'"]
+
+
+@malformed
+def edit_request_unknown_top_level_key(tmp_path, corpus_dir, checkpoint):
+    argv, names = edit_with_request(tmp_path, corpus_dir, checkpoint, target=[1], sampeling={"seed": 3})
+    return argv, names + ["'sampeling'"]
 
 
 @malformed

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codec_infill import evaluate, metrics
 from codec_infill.errors import ConfigError
 from codec_infill.evaluate import (
     EvalRecord,
@@ -133,6 +134,30 @@ class TestRunEval:
         for key in ("ser", "mcd", "f0_dist", "energy_dist"):
             assert np.isfinite(row[key])
         assert row["mcd"] > 0.0
+
+    def test_scores_at_the_codec_sample_rate(self, monkeypatch):
+        """A 24 kHz codec's renderings are analysed at 24 kHz, not at a default rate."""
+        codec = ToyCodecConfig(sample_rate=24000)
+        (utt,) = gen_corpus(1, (5, 9), codec, seed=4)
+        edited = list(utt.transcript)
+        edited[1] = (edited[1] + 1) % codec.alphabet_size
+        record = EvalRecord("r0", list(utt.transcript), edited, ["substitution"], 1, "1-2")
+        rates = []
+
+        def spy(name):
+            def call(wav_ref, wav_gen, sample_rate):
+                rates.append(sample_rate)
+                return getattr(metrics, name)(wav_ref, wav_gen, sample_rate)
+            return call
+
+        monkeypatch.setattr(evaluate, "mcd_distance", spy("mcd_distance"))
+        monkeypatch.setattr(evaluate, "f0_distance", spy("f0_distance"))
+        outcome = run_eval(
+            StubDecoder(MODEL_CFG, 4), MODEL_CFG, [record], {"r0": utt.tokens}, codec,
+            EditConfig(), SamplingConfig(seed=9),
+        )
+        assert rates == [24000, 24000]
+        assert np.isfinite(outcome.reports[0]["f0_dist"])
 
 
 class TestReconstructionCases:

@@ -1,5 +1,6 @@
 """JSON files: the one written form, and one typed error for every malformed input."""
 
+import re
 import shutil
 
 import numpy as np
@@ -18,6 +19,7 @@ from codec_infill.jsonio import (
     write_json,
     write_json_lines,
 )
+from codec_infill.model import ModelConfig
 from codec_infill.rearrange import MaskSamplingConfig
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_codec_config, load_corpus, write_corpus
 from codec_infill.tokens import read_token_dump
@@ -56,6 +58,34 @@ class TestConfigFromJson:
     def test_invalid_value_names_the_section(self):
         with pytest.raises(ConfigError, match=r"'train\.mask'"):
             config_from_json(TrainConfig, {"mask": {"min_spans": 0}}, "train")
+
+    @pytest.mark.parametrize(
+        "cls, payload, named",
+        [
+            (ToyCodecConfig, {"alphabet_size": "30"}, "x.alphabet_size"),
+            (ToyCodecConfig, {"alphabet_size": 30.0}, "x.alphabet_size"),
+            (ToyCodecConfig, {"alphabet_size": True}, "x.alphabet_size"),
+            (ToyCodecConfig, {"jitter_seed": "3"}, "x.jitter_seed"),
+            (ToyCodecConfig, {"render_gains": 1.0}, "x.render_gains"),
+            (ToyCodecConfig, {"render_gains": [1.0, "a", 0.1, 0.1]}, "x.render_gains[1]"),
+            (TrainConfig, {"mask": {"rate": "1"}}, "x.mask.rate"),
+            (ModelConfig, {"dtype": 32}, "x.dtype"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_the_field(self, cls, payload, named):
+        with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
+            config_from_json(cls, payload, "x")
+
+    def test_declared_types_accept_their_json_forms(self):
+        cfg = config_from_json(ToyCodecConfig, {"render_gains": [1, 0.5, 0.25, 0.125], "jitter_seed": None}, "x")
+        assert cfg.render_gains == (1, 0.5, 0.25, 0.125) and cfg.jitter_seed is None
+        assert config_from_json(ToyCodecConfig, {"jitter_seed": 3}, "x").jitter_seed == 3
+
+    def test_model_dtype_numpy_does_not_know_is_rejected(self):
+        with pytest.raises(ConfigError, match="dtype 'float99'"):
+            config_from_json(ModelConfig, {"dtype": "float99"}, "model")
+        with pytest.raises(ConfigError, match="dtype 'int32'"):
+            config_from_json(ModelConfig, {"dtype": "int32"}, "model")
 
 
 @pytest.fixture(scope="module")

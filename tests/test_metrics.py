@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codec_infill.errors import InvalidInputError
+from codec_infill.infer import apply_script, diff_transcripts
 from codec_infill.metrics import (
-    F0Config,
-    SpectrogramConfig,
+    MCD_SCALE,
     aligned_distance,
     dtw_align,
     energy_track,
@@ -16,6 +18,10 @@ from codec_infill.metrics import (
     mfcc,
     symbol_error_rate,
 )
+from codec_infill.synthcodec import ToyCodecConfig, encode_transcript, frequency_tables, render_waveform
+from codec_infill.tokens import CodecMatrix
+
+from helpers import levenshtein_oracle
 
 SR = 16000
 
@@ -83,7 +89,7 @@ class TestDtw:
 
 class TestMfcc:
     def test_zero_signal_hits_log_floor(self):
-        out = mfcc(np.zeros(SR // 4))
+        out = mfcc(np.zeros(SR // 4), SR)
         assert out.shape[1] == 13
         # log of the constant floor has zero energy outside coefficient 0
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
@@ -92,20 +98,20 @@ class TestMfcc:
         """Scaling shifts only the excluded gain coefficient: log(c*M) = log c + log M."""
         rng = np.random.default_rng(2)
         wav = rng.standard_normal(SR // 2)  # noise keeps all mel bands off the floor
-        base = mfcc(wav)
-        scaled = mfcc(3.7 * wav)
+        base = mfcc(wav, SR)
+        scaled = mfcc(3.7 * wav, SR)
         np.testing.assert_allclose(scaled, base, atol=1e-6)
 
     def test_stationary_sinusoid_is_stationary(self):
         # 200 Hz advances an integer number of cycles per 160-sample hop,
         # so the framed signal is exactly stationary
-        out = mfcc(sinusoid(200.0))
+        out = mfcc(sinusoid(200.0), SR)
         deltas = np.abs(np.diff(out[1:], axis=0)).max()
         assert deltas < 1e-3
 
     def test_too_short_input_rejected(self):
         with pytest.raises(InvalidInputError):
-            mfcc(np.zeros(100))
+            mfcc(np.zeros(100), SR)
 
 
 class TestMcd:
@@ -146,14 +152,30 @@ class TestMcd:
 class TestF0:
     @pytest.mark.parametrize("freq", [100.0, 220.0, 300.0, 500.0])
     def test_sinusoid_within_3_percent(self, freq):
-        track = f0_track(sinusoid(freq))
+        track = f0_track(sinusoid(freq), SR)
         voiced = track[track > 0]
         assert len(voiced) == len(track)
         assert np.all(np.abs(voiced - freq) <= 0.03 * freq)
 
     def test_zero_signal_unvoiced(self):
-        track = f0_track(np.zeros(SR // 4))
+        track = f0_track(np.zeros(SR // 4), SR)
         np.testing.assert_array_equal(track, 0.0)
+
+    @pytest.mark.parametrize("sample_rate", [16000, 24000, 48000])
+    def test_rendered_codebook_1_tone_within_3_percent_at_the_codec_rate(self, sample_rate):
+        """Frames of one repeated token render the codebook-1 tone alone; the rate comes from the codec."""
+        codec = ToyCodecConfig(sample_rate=sample_rate, render_gains=(1.0, 0.0, 0.0, 0.0))
+        tokens, _ = encode_transcript([0, 7, 29], codec)
+        for frame in tokens.frames:
+            matrix = CodecMatrix(np.tile(frame, (12, 1)), codec.frame_rate, codec.codebook_sizes)
+            tone = frequency_tables(codec)[0][frame[0]]
+            track = f0_track(render_waveform(matrix, codec), codec.sample_rate)
+            assert np.all(np.abs(track - tone) <= 0.03 * tone), (tone, track)
+
+    def test_rate_with_nyquist_at_or_below_the_f0_range_rejected(self):
+        with pytest.raises(InvalidInputError, match="Nyquist"):
+            f0_track(np.zeros(SR // 4), 1200)
+        np.testing.assert_array_equal(f0_track(np.zeros(SR // 4), 1250), 0.0)
 
     def test_aligned_f0_distance_constant_offset(self):
         a = np.full(40, 220.0)
@@ -190,21 +212,20 @@ class TestAlignedDistance:
         assert value == pytest.approx(np.mean([local[i, j] for i, j in path]), rel=1e-12)
         assert cost == pytest.approx(brute_force_dtw(local), rel=1e-12)
 
-
-def oracle_edit_distance(ref, hyp):
-    """Independent DP formulation (full matrix, no rolling rows)."""
-    n, m = len(ref), len(hyp)
-    d = np.zeros((n + 1, m + 1), dtype=int)
-    d[:, 0] = np.arange(n + 1)
-    d[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            d[i, j] = min(
-                d[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]),
-                d[i - 1, j] + 1,
-                d[i, j - 1] + 1,
-            )
-    return int(d[n, m])
+    def test_path_gather_equals_the_per_pair_loop(self):
+        """Both distances read off the path as arrays equal the pair-by-pair sums bit for bit."""
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            dims = int(rng.integers(1, 14))
+            a = rng.standard_normal((int(rng.integers(1, 12)), dims))
+            b = rng.standard_normal((int(rng.integers(1, 12)), dims))
+            path, _ = dtw_align(a, b)
+            squared = [float(((a[i] - b[j]) ** 2).sum()) for i, j in path]
+            assert aligned_distance(a, b) == np.mean([np.sqrt(v) for v in squared])
+            assert mcd(a, b) == np.mean([MCD_SCALE * np.sqrt(0.5 * v) for v in squared])
+            x, y = a[:, 0], b[:, 0]
+            path, _ = dtw_align(x, y)
+            assert aligned_distance(x, y) == np.mean([np.linalg.norm(x[i] - y[j]) for i, j in path])
 
 
 class TestSymbolErrorRate:
@@ -222,4 +243,14 @@ class TestSymbolErrorRate:
         for _ in range(1000):
             ref = list(rng.integers(0, 5, size=rng.integers(0, 12)))
             hyp = list(rng.integers(0, 5, size=rng.integers(0, 12)))
-            assert levenshtein(ref, hyp) == oracle_edit_distance(ref, hyp)
+            assert levenshtein(ref, hyp) == levenshtein_oracle(ref, hyp)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        a=st.lists(st.sampled_from("abc"), max_size=12),
+        b=st.lists(st.sampled_from("abc"), max_size=12),
+    )
+    def test_one_table_serves_distance_and_script(self, a, b):
+        """Three symbols make ties between the edit steps common."""
+        assert levenshtein(a, b) == levenshtein_oracle(a, b)
+        assert apply_script(diff_transcripts(a, b), a, b) == b

@@ -368,7 +368,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "damage",
-        ["magic", "version", "header_length", "header", "header_json", "first_tensor", "last_tensor", "extra"],
+        [
+            "magic", "version", "header_length", "header", "header_json", "first_tensor", "last_tensor", "extra",
+            "config_num_layers_a_string", "config_dtype_unknown",
+        ],
     )
     def test_malformed_file_raises_invalid_input(self, tmp_path, damage):
         state = new_model(small_model_config(CODEC), seed=5)
@@ -377,6 +380,14 @@ class TestCheckpoint:
         header_end = 16 + int.from_bytes(data[8:16], "little")
         first = state.params["text_emb"].nbytes
         last = state.params[list(state.params)[-1]].nbytes
+
+        def with_config(**changes):
+            """The file with valid-JSON header whose model config has ``changes``."""
+            header = json.loads(data[16:header_end])
+            header["config"].update(changes)
+            head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+            return data[:8] + len(head).to_bytes(8, "little") + head + data[header_end:]
+
         damaged = {
             "magic": data[:2],
             "version": data[:6],
@@ -386,6 +397,8 @@ class TestCheckpoint:
             "first_tensor": data[:header_end + first // 2],
             "last_tensor": data[:len(data) - last // 2],
             "extra": data + b"\x00",
+            "config_num_layers_a_string": with_config(num_layers="1"),
+            "config_dtype_unknown": with_config(dtype="float99"),
         }[damage]
         (tmp_path / "bad.bin").write_bytes(damaged)
         with pytest.raises(InvalidInputError):
