@@ -7,7 +7,9 @@ bytes concatenated in the documented parameter order.  Writing the same
 state twice produces identical bytes.  Loading checks the length of every
 read, rejects bytes after the last tensor and checks every tensor's
 name, shape and dtype against the config, so a truncated, corrupt or
-mis-shaped file raises :class:`InvalidInputError`.
+mis-shaped file raises :class:`InvalidInputError`.  Files written while
+the model still had an attention key bias carry ``layer<i>.attn.bk``
+tensors; loading drops them, since the softmax cancels a key bias.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def load_checkpoint(path) -> tuple[ModelState, dict | None]:
     params = {}
     for name, dtype, shape in specs:
         raw = take(math.prod(shape) * dtype.itemsize, f"tensor {name}")
-        params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if not name.endswith(".attn.bk"):  # a key bias the model no longer has
+            params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(data):
         raise InvalidInputError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
     shapes = parameter_shapes(cfg)

@@ -60,10 +60,19 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _line(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+
+
 def write_json_lines(path, payloads) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for payload in payloads:
-            fh.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+        fh.writelines(_line(payload) for payload in payloads)
+
+
+def append_json_line(path, payload) -> None:
+    """Add ``payload`` to the end of the JSONL file ``path`` as one compact line."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(_line(payload))
 
 
 def check_keys(payload: dict, known) -> dict:

@@ -33,7 +33,11 @@ passing a :class:`KVCache` so every call continues each row's positions.
 
 Architecture choices not pinned elsewhere, recorded here: pre-norm
 blocks, exact (erf-based) GELU in the FFN and heads, LayerNorm eps 1e-5,
-normal(0, init_scale) weight init with zero biases, no dropout.
+normal(0, init_scale) weight init with zero biases, no dropout.  The
+key projection has no bias: a key bias b adds q . b to every score of
+query q, a shift the softmax cancels, so its gradient is zero in exact
+arithmetic and it could only drift on rounding noise.  The query, value
+and output projections keep theirs.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{p}.ln1.gain"] = shapes[f"{p}.ln1.bias"] = (d,)
         for name in ("q", "k", "v", "o"):
             shapes[f"{p}.attn.w{name}"] = (d, d)
-            shapes[f"{p}.attn.b{name}"] = (d,)
+            if name != "k":  # no key bias (see the module docstring)
+                shapes[f"{p}.attn.b{name}"] = (d,)
         shapes[f"{p}.ln2.gain"] = shapes[f"{p}.ln2.bias"] = (d,)
         shapes[f"{p}.ffn.w1"], shapes[f"{p}.ffn.b1"] = (d, f), (f,)
         shapes[f"{p}.ffn.w2"], shapes[f"{p}.ffn.b2"] = (f, d), (d,)
@@ -174,7 +179,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
         leaf = name.rsplit(".", 1)[-1]
         if leaf == "gain":
             params[name] = np.ones(shape, dtype=dt)
-        elif leaf.startswith("b"):  # bias, attention bq..bo, FFN and head b<j>
+        elif leaf.startswith("b"):  # bias, attention bq/bv/bo, FFN and head b<j>
             params[name] = np.zeros(shape, dtype=dt)
         else:
             params[name] = (rng.standard_normal(shape) * cfg.init_scale).astype(dt)
@@ -324,6 +329,11 @@ def next_item_targets(batch: EncodedBatch, cfg: ModelConfig) -> tuple[np.ndarray
     the EMPTY id, a mask marker's its marker id, both without loss; EOS and
     EOU are targets with loss.  Where the next item is text or padding (and
     at each row's last position) the target is 0, without loss.
+
+    One exception ends the relocated spans: where the next item is the
+    first delay-tail step of a span after EOU (the first frame step whose
+    codebook-1 slot is EMPTY), head 1's target is EOS, with loss.  That is
+    the step at which decoding reads head 1's EOS to fix the span's length.
     """
 
     def shifted(ids, fill):
@@ -341,6 +351,12 @@ def next_item_targets(batch: EncodedBatch, cfg: ModelConfig) -> tuple[np.ndarray
     sizes = np.asarray(cfg.codebook_sizes, dtype=np.int64)
     targets = np.where(real, frames, np.where(is_frame | is_marker, sizes + special, 0))
     loss_mask = real | (is_marker & (markers >= cfg.special_index("eos"))[:, :, None])
+    # the next item opens a delay tail after EOU, and this item is no tail step
+    after_eou = np.cumsum(is_marker[:, :, 0] & (markers == cfg.special_index("eou")), axis=1) > 0
+    in_tail = (batch.kind == KIND_FRAME) & (batch.frame_ids[:, :, 0] == EMPTY)
+    ends = after_eou & is_frame[:, :, 0] & (frames[:, :, 0] == EMPTY) & ~in_tail
+    targets[ends, 0] = cfg.special_output_id(0, "eos")
+    loss_mask[ends, 0] = True
     return targets, loss_mask
 
 
@@ -486,7 +502,7 @@ def _attention_forward(params, prefix, x, real, bias, cfg, kv=None):
     """
     dh = cfg.hidden_dim // cfg.num_heads
     q = _split_heads(x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"], real, cfg)
-    k = _split_heads(x @ params[f"{prefix}.wk"] + params[f"{prefix}.bk"], real, cfg)
+    k = _split_heads(x @ params[f"{prefix}.wk"], real, cfg)
     v = _split_heads(x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"], real, cfg)
     if kv is not None:
         keys, values, past = kv
@@ -521,11 +537,12 @@ def _attention_backward(params, prefix, d_out, cache, cfg, grads):
     d_k = d_scores.transpose(0, 1, 3, 2) @ q
 
     d_x = np.zeros_like(x)
-    for name, dval in (("wq", d_q), ("wk", d_k), ("wv", d_v)):
+    for name, dval in (("q", d_q), ("k", d_k), ("v", d_v)):
         dval = _merge_heads(dval, real)
-        grads[f"{prefix}.{name}"] += x.T @ dval
-        grads[f"{prefix}.b{name[1]}"] += dval.sum(axis=0)
-        d_x += dval @ params[f"{prefix}.{name}"].T
+        grads[f"{prefix}.w{name}"] += x.T @ dval
+        if name != "k":
+            grads[f"{prefix}.b{name}"] += dval.sum(axis=0)
+        d_x += dval @ params[f"{prefix}.w{name}"].T
     return d_x
 
 
@@ -577,16 +594,18 @@ def forward(
 
     ``kv_cache`` (decoding only) is a :class:`KVCache` over the same
     rows: the batch continues its columns, each row at its own position,
-    and its own keys/values are written into it.  The gradient cache
-    (``want_cache``) covers no cached keys.
+    and its own keys/values are written into it.  The cache knows which
+    columns hold keys from its pads alone, so the first call's padding
+    must be its left pads and every later batch must hold no padding.
+    The gradient cache (``want_cache``) covers no cached keys.
     """
     real = batch.kind != KIND_PAD
     key_ok = real
     start = past = 0
     if kv_cache is not None:
-        past = kv_cache.extend(real)
+        past = kv_cache.extend(batch.max_length)
         start = past - kv_cache.pad
-        key_ok = kv_cache.valid[:, : past + batch.max_length]
+        key_ok = np.arange(past + batch.max_length) >= kv_cache.pad[:, None]
     x = _embed_batch(params, cfg, batch, start=start)
     bias = _causal_bias(key_ok, batch.max_length, x.dtype)
     layer_caches = []
@@ -685,43 +704,51 @@ def weighted_loss(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
     """Weighted masked cross-entropy: L = sum_k alpha_k * mean-CE_k.
 
     ``logits[k]`` is (..., V_k); ``targets``/``loss_mask`` are (..., K).
-    Returns (total, per-codebook components, all_masked_warning).
+    Returns (total, per-codebook components, all_masked_warning, probs):
+    ``probs[k]`` is head k's softmax at its loss rows, (N_k, V_k) float64
+    in the row order of ``logits[k][loss_mask[..., k]]``, which
+    :func:`loss_gradient` takes so the softmax is computed once per step.
     Accumulation runs in float64 regardless of model dtype.
     """
-    per_k = []
+    per_k, probs = [], []
     all_masked = True
     for k, logit_k in enumerate(logits):
         mask = loss_mask[..., k]
-        n = int(mask.sum())
+        lk = logit_k[mask].astype(np.float64)
+        n = len(lk)
         if n == 0:
             per_k.append(0.0)
+            probs.append(lk)
             continue
         all_masked = False
-        lk = logit_k[mask].astype(np.float64)
         tk = targets[..., k][mask]
         m = lk.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(lk - m).sum(axis=-1)) + m[:, 0]
-        ce = lse - lk[np.arange(n), tk]
+        p = np.exp(lk - m)
+        sums = p.sum(axis=-1)
+        ce = np.log(sums) + m[:, 0] - lk[np.arange(n), tk]
         per_k.append(float(ce.mean()))
+        p /= sums[:, None]
+        probs.append(p)
     total = float(sum(w * l for w, l in zip(weights, per_k)))
-    return total, per_k, all_masked
+    return total, per_k, all_masked, probs
 
 
-def loss_gradient(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weights):
-    """d(total loss)/d(logits): softmax minus one-hot, scaled by alpha_k / N_k."""
+def loss_gradient(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weights, probs: list):
+    """d(total loss)/d(logits): softmax minus one-hot, scaled by alpha_k / N_k.
+
+    ``probs`` is the softmax :func:`weighted_loss` returned for the same
+    logits and mask; it is overwritten with the gradient's loss rows.
+    """
     d_logits = []
     for k, logit_k in enumerate(logits):
         mask = loss_mask[..., k]
         d_k = np.zeros_like(logit_k)
-        n = int(mask.sum())
+        p = probs[k]
+        n = len(p)
         if n > 0:
-            lk = logit_k[mask].astype(np.float64)
-            lk -= lk.max(axis=-1, keepdims=True)
-            p = np.exp(lk)
-            p /= p.sum(axis=-1, keepdims=True)
-            tk = targets[..., k][mask]
-            p[np.arange(n), tk] -= 1.0
-            d_k[mask] = (p * (weights[k] / n)).astype(logit_k.dtype)
+            p[np.arange(n), targets[..., k][mask]] -= 1.0
+            p *= weights[k] / n
+            d_k[mask] = p
         d_logits.append(d_k)
     return d_logits
 
@@ -737,30 +764,29 @@ class KVCache:
     ``keys[i]``/``values[i]`` are (rows, H, capacity, head_dim) buffers
     whose first ``length`` columns are filled; they start at the context
     width and at least double when a call needs more columns.  Rows are
-    left-padded: the first ``pad[r]`` columns of row r hold no position
-    (``valid`` is false there), and column c of row r holds position
-    c - pad[r].
+    left-padded: the first ``pad[r]`` columns of row r hold no position,
+    and column c of row r holds position c - pad[r].  The prefill
+    left-pads and every later call gives every row one real item, so the
+    pads alone say which columns hold a key: those with c >= pad[r].
     """
 
     def __init__(self, cfg: ModelConfig, pad, capacity: int):
         shape = (len(pad), cfg.num_heads, capacity, cfg.hidden_dim // cfg.num_heads)
         self.keys = [np.empty(shape, dtype=cfg.np_dtype) for _ in range(cfg.num_layers)]
         self.values = [np.empty(shape, dtype=cfg.np_dtype) for _ in range(cfg.num_layers)]
-        self.valid = np.zeros((len(pad), capacity), dtype=bool)
+        self.capacity = capacity
         self.pad = np.asarray(pad, dtype=np.int64)
         self.length = 0
 
-    def extend(self, valid: np.ndarray) -> int:
-        """Claim columns for a call whose (rows, n) positions are ``valid``; returns the first."""
-        past, n = self.length, valid.shape[1]
-        capacity = self.valid.shape[1]
-        if past + n > capacity:
-            extra = max(capacity, past + n - capacity)
+    def extend(self, n: int) -> int:
+        """Claim ``n`` columns for a call; returns the first."""
+        past = self.length
+        if past + n > self.capacity:
+            extra = max(self.capacity, past + n - self.capacity)
             grow = ((0, 0), (0, 0), (0, extra), (0, 0))
             self.keys = [np.pad(a, grow) for a in self.keys]
             self.values = [np.pad(a, grow) for a in self.values]
-            self.valid = np.pad(self.valid, ((0, 0), (0, extra)))
-        self.valid[:, past : past + n] = valid
+            self.capacity += extra
         self.length = past + n
         return past
 
@@ -768,7 +794,6 @@ class KVCache:
         """Keep only the given rows, in the given order."""
         self.keys = [a[rows] for a in self.keys]
         self.values = [a[rows] for a in self.values]
-        self.valid = self.valid[rows]
         self.pad = self.pad[rows]
 
 
@@ -808,7 +833,6 @@ class DecodeSession:
         firsts, inverse = distinct_rows(batch)
         width = batch.max_length
         self._kv = KVCache(cfg, width - batch.lengths[firsts], width)
-        self.position = 0
         self._run(batch.rows(firsts))
         self.prefill_positions = len(firsts) * width
         if len(firsts) < len(contexts):
@@ -821,8 +845,12 @@ class DecodeSession:
         self.logits, _ = forward(
             self.state.params, self.state.config, batch, heads_at, kv_cache=self._kv
         )
-        self.position += batch.max_length
         return self.logits
+
+    @property
+    def position(self) -> int:
+        """Columns run so far: the cache's length."""
+        return self._kv.length
 
     def append(self, items) -> list[np.ndarray]:
         """Extend row r by ``items[r]``; returns the new next-item logits."""

@@ -61,6 +61,15 @@ class ToyCodecConfig:
             raise InvalidInputError("sample_rate must be a multiple of frame_rate")
         if len(self.render_gains) < self.num_codebooks:
             raise InvalidInputError("render_gains must cover every codebook")
+        top = max(
+            (float(t.max(initial=0.0)) for t, g in zip(frequency_tables(self), self.render_gains) if g != 0.0),
+            default=0.0,
+        )
+        if self.sample_rate / 2 <= top:
+            raise InvalidInputError(
+                f"sample_rate {self.sample_rate} Hz would alias: its Nyquist frequency "
+                f"{self.sample_rate / 2:g} Hz is not above the {top:g} Hz its codebooks render"
+            )
 
     @property
     def codebook_sizes(self) -> tuple[int, ...]:

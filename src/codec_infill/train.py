@@ -21,7 +21,6 @@ parameter trajectory.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -31,6 +30,7 @@ import numpy as np
 
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, InvalidInputError, NonFiniteLossError
+from .jsonio import append_json_line, write_json
 from .model import (
     EncodedBatch,
     ModelConfig,
@@ -223,7 +223,7 @@ def batch_stream(utterances, model_cfg, train_cfg, rng):
 def evaluation_loss(state: ModelState, batch: Batch) -> float:
     heads = batch.loss_mask.any(axis=-1)
     logits, _ = forward(state.params, state.config, batch.inputs, heads)
-    total, _, _ = weighted_loss(
+    total, _, _, _ = weighted_loss(
         logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights
     )
     return total
@@ -265,70 +265,62 @@ def train_loop(
     stream = batch_stream(utterances, state.config, train_cfg, rng)
     metrics: list[dict] = []
     run_path = Path(run_dir) if run_dir is not None else None
-    metrics_fh = None
     if run_path is not None:
         run_path.mkdir(parents=True, exist_ok=True)
-        metrics_fh = open(run_path / "metrics.jsonl", "a", encoding="utf-8")
-    try:
-        while state.step < train_cfg.total_steps:
-            started = time.perf_counter()
-            t = state.step
-            lr = eden_lr(t, pseudo_epoch(t, sched_cfg), sched_cfg)
-            grads_sum = None
-            total = 0.0
-            per_k = None
-            batch = None
-            positions = head_positions = padded = rows = 0
-            for _ in range(train_cfg.grad_accum):
-                batch = next(stream)
-                heads = batch.loss_mask.any(axis=-1)
-                targets, loss_mask = batch.targets[heads], batch.loss_mask[heads]
-                logits, cache = forward(state.params, state.config, batch.inputs, heads, want_cache=True)
-                loss_value, loss_k, _ = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
-                if not np.isfinite(loss_value):
-                    batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
-                    if run_path is not None:
-                        with open(run_path / "nonfinite_batch.json", "w", encoding="utf-8") as fh:
-                            json.dump({"step": t, "utterances": batch.utterance_ids}, fh)
-                    raise NonFiniteLossError(f"non-finite loss {loss_value} at step {t}", batch_id)
-                d_logits = loss_gradient(logits, targets, loss_mask, state.config.loss_weights)
-                grads = backward(state.params, state.config, cache, d_logits)
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for name in grads_sum:
-                        grads_sum[name] += grads[name]
-                total += loss_value / train_cfg.grad_accum
-                per_k = loss_k if per_k is None else [a + b for a, b in zip(per_k, loss_k)]
-                positions += int(batch.inputs.lengths.sum())
-                head_positions += int(heads.sum())
-                padded += batch.inputs.kind.size
-                rows += batch.inputs.batch_size
-            if train_cfg.grad_accum > 1:
+    while state.step < train_cfg.total_steps:
+        started = time.perf_counter()
+        t = state.step
+        lr = eden_lr(t, pseudo_epoch(t, sched_cfg), sched_cfg)
+        grads_sum = None
+        total = 0.0
+        per_k = None
+        batch = None
+        positions = head_positions = padded = rows = 0
+        for _ in range(train_cfg.grad_accum):
+            batch = next(stream)
+            heads = batch.loss_mask.any(axis=-1)
+            targets, loss_mask = batch.targets[heads], batch.loss_mask[heads]
+            logits, cache = forward(state.params, state.config, batch.inputs, heads, want_cache=True)
+            loss_value, loss_k, _, probs = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
+            if not np.isfinite(loss_value):
+                batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
+                if run_path is not None:
+                    write_json(run_path / "nonfinite_batch.json", {"step": t, "utterances": batch.utterance_ids})
+                raise NonFiniteLossError(f"non-finite loss {loss_value} at step {t}", batch_id)
+            d_logits = loss_gradient(logits, targets, loss_mask, state.config.loss_weights, probs)
+            del logits, probs  # neither is needed through backward
+            grads = backward(state.params, state.config, cache, d_logits)
+            if grads_sum is None:
+                grads_sum = grads
+            else:
                 for name in grads_sum:
-                    grads_sum[name] /= train_cfg.grad_accum
-                per_k = [v / train_cfg.grad_accum for v in per_k]
-            grad_norm = clip_global_norm(grads_sum, train_cfg.grad_clip)
-            optimizer.step(state.params, grads_sum, lr)
-            state.step += 1
-            clipped = bool(train_cfg.grad_clip > 0 and grad_norm > train_cfg.grad_clip)
-            entry = {
-                "step": t, "lr": lr, "loss": total, "loss_k": per_k,
-                "grad_norm": grad_norm, "clipped": clipped,
-                "positions": positions, "head_positions": head_positions,
-                "pad_fraction": 1.0 - positions / padded, "batch_size": rows,
-                "step_ms": (time.perf_counter() - started) * 1e3,
-            }
-            metrics.append(entry)
-            if metrics_fh is not None:
-                metrics_fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            if run_path is not None and state.step % train_cfg.checkpoint_every == 0:
-                save_checkpoint(
-                    run_path / f"ckpt_{state.step:06d}.bin", state, rng.bit_generator.state
-                )
+                    grads_sum[name] += grads[name]
+            total += loss_value / train_cfg.grad_accum
+            per_k = loss_k if per_k is None else [a + b for a, b in zip(per_k, loss_k)]
+            positions += int(batch.inputs.lengths.sum())
+            head_positions += int(heads.sum())
+            padded += batch.inputs.kind.size
+            rows += batch.inputs.batch_size
+        if train_cfg.grad_accum > 1:
+            for name in grads_sum:
+                grads_sum[name] /= train_cfg.grad_accum
+            per_k = [v / train_cfg.grad_accum for v in per_k]
+        grad_norm = clip_global_norm(grads_sum, train_cfg.grad_clip)
+        optimizer.step(state.params, grads_sum, lr)
+        state.step += 1
+        clipped = bool(train_cfg.grad_clip > 0 and grad_norm > train_cfg.grad_clip)
+        entry = {
+            "step": t, "lr": lr, "loss": total, "loss_k": per_k,
+            "grad_norm": grad_norm, "clipped": clipped,
+            "positions": positions, "head_positions": head_positions,
+            "pad_fraction": 1.0 - positions / padded, "batch_size": rows,
+            "step_ms": (time.perf_counter() - started) * 1e3,
+        }
+        metrics.append(entry)
         if run_path is not None:
-            save_checkpoint(run_path / "ckpt_final.bin", state, rng.bit_generator.state)
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
+            append_json_line(run_path / "metrics.jsonl", entry)
+            if state.step % train_cfg.checkpoint_every == 0:
+                save_checkpoint(run_path / f"ckpt_{state.step:06d}.bin", state, rng.bit_generator.state)
+    if run_path is not None:
+        save_checkpoint(run_path / "ckpt_final.bin", state, rng.bit_generator.state)
     return state, metrics

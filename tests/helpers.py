@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from codec_infill.model import ModelConfig, distinct_rows, encode_batch
-from codec_infill.tokens import EMPTY, CodecMatrix, Span, SpecialToken
+from codec_infill.model import ModelConfig, distinct_rows, encode_batch, encode_sequence, next_item_targets
+from codec_infill.tokens import EMPTY, EOU, CodecMatrix, Span, SpecialToken
 
 
 def random_matrix(rng, num_frames, num_codebooks, vocab=64):
@@ -50,13 +50,19 @@ def distinct_matrix(num_frames, num_codebooks):
 
 
 def next_item_targets_oracle(text_ids, items, cfg: ModelConfig):
-    """Per-item reference for ``next_item_targets`` over one [text; items] stream."""
+    """Per-item reference for ``next_item_targets`` over one [text; items] stream.
+
+    Head 1 predicts EOS, with loss, before the first delay-tail step of
+    every span after EOU: the step at which decoding fixes a span's length.
+    """
     stream = list(text_ids) + list(items)
     k_count = cfg.num_codebooks
     targets = np.zeros((len(stream), k_count), dtype=np.int64)
     mask = np.zeros((len(stream), k_count), dtype=bool)
+    after_eou = False
     for t in range(len(stream) - 1):
-        nxt = stream[t + 1]
+        item, nxt = stream[t], stream[t + 1]
+        after_eou = after_eou or nxt == EOU
         if t + 1 < len(text_ids):
             continue  # conditioning text carries no loss
         if isinstance(nxt, SpecialToken):
@@ -71,7 +77,30 @@ def next_item_targets_oracle(text_ids, items, cfg: ModelConfig):
                 else:
                     targets[t, k] = nxt[k]
                     mask[t, k] = True
+            in_tail = isinstance(item, tuple) and item[0] == EMPTY
+            if after_eou and nxt[0] == EMPTY and not in_tail:
+                targets[t, 0] = cfg.special_output_id(0, "eos")
+                mask[t, 0] = True
     return targets, mask
+
+
+def loss_gradient_oracle(logits, targets, loss_mask, weights):
+    """Reference for ``loss_gradient``: computes each head's softmax from the logits itself."""
+    d_logits = []
+    for k, logit_k in enumerate(logits):
+        mask = loss_mask[..., k]
+        d_k = np.zeros_like(logit_k)
+        n = int(mask.sum())
+        if n > 0:
+            lk = logit_k[mask].astype(np.float64)
+            lk -= lk.max(axis=-1, keepdims=True)
+            p = np.exp(lk)
+            p /= p.sum(axis=-1, keepdims=True)
+            tk = targets[..., k][mask]
+            p[np.arange(n), tk] -= 1.0
+            d_k[mask] = (p * (weights[k] / n)).astype(logit_k.dtype)
+        d_logits.append(d_k)
+    return d_logits
 
 
 def levenshtein_oracle(ref, hyp) -> int:
@@ -227,3 +256,65 @@ def mask_plan(lengths, cap, cfg: ModelConfig):
         ids = [(5 * i + n) % cfg.codebook_sizes[0] for i in range(min(n, cap))]
         plan += ids + ([eos] + [0] * (k_count - 2) if n < cap else [0] * (k_count - 1))
     return plan
+
+
+class TeacherSession:
+    """Session whose every row reads one-hot logits of its stream's training targets.
+
+    Row r stands at ``lengths[r]`` items into its stream; head k's logits
+    peak at the ``next_item_targets`` id of the last of them, whatever
+    items were appended.
+    """
+
+    def __init__(self, cfg: ModelConfig, targets, lengths):
+        self.cfg = cfg
+        self.targets, self.lengths = list(targets), list(lengths)
+        self.prefill_positions = len(lengths) * max(lengths)
+        self.logits = self._make_logits()
+
+    def _make_logits(self):
+        out = []
+        for k in range(self.cfg.num_codebooks):
+            v = np.full((len(self.lengths), self.cfg.head_vocab_size(k)), -40.0)
+            for r, (targets, n) in enumerate(zip(self.targets, self.lengths)):
+                v[r, targets[min(n, len(targets)) - 1, k]] = 40.0
+            out.append(v)
+        return out
+
+    def append(self, items):
+        assert len(items) == len(self.lengths)
+        self.lengths = [n + 1 for n in self.lengths]
+        self.logits = self._make_logits()
+        return self.logits
+
+    def keep(self, rows):
+        self.targets = [self.targets[j] for j in rows]
+        self.lengths = [self.lengths[j] for j in rows]
+        self.logits = self._make_logits()
+
+
+class TeacherDecoder:
+    """Decodes as a model that has learned its training targets exactly.
+
+    Built from whole ``(text_ids, items)`` training streams.  A session
+    context must be the start of one of them; its row then predicts that
+    stream's next item at every step (:class:`TeacherSession`).
+    """
+
+    def __init__(self, cfg: ModelConfig, streams):
+        self.cfg = cfg
+        self.streams = [
+            (list(text), list(items), next_item_targets(encode_sequence(text, items, cfg), cfg)[0][0])
+            for text, items in streams
+        ]
+
+    def new_session(self, contexts):
+        rows = []
+        for text, items in contexts:
+            found = [
+                targets for t, i, targets in self.streams
+                if t == list(text) and i[: len(items)] == list(items)
+            ]
+            assert found, "the context starts no known stream"
+            rows.append((found[0], len(text) + len(items)))
+        return TeacherSession(self.cfg, *zip(*rows))

@@ -624,6 +624,12 @@ def config_top_level_a_list(tmp_path, corpus_dir, checkpoint):
 
 
 @malformed
+def config_codec_sample_rate_aliases(tmp_path, corpus_dir, checkpoint):
+    argv, names = gen_data_with_config(tmp_path, {"codec": {"sample_rate": 8000}})
+    return argv, ["codec", "alias"]
+
+
+@malformed
 def config_override_into_a_scalar(tmp_path, corpus_dir, checkpoint):
     argv, names = gen_data_with_config(tmp_path, {}, "codec=3", "codec.alphabet_size=10")
     return argv, names + ["codec.alphabet_size=10"]

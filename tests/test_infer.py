@@ -27,12 +27,13 @@ from codec_infill.infer import (
     zero_shot_tts,
 )
 from codec_infill.model import ModelConfig, TransformerDecoder, new_model
-from codec_infill.rearrange import stack_span
+from codec_infill.rearrange import causal_mask, delay_stack, place_spans, stack_span
 from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, SpecialToken, mask_marker
 
 from helpers import (
     PlannedDecoder,
     StubDecoder,
+    TeacherDecoder,
     mask_plan,
     nucleus_distribution,
     random_matrix,
@@ -390,6 +391,57 @@ def infill_rows(masks, cfg=MODEL_CFG, seed=0):
         text = [int(v) for v in rng.integers(0, cfg.text_vocab_size, size=1 + r)]
         rows.append((text, build_infill_context(matrix, spans), count))
     return rows
+
+
+def teacher_config(k_count):
+    return ModelConfig(
+        num_codebooks=k_count, codebook_sizes=(16,) * k_count, text_vocab_size=30,
+        loss_weights=(1.0,) * k_count, max_mask_spans=3,
+    )
+
+
+class TestSpansEnd:
+    """A decoder that predicts exactly its training targets reproduces the masked frames.
+
+    Decoding fixes a span's length when head 1 emits EOS at the first step
+    whose codebook-1 slot is EMPTY, so that is where training must teach it.
+    """
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3, 4])
+    def test_edit_layout_spans_come_back_exactly(self, k_count):
+        cfg = teacher_config(k_count)
+        rng = np.random.default_rng(40 + k_count)
+        rows, streams, expected = [], [], []
+        for case in range(9):
+            num_masks = 1 + case % 3
+            matrix = random_matrix(rng, int(rng.integers(8, 20)), k_count, vocab=16)
+            lengths = [int(v) for v in rng.integers(1, 5, size=num_masks)]
+            spans = place_spans(matrix.num_frames, lengths, rng)
+            text = [int(v) for v in rng.integers(0, 30, size=3)]
+            stream = delay_stack(causal_mask(matrix, spans)).items
+            rows.append((text, build_infill_context(matrix, spans), num_masks))
+            streams.append((text, stream))
+            expected.append([matrix.frames[s.start : s.end] for s in spans])
+        rngs = [np.random.default_rng(case) for case in range(len(rows))]
+        out = generate_infill(TeacherDecoder(cfg, streams), cfg, rows, SamplingConfig(), rngs)
+        for (spans, truncated), want in zip(out.by_row(), expected):
+            assert truncated == [False] * len(want)
+            assert [s.tolist() for s in spans] == [w.tolist() for w in want]
+
+    @pytest.mark.parametrize("k_count", [1, 2, 3, 4])
+    def test_tts_layout_continuation_comes_back_exactly(self, k_count):
+        cfg = teacher_config(k_count)
+        rng = np.random.default_rng(50 + k_count)
+        matrix = random_matrix(rng, 14, k_count, vocab=16)
+        prompt = CodecMatrix(matrix.frames[:9], codebook_sizes=matrix.codebook_sizes)
+        stream = delay_stack(causal_mask(matrix, [Span(9, 14)])).items
+        decoder = TeacherDecoder(cfg, [([1, 2, 3, 4], stream)])
+        out, report = zero_shot_tts(
+            decoder, cfg, prompt, [1, 2], [3, 4], EditConfig(), SamplingConfig(seed=5)
+        )
+        assert report.truncated == [False] * EditConfig().tts_num_samples
+        assert report.candidate_lengths == [5] * EditConfig().tts_num_samples
+        np.testing.assert_array_equal(out.frames, matrix.frames)
 
 
 class TestBatchedRows:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from codec_infill.errors import CodecInfillError, ConfigError
 from codec_infill.evaluate import load_manifest, save_manifest, synthesize_manifest
 from codec_infill.jsonio import (
+    append_json_line,
     config_from_json,
     config_to_json,
     get_field,
@@ -36,6 +37,13 @@ class TestWrittenForm:
     def test_json_lines_are_compact_sorted_and_streamed(self, tmp_path):
         write_json_lines(tmp_path / "a.jsonl", ({"b": i, "a": [i]} for i in range(2)))
         assert (tmp_path / "a.jsonl").read_text() == '{"a":[0],"b":0}\n{"a":[1],"b":1}\n'
+
+    def test_appended_lines_match_the_written_form(self, tmp_path):
+        write_json_lines(tmp_path / "a.jsonl", [{"b": 0, "a": [0]}])
+        append_json_line(tmp_path / "a.jsonl", {"b": 1, "a": [1]})
+        append_json_line(tmp_path / "b.jsonl", {"a": 2})
+        assert (tmp_path / "a.jsonl").read_text() == '{"a":[0],"b":0}\n{"a":[1],"b":1}\n'
+        assert read_json_lines(tmp_path / "b.jsonl", dict) == [{"a": 2}]
 
     def test_blank_lines_are_skipped_but_counted(self, tmp_path):
         path = tmp_path / "a.jsonl"

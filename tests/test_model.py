@@ -29,7 +29,7 @@ from codec_infill.model import (
 from codec_infill.rearrange import causal_mask, delay_stack
 from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, mask_marker
 
-from helpers import random_matrix
+from helpers import loss_gradient_oracle, random_matrix
 
 
 def tiny_config(**overrides):
@@ -368,15 +368,13 @@ class TestPackedPositions:
     def loss_and_grads(self, params, cfg, batch, targets, mask, heads_at):
         logits, cache = forward(params, cfg, batch, heads_at, want_cache=True)
         targets, mask = targets[heads_at], mask[heads_at]
-        total, _, _ = weighted_loss(logits, targets, mask, cfg.loss_weights)
-        d_logits = loss_gradient(logits, targets, mask, cfg.loss_weights)
+        total, _, _, probs = weighted_loss(logits, targets, mask, cfg.loss_weights)
+        d_logits = loss_gradient(logits, targets, mask, cfg.loss_weights, probs)
         return total, backward(params, cfg, cache, d_logits)
 
     def assert_same_grads(self, got, want):
-        # attn.bk's gradient is zero in exact arithmetic (softmax ignores a shift
-        # shared by every key), so it holds only rounding: compare it absolutely
         for name in want:
-            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, atol=1e-15, err_msg=name)
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-10, err_msg=name)
 
     def test_padding_is_inert(self):
         """Each row of a padded batch gives the logits and loss gradients of that row run alone."""
@@ -416,7 +414,7 @@ class TestLoss:
         logits = [np.zeros((n, 256)) for _ in range(4)]
         targets = rng.integers(0, 256, size=(n, 4))
         mask = np.ones((n, 4), dtype=bool)
-        total, per_k, warning = weighted_loss(logits, targets, mask, (5.0, 1.0, 0.5, 0.1))
+        total, per_k, warning, _ = weighted_loss(logits, targets, mask, (5.0, 1.0, 0.5, 0.1))
         assert not warning
         expected = 6.6 * np.log(256.0)
         assert total == pytest.approx(expected, rel=1e-12)
@@ -429,7 +427,7 @@ class TestLoss:
         logits = [np.zeros((n, 5))]
         for i in range(n):
             logits[0][i, targets[i, 0]] = 1000.0
-        total, _, _ = weighted_loss(logits, targets, np.ones((n, 1), bool), (1.0,))
+        total, _, _, _ = weighted_loss(logits, targets, np.ones((n, 1), bool), (1.0,))
         assert total == pytest.approx(0.0, abs=1e-12)
 
     def test_masked_positions_contribute_nothing(self):
@@ -438,32 +436,73 @@ class TestLoss:
         logits = [rng.standard_normal((n, 9)) for _ in range(2)]
         targets = rng.integers(0, 9, size=(n, 2))
         mask = rng.random((n, 2)) < 0.5
-        base, _, _ = weighted_loss(logits, targets, mask, (2.0, 1.0))
+        base, _, _, _ = weighted_loss(logits, targets, mask, (2.0, 1.0))
         poked = [l.copy() for l in logits]
         for k in range(2):
             poked[k][~mask[:, k]] = rng.standard_normal(((~mask[:, k]).sum(), 9)) * 50
-        after, _, _ = weighted_loss(poked, targets, mask, (2.0, 1.0))
+        after, _, _, _ = weighted_loss(poked, targets, mask, (2.0, 1.0))
         assert after == base  # exactly zero change
 
     def test_all_masked_batch_is_zero_with_warning(self):
         logits = [np.ones((4, 6))]
         targets = np.zeros((4, 1), dtype=np.int64)
         mask = np.zeros((4, 1), dtype=bool)
-        total, per_k, warning = weighted_loss(logits, targets, mask, (1.0,))
+        total, per_k, warning, _ = weighted_loss(logits, targets, mask, (1.0,))
         assert total == 0.0 and per_k == [0.0] and warning
+
+
+class TestSoftmaxHandOver:
+    """``loss_gradient`` reuses the softmax ``weighted_loss`` computed, bit for bit."""
+
+    def case(self, seed, dtype, masked_heads=()):
+        rng = np.random.default_rng(seed)
+        n, sizes = 23, (11, 7, 5, 9)
+        logits = [(rng.standard_normal((n, v)) * 4).astype(dtype) for v in sizes]
+        targets = np.stack([rng.integers(0, v, size=n) for v in sizes], axis=-1)
+        mask = rng.random((n, len(sizes))) < 0.6
+        mask[:, list(masked_heads)] = False
+        return logits, targets, mask, (5.0, 1.0, 0.5, 0.1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked_heads", [(), (2,), (0, 1, 2, 3)])
+    def test_gradient_equals_the_oracle(self, dtype, masked_heads):
+        for seed in range(5):
+            logits, targets, mask, weights = self.case(seed, dtype, masked_heads)
+            total, per_k, all_masked, probs = weighted_loss(logits, targets, mask, weights)
+            assert all_masked == (len(masked_heads) == 4)
+            assert [len(p) for p in probs] == list(mask.sum(axis=0))
+            got = loss_gradient(logits, targets, mask, weights, probs)
+            want = loss_gradient_oracle(logits, targets, mask, weights)
+            for k in range(4):
+                assert got[k].dtype == want[k].dtype == dtype
+                assert np.array_equal(got[k], want[k])
+                assert not got[k][~mask[:, k]].any()
+            for k in masked_heads:
+                assert per_k[k] == 0.0
+
+    def test_softmax_rows_are_the_loss_rows(self):
+        logits, targets, mask, weights = self.case(9, np.float64)
+        total, per_k, _, probs = weighted_loss(logits, targets, mask, weights)
+        for k, p in enumerate(probs):
+            np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
+            picked = p[np.arange(len(p)), targets[mask[:, k], k]]
+            assert per_k[k] == pytest.approx(-np.log(picked).mean(), rel=1e-12)
+        assert total == pytest.approx(sum(w * l for w, l in zip(weights, per_k)), rel=1e-15)
 
 
 class TestGradients:
     def loss_fn(self, params, cfg, batch, targets, mask, weights):
         heads = mask.any(axis=-1)
         logits, _ = forward(params, cfg, batch, heads)
-        total, _, _ = weighted_loss(logits, targets[heads], mask[heads], weights)
+        total, _, _, _ = weighted_loss(logits, targets[heads], mask[heads], weights)
         return total
 
     def analytic_grads(self, params, cfg, batch, targets, mask, weights):
         heads = mask.any(axis=-1)
         logits, cache = forward(params, cfg, batch, heads, want_cache=True)
-        d_logits = loss_gradient(logits, targets[heads], mask[heads], weights)
+        targets, mask = targets[heads], mask[heads]
+        _, _, _, probs = weighted_loss(logits, targets, mask, weights)
+        d_logits = loss_gradient(logits, targets, mask, weights, probs)
         return backward(params, cfg, cache, d_logits)
 
     def test_finite_difference_agreement(self):

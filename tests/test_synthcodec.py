@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from codec_infill.errors import VocabularyError
+from codec_infill.errors import InvalidInputError, VocabularyError
 from codec_infill.synthcodec import (
     RENDER_AMPLITUDE,
     ToyCodecConfig,
@@ -109,6 +109,22 @@ class TestRender:
     def test_codebook_one_band_is_80_to_600(self):
         freqs = frequency_tables(CFG)[0]
         assert freqs.min() >= 80.0 and freqs.max() <= 600.0
+
+    def test_sample_rate_that_would_alias_rejected(self):
+        """Nyquist must lie above the highest tone of every codebook that renders."""
+        assert max(t.max() for t in frequency_tables(CFG)) == 5340.0
+        for rate in (8000, 10000, 10650):
+            with pytest.raises(InvalidInputError, match="alias"):
+                ToyCodecConfig(sample_rate=rate)
+        with pytest.raises(InvalidInputError, match="alias"):  # Nyquist exactly at the top tone
+            ToyCodecConfig(sample_rate=10680, frame_rate=40)
+        for rate in (10700, 16000, 24000, 48000):
+            assert ToyCodecConfig(sample_rate=rate).sample_rate == rate
+        # a fifth codebook's 256 tones reach 5755 Hz; a silenced codebook renders nothing
+        ToyCodecConfig(sample_rate=11000)
+        with pytest.raises(InvalidInputError, match="alias"):
+            ToyCodecConfig(num_codebooks=5, sample_rate=11000, render_gains=(1.0, 0.25, 0.15, 0.1, 0.1))
+        ToyCodecConfig(sample_rate=8000, render_gains=(1.0, 0.25, 0.15, 0.0))
 
     def test_determinism(self):
         tokens, _ = encode_transcript([1, 2, 3], CFG)

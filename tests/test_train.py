@@ -1,6 +1,7 @@
 """Schedule, batching, training-loop, and checkpoint tests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from codec_infill import train
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill.errors import InvalidInputError, NonFiniteLossError
+from codec_infill.jsonio import read_json
 from codec_infill.model import (
     ModelConfig,
     ModelState,
@@ -17,10 +19,12 @@ from codec_infill.model import (
     new_model,
     next_item_targets,
     pad_sequences,
+    parameter_names,
+    score_sequence,
 )
 from codec_infill.rearrange import MaskSamplingConfig, causal_mask, delay_stack
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus
-from codec_infill.tokens import EMPTY, CodecMatrix, SpecialToken, Span, mask_marker
+from codec_infill.tokens import EMPTY, EOU, CodecMatrix, SpecialToken, Span, mask_marker
 from codec_infill.train import (
     Batch,
     SchedulerConfig,
@@ -90,7 +94,8 @@ class TestEdenSchedule:
 
 class TestBatchConstruction:
     def test_six_frame_example_targets_are_shifted_stack(self):
-        """Targets at each position equal the next stacked item, per head."""
+        """Targets at each position equal the next stacked item, per head, except that
+        head 1 predicts EOS where the relocated span's delay tail begins."""
         corpus = gen_corpus(1, (6, 6), ToyCodecConfig(frames_per_symbol=1), seed=0)
         utt = corpus[0]
         model_cfg = small_model_config(ToyCodecConfig(frames_per_symbol=1))
@@ -100,12 +105,18 @@ class TestBatchConstruction:
         stacked = delay_stack(causal_mask(utt.tokens, spans))
         stream = list(utt.transcript) + stacked.items
         n_text = len(utt.transcript)
+        # the span's 3 frames follow EOU and its marker; its first tail step is 3 later
+        span_end = stream.index(EOU) + 1 + 3
+        assert stream[span_end][0] != EMPTY and stream[span_end + 1][0] == EMPTY
+        assert targets[span_end, 0] == model_cfg.special_output_id(0, "eos") and mask[span_end, 0]
         for t in range(len(stream) - 1):
             nxt = stream[t + 1]
             if t + 1 < n_text:
                 assert not mask[t].any()
                 continue
             for k in range(model_cfg.num_codebooks):
+                if (t, k) == (span_end, 0):
+                    continue
                 if isinstance(nxt, SpecialToken):
                     assert targets[t, k] == model_cfg.special_output_id(k, nxt.kind, nxt.index)
                     assert mask[t, k] == (nxt.kind in ("eos", "eou"))
@@ -156,8 +167,9 @@ def check_targets_against_oracle(streams, cfg):
     """next_item_targets of the padded rows equals the per-item oracle, row by row.
 
     Returns what the checked positions were followed by: the item kinds of
-    the streams ("mask", "eos", "eou", "empty", "text", "frame"), "pad" for
-    padding after a shorter row, and "end" for the last position.
+    the streams ("mask", "eos", "eou", "empty", "text", "frame"), "span end"
+    for the first delay-tail step of a relocated span, "pad" for padding
+    after a shorter row, and "end" for the last position.
     """
     batch = pad_sequences([encode_sequence(text, items, cfg) for text, items in streams], cfg)
     targets, mask = next_item_targets(batch, cfg)
@@ -170,11 +182,13 @@ def check_targets_against_oracle(streams, cfg):
         np.testing.assert_array_equal(mask[b, :n], want_mask)
         assert not targets[b, n - 1:].any() and not mask[b, n - 1:].any()
         stream = list(text) + list(items)
-        for nxt in stream[1:]:
+        for t, nxt in enumerate(stream[1:]):
             if isinstance(nxt, SpecialToken):
                 seen.add(nxt.kind)
             elif isinstance(nxt, tuple):
                 seen.add("empty" if EMPTY in nxt else "frame")
+                if want_targets[t, 0] == cfg.special_output_id(0, "eos"):
+                    seen.add("span end")
             else:
                 seen.add("text")
         seen.add("pad" if n < batch.max_length else "end")
@@ -219,7 +233,7 @@ class TestNextItemTargets:
         long = stacked(12, [Span(5, 7), Span(9, 11)])
         short = stacked(3, [Span(0, 2)])
         seen = check_targets_against_oracle([([3, 4, 5], long), ([6], short)], cfg)
-        assert seen == {"mask", "eos", "eou", "empty", "text", "frame", "pad", "end"}
+        assert seen == {"mask", "eos", "eou", "empty", "text", "frame", "span end", "pad", "end"}
         assert mask_marker(2) in long
 
 
@@ -273,15 +287,16 @@ class TestTrainLoop:
         ]
 
     def test_pinned_float32_trajectory(self):
-        """Eight steps of the float32 small model follow the losses recorded before the
-        forward packed its positions; only float rounding may differ (rtol 1e-6)."""
+        """Eight steps of the float32 small model follow the recorded losses; only float
+        rounding may differ (rtol 1e-6).  Recorded when head 1 first learned EOS at the
+        start of each span's delay tail."""
         corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
         state = new_model(small_model_config(CODEC, dtype="float32"), seed=0)
         tcfg = TrainConfig(batch_frame_budget=512, total_steps=8, seed=0)
         _, metrics = train_loop(corpus, state, tcfg, SchedulerConfig(base_lr=3e-3))
         pinned = [
-            36.75717582045281, 36.71466988488607, 36.61427680228523, 36.555971902658335,
-            36.44331725399823, 36.185458161676586, 36.151214426735876, 35.67351035896405,
+            36.76228123128371, 36.71163859319388, 36.60361156540264, 36.54810703141119,
+            36.425406727392065, 36.1579681892603, 36.13735688212185, 35.687337006327844,
         ]
         np.testing.assert_allclose([e["loss"] for e in metrics], pinned, rtol=1e-6)
 
@@ -335,7 +350,8 @@ class TestTrainLoop:
                 run_dir=tmp_path,
             )
         assert err.value.batch_id.startswith("utt")
-        assert (tmp_path / "nonfinite_batch.json").exists()
+        dump = read_json(tmp_path / "nonfinite_batch.json")
+        assert dump["step"] == 0 and dump["utterances"][0] == err.value.batch_id
 
 
 class TestCheckpoint:
@@ -403,6 +419,29 @@ class TestCheckpoint:
         (tmp_path / "bad.bin").write_bytes(damaged)
         with pytest.raises(InvalidInputError):
             load_checkpoint(tmp_path / "bad.bin")
+
+    def test_file_with_key_bias_loads_and_scores_as_written(self):
+        """A checkpoint written while attention still had a key bias loads without it.
+
+        The fixture is a 2-layer float64 model trained six AdamW steps by the
+        code that still had ``layer<i>.attn.bk``, whose key biases were then
+        set to normal(0, 0.5) draws; beside it are the logits that code gave
+        on the stream below.  The softmax cancels a key bias, so dropping it
+        leaves the logits unchanged.
+        """
+        fixtures = Path(__file__).parent / "fixtures"
+        state, rng_state = load_checkpoint(fixtures / "checkpoint_with_key_bias.bin")
+        assert rng_state is None and state.step == 6
+        assert not any(name.endswith(".attn.bk") for name in state.params)
+        assert list(state.params) == parameter_names(state.config)
+        frames = np.array([[0, 1], [2, 3], [4, 0], [1, 2], [3, 4], [0, 0], [2, 1]])
+        matrix = CodecMatrix(frames, codebook_sizes=(5, 5))
+        items = delay_stack(causal_mask(matrix, [Span(2, 4), Span(5, 6)])).items
+        logits = score_sequence(state, [6, 0, 3, 1], items)
+        recorded = np.load(fixtures / "checkpoint_with_key_bias_logits.npz")
+        assert len(recorded.files) == len(logits) == state.config.num_codebooks
+        for k, got in enumerate(logits):
+            np.testing.assert_allclose(got, recorded[f"head{k}"], rtol=1e-5)
 
     @pytest.mark.parametrize("fault", ["shape", "dtype"])
     def test_mis_shaped_tensor_raises_invalid_input(self, tmp_path, fault):
