@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration errors, 3 I/O errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -88,6 +89,15 @@ def _load_config(path, overrides, known) -> dict:
     return read_json(path, lambda payload: check_keys(_apply_overrides(payload, overrides), known))
 
 
+@contextlib.contextmanager
+def _naming(where):
+    """A ConfigError raised inside names ``where``, the file or flag its values came from."""
+    try:
+        yield
+    except ConfigError as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
 def _config_hash(payload) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str).encode()
@@ -148,8 +158,9 @@ def _dump_record(path, record_id) -> TokenDumpRecord:
 
 def cmd_gen_data(args) -> int:
     payload = _load_config(args.config, args.set, {"codec", "corpus"})
-    codec = config_from_json(ToyCodecConfig, payload.get("codec", {}), "codec")
-    corpus = config_from_json(CorpusConfig, payload.get("corpus", {}), "corpus")
+    with _naming(args.config):
+        codec = config_from_json(ToyCodecConfig, payload.get("codec", {}), "codec")
+        corpus = config_from_json(CorpusConfig, payload.get("corpus", {}), "corpus")
     out = _out_dir(args, "corpus")
     utterances = gen_corpus(
         corpus.num_utterances,
@@ -167,7 +178,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     payload = _load_config(args.config, args.set, {"data_dir", "init_seed", "model", "scheduler", "train"})
-    corpus, codec = load_corpus(get_field(payload, "data_dir", str))
+    with _naming(args.config):
+        data_dir = get_field(payload, "data_dir", str)
+    corpus, codec = load_corpus(data_dir)
     train_utts = [u for u in corpus if u.split == "train"]
     model_payload = payload.get("model", {})
     if isinstance(model_payload, dict):  # config_from_json rejects any other value
@@ -177,9 +190,11 @@ def cmd_train(args) -> int:
             "text_vocab_size": codec.alphabet_size,
             **model_payload,
         }
-    model_cfg = config_from_json(ModelConfig, model_payload, "model")
-    sched_cfg = config_from_json(SchedulerConfig, payload.get("scheduler", {}), "scheduler")
-    train_cfg = config_from_json(TrainConfig, payload.get("train", {}), "train")
+    with _naming(args.config):
+        model_cfg = config_from_json(ModelConfig, model_payload, "model")
+        sched_cfg = config_from_json(SchedulerConfig, payload.get("scheduler", {}), "scheduler")
+        train_cfg = config_from_json(TrainConfig, payload.get("train", {}), "train")
+        init_seed = get_field(payload, "init_seed", int, 0)
     out = _out_dir(args, "run")
 
     rng_state = None
@@ -189,7 +204,7 @@ def cmd_train(args) -> int:
             raise ConfigError("resume checkpoint config differs from the requested model")
         print(f"resumed from {args.resume} at step {state.step}")
     else:
-        state = new_model(model_cfg, seed=get_field(payload, "init_seed", int, 0))
+        state = new_model(model_cfg, seed=init_seed)
     write_json(out / "train_header.json", _report_header(payload, train_cfg.seed))
     state, metrics = train_loop(train_utts, state, train_cfg, sched_cfg, run_dir=out, rng_state=rng_state)
     print(f"trained to step {state.step}; final loss {metrics[-1]['loss']:.4f}" if metrics else "no steps run")
@@ -307,10 +322,10 @@ def cmd_eval(args) -> int:
     tokens = {u.id: u.tokens for u in corpus}
     records = load_manifest(args.manifest)
     dumps = {r.id: tokens[r.utterance] for r in records if r.utterance in tokens}
-    overrides = _apply_overrides({}, args.set)
-    check_keys(overrides, {"sampling", "edit"})
-    sampling = config_from_json(SamplingConfig, overrides.get("sampling", {}), "sampling")
-    edit_cfg = config_from_json(EditConfig, overrides.get("edit", {}), "edit")
+    with _naming("--set"):
+        overrides = check_keys(_apply_overrides({}, args.set), {"sampling", "edit"})
+        sampling = config_from_json(SamplingConfig, overrides.get("sampling", {}), "sampling")
+        edit_cfg = config_from_json(EditConfig, overrides.get("edit", {}), "edit")
     state, _ = load_checkpoint(args.checkpoint)
     decoder = TransformerDecoder(state)
     outcome = run_eval(decoder, state.config, records, dumps, codec, edit_cfg, sampling)

@@ -55,45 +55,53 @@ def dtw_align(a, b) -> tuple[list[tuple[int, int]], float]:
     """Minimal-cost monotone alignment of two feature sequences.
 
     The local distance is Euclidean.  Returns the path as (i, j) pairs
-    from (0, 0) to (n-1, m-1), and its total cost.  Backtracking prefers
-    the diagonal step on ties, so identical sequences align along the
-    diagonal.
+    from (0, 0) to (n-1, m-1), and its total cost.  An empty sequence or
+    a NaN or infinite feature raises InvalidInputError.  Backtracking prefers
+    the diagonal step on ties, then (i-1, j), then (i, j-1), so identical
+    sequences align along the diagonal.
+
+    The accumulated cost fills one anti-diagonal d = i + j at a time
+    (Sakoe & Chiba 1978): a cell needs only the two diagonals before its
+    own.  The matrix is stored skewed, cell (i, j) at ``cost[i + j, i + 1]``,
+    with inf in column 0 and in every slot outside the n x m matrix, so
+    the three predecessors of a whole diagonal are three contiguous
+    slices.  Each cell is the same ``local + min(predecessors)`` as in a
+    cell-by-cell fill, so the cost is bit-equal to that fill's.
     """
     a_mat, b_mat = _as_feature_matrix(a), _as_feature_matrix(b)
     n, m = len(a_mat), len(b_mat)
     if n == 0 or m == 0:
         raise InvalidInputError("cannot align an empty sequence")
-    local = _pairwise_euclidean(a_mat, b_mat)
-    cost = np.full((n, m), np.inf)
-    cost[0, 0] = local[0, 0]
-    for i in range(n):
-        for j in range(m):
-            if i == 0 and j == 0:
-                continue
-            best = np.inf
-            if i > 0 and j > 0:
-                best = cost[i - 1, j - 1]
-            if i > 0:
-                best = min(best, cost[i - 1, j])
-            if j > 0:
-                best = min(best, cost[i, j - 1])
-            cost[i, j] = local[i, j] + best
+    if not (np.isfinite(a_mat).all() and np.isfinite(b_mat).all()):
+        raise InvalidInputError("cannot align features that are not finite")
+    rows, cols = np.indices((n, m))
+    cost = np.full((n + m - 1, n + 1), np.inf)
+    cost[rows + cols, rows + 1] = _pairwise_euclidean(a_mat, b_mat)  # local distances, skewed
+    best = np.empty(n)
+    for d in range(1, n + m - 1):
+        # (i, j-1) and (i-1, j) lie on diagonal d-1, (i-1, j-1) on d-2
+        np.minimum(cost[d - 1, 1:], cost[d - 1, :-1], out=best)
+        if d > 1:
+            np.minimum(best, cost[d - 2, :-1], out=best)
+        np.add(cost[d, 1:], best, out=cost[d, 1:])
+    # a memoryview reads one cell as a Python float without converting the whole matrix
+    flat, width = cost.ravel().data, n + 1
     path = []
     i, j = n - 1, m - 1
     while True:
         path.append((i, j))
         if i == 0 and j == 0:
             break
-        moves = []
-        if i > 0 and j > 0:
-            moves.append((cost[i - 1, j - 1], (i - 1, j - 1)))
-        if i > 0:
-            moves.append((cost[i - 1, j], (i - 1, j)))
-        if j > 0:
-            moves.append((cost[i, j - 1], (i, j - 1)))
-        i, j = min(moves, key=lambda t: t[0])[1]
+        up = (i + j - 1) * width + i  # (i-1, j); (i, j-1) is the next slot of the same diagonal
+        diagonal = flat[up - width] if i + j > 1 else np.inf
+        if diagonal <= flat[up] and diagonal <= flat[up + 1]:
+            i, j = i - 1, j - 1
+        elif flat[up] <= flat[up + 1]:
+            i -= 1
+        else:
+            j -= 1
     path.reverse()
-    return path, float(cost[n - 1, m - 1])
+    return path, flat[(n + m - 2) * width + n]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,18 @@ def f0_track(wav, sample_rate: int) -> np.ndarray:
     global peak, the smallest lag wins, which resolves period multiples
     to the fundamental.  A rate whose Nyquist frequency is not above the
     top of the range raises InvalidInputError.
+
+    All frames are analysed at once as (frames, lags) arrays.  Each lag's
+    autocorrelation, and each frame's energy, is one dot product per
+    frame through ``matmul``, the same BLAS dot that ``np.correlate`` and
+    ``frame @ frame`` run on one frame, so every value, and with it every
+    decision, equals the frame-by-frame analysis.  An FFT autocorrelation
+    is cheaper but differs by rounding, which flips the lag on flat
+    autocorrelations such as a constant offset.
+
+    Known limitation: on the codec's default four-codebook renderings the
+    summed tones often repeat at a common sub-multiple of the codebook-1
+    tone, and the track reads that subharmonic (e.g. 392 Hz as 195 Hz).
     """
     f_min, f_max = F0_RANGE_HZ
     if not f_max < sample_rate / 2:
@@ -156,33 +176,26 @@ def f0_track(wav, sample_rate: int) -> np.ndarray:
             f"sample rate {sample_rate} Hz puts Nyquist at or below the {f_max} Hz top of the F0 range"
         )
     frames = _frame_signal(wav)
+    frames = frames - frames.mean(axis=1, keepdims=True)
     lag_min = int(np.ceil(sample_rate / f_max))
     lag_max = min(int(np.floor(sample_rate / f_min)), WINDOW_LENGTH - 1)
-    out = np.zeros(len(frames))
-    for i, frame in enumerate(frames):
-        frame = frame - frame.mean()
-        energy = float(frame @ frame)
-        if energy <= 0.0:
-            continue
-        raw = np.correlate(frame, frame, mode="full")[WINDOW_LENGTH - 1 :]
-        forward = np.concatenate([[0.0], np.cumsum(frame * frame)])
-        tail = energy - forward  # sum of squares from each lag onward
-        lags = np.arange(lag_min, lag_max + 1)
-        e1 = tail[0] - tail[WINDOW_LENGTH - lags]  # first WINDOW_LENGTH - lag samples
-        e2 = tail[lags]
-        denom = np.sqrt(e1 * e2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.where(denom > 0, raw[lags] / denom, 0.0)
-        peak = float(r.max())
-        if peak < VOICING_THRESHOLD:
-            continue
-        left = np.concatenate([[-np.inf], r[:-1]])
-        right = np.concatenate([r[1:], [-np.inf]])
-        is_local_max = (r >= left) & (r >= right)
-        candidates = np.nonzero(is_local_max & (r >= max(VOICING_THRESHOLD, 0.95 * peak)))[0]
-        best_lag = int(lags[candidates[0]])
-        out[i] = sample_rate / best_lag
-    return out
+    lags = np.arange(lag_min, lag_max + 1)
+    rows = frames[:, None, :]
+    energy = (rows @ frames[:, :, None])[:, 0, 0]
+    raw = np.stack([(rows[:, :, lag:] @ frames[:, : WINDOW_LENGTH - lag, None])[:, 0, 0] for lag in lags], axis=1)
+    forward = np.concatenate([np.zeros((len(frames), 1)), np.cumsum(frames * frames, axis=1)], axis=1)
+    tail = energy[:, None] - forward  # sum of squares from each lag onward
+    e1 = tail[:, :1] - tail[:, WINDOW_LENGTH - lags]  # first WINDOW_LENGTH - lag samples
+    e2 = tail[:, lags]
+    denom = np.sqrt(e1 * e2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(denom > 0, raw / denom, 0.0)
+    peak = r.max(axis=1)
+    edge = np.full((len(r), 1), -np.inf)
+    is_local_max = (r >= np.hstack([edge, r[:, :-1]])) & (r >= np.hstack([r[:, 1:], edge]))
+    candidates = is_local_max & (r >= np.maximum(VOICING_THRESHOLD, 0.95 * peak)[:, None])
+    voiced = (energy > 0.0) & (peak >= VOICING_THRESHOLD)
+    return np.where(voiced, sample_rate / lags[candidates.argmax(axis=1)], 0.0)
 
 
 # ---------------------------------------------------------------------------

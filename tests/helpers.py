@@ -2,6 +2,14 @@
 
 import numpy as np
 
+from codec_infill.metrics import (
+    F0_RANGE_HZ,
+    VOICING_THRESHOLD,
+    WINDOW_LENGTH,
+    _as_feature_matrix,
+    _frame_signal,
+    _pairwise_euclidean,
+)
 from codec_infill.model import ModelConfig, distinct_rows, encode_batch, encode_sequence, next_item_targets
 from codec_infill.tokens import EMPTY, EOU, CodecMatrix, Span, SpecialToken
 
@@ -114,6 +122,76 @@ def levenshtein_oracle(ref, hyp) -> int:
             same = ref[i - 1] == hyp[j - 1]
             row[j] = min(prev[j - 1] + (0 if same else 1), prev[j] + 1, row[j - 1] + 1)
     return int(row[m])
+
+
+def dtw_align_oracle(a, b) -> tuple[list[tuple[int, int]], float]:
+    """Cell-by-cell reference for ``metrics.dtw_align``: the same path and a bit-equal cost."""
+    a_mat, b_mat = _as_feature_matrix(a), _as_feature_matrix(b)
+    n, m = len(a_mat), len(b_mat)
+    local = _pairwise_euclidean(a_mat, b_mat)
+    cost = np.full((n, m), np.inf)
+    cost[0, 0] = local[0, 0]
+    for i in range(n):
+        for j in range(m):
+            if i == 0 and j == 0:
+                continue
+            best = np.inf
+            if i > 0 and j > 0:
+                best = cost[i - 1, j - 1]
+            if i > 0:
+                best = min(best, cost[i - 1, j])
+            if j > 0:
+                best = min(best, cost[i, j - 1])
+            cost[i, j] = local[i, j] + best
+    path = []
+    i, j = n - 1, m - 1
+    while True:
+        path.append((i, j))
+        if i == 0 and j == 0:
+            break
+        moves = []
+        if i > 0 and j > 0:
+            moves.append((cost[i - 1, j - 1], (i - 1, j - 1)))
+        if i > 0:
+            moves.append((cost[i - 1, j], (i - 1, j)))
+        if j > 0:
+            moves.append((cost[i, j - 1], (i, j - 1)))
+        i, j = min(moves, key=lambda t: t[0])[1]
+    path.reverse()
+    return path, float(cost[n - 1, m - 1])
+
+
+def f0_track_oracle(wav, sample_rate: int) -> np.ndarray:
+    """Frame-by-frame reference for ``metrics.f0_track``: one ``np.correlate`` per frame."""
+    f_min, f_max = F0_RANGE_HZ
+    frames = _frame_signal(wav)
+    lag_min = int(np.ceil(sample_rate / f_max))
+    lag_max = min(int(np.floor(sample_rate / f_min)), WINDOW_LENGTH - 1)
+    out = np.zeros(len(frames))
+    for i, frame in enumerate(frames):
+        frame = frame - frame.mean()
+        energy = float(frame @ frame)
+        if energy <= 0.0:
+            continue
+        raw = np.correlate(frame, frame, mode="full")[WINDOW_LENGTH - 1 :]
+        forward = np.concatenate([[0.0], np.cumsum(frame * frame)])
+        tail = energy - forward  # sum of squares from each lag onward
+        lags = np.arange(lag_min, lag_max + 1)
+        e1 = tail[0] - tail[WINDOW_LENGTH - lags]  # first WINDOW_LENGTH - lag samples
+        e2 = tail[lags]
+        denom = np.sqrt(e1 * e2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.where(denom > 0, raw[lags] / denom, 0.0)
+        peak = float(r.max())
+        if peak < VOICING_THRESHOLD:
+            continue
+        left = np.concatenate([[-np.inf], r[:-1]])
+        right = np.concatenate([r[1:], [-np.inf]])
+        is_local_max = (r >= left) & (r >= right)
+        candidates = np.nonzero(is_local_max & (r >= max(VOICING_THRESHOLD, 0.95 * peak)))[0]
+        best_lag = int(lags[candidates[0]])
+        out[i] = sample_rate / best_lag
+    return out
 
 
 def nucleus_distribution(logits, cfg, run_state, allowed=None):

@@ -626,7 +626,7 @@ def config_top_level_a_list(tmp_path, corpus_dir, checkpoint):
 @malformed
 def config_codec_sample_rate_aliases(tmp_path, corpus_dir, checkpoint):
     argv, names = gen_data_with_config(tmp_path, {"codec": {"sample_rate": 8000}})
-    return argv, ["codec", "alias"]
+    return argv, names + ["codec", "alias"]
 
 
 @malformed
@@ -642,13 +642,13 @@ def config_train_mask_seed_removed(tmp_path, corpus_dir, checkpoint):
         "model": {"num_layers": 1, "hidden_dim": 32, "ffn_dim": 64, "num_heads": 2, "max_positions": 512},
         "train": {"batch_frame_budget": 512, "total_steps": 1, "mask": {"seed": 1}},
     })
-    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], ["train.mask.seed"]
+    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], [str(config), "train.mask.seed"]
 
 
 @malformed
 def config_corpus_num_utterances_a_string(tmp_path, corpus_dir, checkpoint):
     argv, names = gen_data_with_config(tmp_path, {"corpus": {"num_utterances": "5"}})
-    return argv, ["corpus.num_utterances", "str"]
+    return argv, names + ["corpus.num_utterances", "str"]
 
 
 @malformed
@@ -658,7 +658,21 @@ def config_model_dtype_unknown(tmp_path, corpus_dir, checkpoint):
         "model": {"num_layers": 1, "hidden_dim": 32, "ffn_dim": 64, "num_heads": 2, "dtype": "float99"},
         "train": {"batch_frame_budget": 512, "total_steps": 1},
     })
-    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], ["'model'", "dtype 'float99'"]
+    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], [str(config), "'model'", "dtype 'float99'"]
+
+
+@malformed
+def config_train_without_data_dir(tmp_path, corpus_dir, checkpoint):
+    config = write_json(tmp_path / "train.json", {"train": {"total_steps": 1}})
+    return ["train", "--config", str(config), "--out", str(tmp_path / "run")], [str(config), "'data_dir'"]
+
+
+@malformed
+def eval_set_value_of_the_wrong_type(tmp_path, corpus_dir, checkpoint):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n')
+    argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--set", "sampling.seed=x", "--out", str(tmp_path / "ev")]
+    return argv, ["--set", "sampling.seed", "str"]
 
 
 @malformed
@@ -690,7 +704,7 @@ def eval_set_outside_sampling_and_edit(tmp_path, corpus_dir, checkpoint):
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n')
     argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--set", "seed=3", "--out", str(tmp_path / "ev")]
-    return argv, ["'seed'"]
+    return argv, ["--set", "'seed'"]
 
 
 @malformed
