@@ -30,7 +30,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .infer import (
     Alignment,
     EditConfig,
-    EditScript,
+    EditOp,
     SamplingConfig,
     diff_transcripts,
     edit_speech,

@@ -80,16 +80,16 @@ def validate_record(record: EvalRecord) -> None:
         if record.num_spans != 0:
             raise ConfigError(f"record {record.id}: num_spans must be 0 for identity edits")
         return
-    kinds = [op.kind for op in script.ops]
+    kinds = [op.kind for op in script]
     if sorted(kinds) != sorted(record.edit_types):
         raise ConfigError(
             f"record {record.id}: edit_types {record.edit_types} but diff gives {kinds}"
         )
-    if record.num_spans != len(script.ops):
+    if record.num_spans != len(script):
         raise ConfigError(
-            f"record {record.id}: num_spans {record.num_spans} but diff gives {len(script.ops)}"
+            f"record {record.id}: num_spans {record.num_spans} but diff gives {len(script)}"
         )
-    expected_bucket = bucket_for(max(op_word_count(op) for op in script.ops))
+    expected_bucket = bucket_for(max(op_word_count(op) for op in script))
     if record.bucket != expected_bucket:
         raise ConfigError(
             f"record {record.id}: bucket {record.bucket} but spans give {expected_bucket}"
@@ -157,7 +157,7 @@ def synthesize_manifest(
             insertion = [int(rng.integers(0, codec_cfg.alphabet_size)) for _ in range(span_words)]
             edited[start:start] = insertion
         script = diff_transcripts(words, edited)
-        if len(script.ops) != 1 or script.ops[0].kind != kind:
+        if len(script) != 1 or script[0].kind != kind:
             continue  # random symbols occasionally collapse the edit
         record = EvalRecord(
             f"case{len(records):04d}_{utt.id}",
@@ -165,7 +165,7 @@ def synthesize_manifest(
             edited,
             edit_types=[kind],
             num_spans=1,
-            bucket=bucket_for(op_word_count(script.ops[0])),
+            bucket=bucket_for(op_word_count(script[0])),
             utterance=utt.id,
         )
         records.append(record)

@@ -38,7 +38,7 @@ through the rounding of the batched forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +64,7 @@ class EditOp:
     repl_end: int
 
 
-@dataclass
-class EditScript:
-    ops: list[EditOp] = field(default_factory=list)
-
-    def __bool__(self):
-        return bool(self.ops)
-
-
-def diff_transcripts(original: list, target: list) -> EditScript:
+def diff_transcripts(original: list, target: list) -> list[EditOp]:
     """Minimal word-level edit script (unit costs), adjacent changes merged.
 
     The dynamic program prefers matches, then substitutions, then
@@ -115,7 +107,7 @@ def diff_transcripts(original: list, target: list) -> EditScript:
             block[3] = max(block[3], t_hi)
     if block is not None:
         ops.append(_classify_block(*block))
-    return EditScript(ops)
+    return ops
 
 
 def _classify_block(o_lo, o_hi, t_lo, t_hi) -> EditOp:
@@ -128,11 +120,11 @@ def _classify_block(o_lo, o_hi, t_lo, t_hi) -> EditOp:
     return EditOp(kind, o_lo, o_hi, t_lo, t_hi)
 
 
-def apply_script(script: EditScript, original: list, target_words: list) -> list:
+def apply_script(script: list[EditOp], original: list, target_words: list) -> list:
     """Replay the script against the original; used to verify minimality."""
     out = []
     cursor = 0
-    for op in script.ops:
+    for op in script:
         out.extend(original[cursor:op.orig_start])
         out.extend(target_words[op.repl_start:op.repl_end])
         cursor = op.orig_end
@@ -157,7 +149,7 @@ class Alignment:
 
 
 def select_edit_spans(
-    script: EditScript, align: Alignment, epsilon: float, frame_rate: int
+    script: list[EditOp], align: Alignment, epsilon: float, frame_rate: int
 ) -> list[Span]:
     """Frame spans to mask for an edit, with an epsilon-second margin.
 
@@ -171,7 +163,7 @@ def select_edit_spans(
     total = align.total_frames
     spans = align.word_spans
     raw: list[tuple[int, int]] = []
-    for op in script.ops:
+    for op in script:
         if op.kind == "insertion":
             if op.orig_start > len(spans):
                 raise AlignmentError(

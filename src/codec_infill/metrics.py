@@ -31,6 +31,8 @@ MFCC_ORDER = 13
 LOG_FLOOR = 1e-10
 F0_RANGE_HZ = (80, 600)
 VOICING_THRESHOLD = 0.3
+# a frame's energy after mean removal at or below this share of its energy before is rounding residue
+ROUNDING_ENERGY = (WINDOW_LENGTH * np.finfo(np.float64).eps) ** 2
 MCD_SCALE = 10.0 / np.log(10.0)
 
 
@@ -158,6 +160,12 @@ def f0_track(wav, sample_rate: int) -> np.ndarray:
     to the fundamental.  A rate whose Nyquist frequency is not above the
     top of the range raises InvalidInputError.
 
+    A frame is unvoiced, too, when its energy after mean removal is at
+    most ``ROUNDING_ENERGY`` times its energy before: the rounding error
+    of a mean over one window.  A constant offset leaves only that
+    residue, a near-constant whose normalized autocorrelation is ~1 at
+    every lag, so it would read as voiced at the top of the range.
+
     All frames are analysed at once as (frames, lags) arrays.  Each lag's
     autocorrelation, and each frame's energy, is one dot product per
     frame through ``matmul``, the same BLAS dot that ``np.correlate`` and
@@ -175,13 +183,14 @@ def f0_track(wav, sample_rate: int) -> np.ndarray:
         raise InvalidInputError(
             f"sample rate {sample_rate} Hz puts Nyquist at or below the {f_max} Hz top of the F0 range"
         )
-    frames = _frame_signal(wav)
-    frames = frames - frames.mean(axis=1, keepdims=True)
+    signal = _frame_signal(wav)
+    frames = signal - signal.mean(axis=1, keepdims=True)
     lag_min = int(np.ceil(sample_rate / f_max))
     lag_max = min(int(np.floor(sample_rate / f_min)), WINDOW_LENGTH - 1)
     lags = np.arange(lag_min, lag_max + 1)
     rows = frames[:, None, :]
     energy = (rows @ frames[:, :, None])[:, 0, 0]
+    signal_energy = (signal[:, None, :] @ signal[:, :, None])[:, 0, 0]
     raw = np.stack([(rows[:, :, lag:] @ frames[:, : WINDOW_LENGTH - lag, None])[:, 0, 0] for lag in lags], axis=1)
     forward = np.concatenate([np.zeros((len(frames), 1)), np.cumsum(frames * frames, axis=1)], axis=1)
     tail = energy[:, None] - forward  # sum of squares from each lag onward
@@ -194,7 +203,7 @@ def f0_track(wav, sample_rate: int) -> np.ndarray:
     edge = np.full((len(r), 1), -np.inf)
     is_local_max = (r >= np.hstack([edge, r[:, :-1]])) & (r >= np.hstack([r[:, 1:], edge]))
     candidates = is_local_max & (r >= np.maximum(VOICING_THRESHOLD, 0.95 * peak)[:, None])
-    voiced = (energy > 0.0) & (peak >= VOICING_THRESHOLD)
+    voiced = (energy > ROUNDING_ENERGY * signal_energy) & (peak >= VOICING_THRESHOLD)
     return np.where(voiced, sample_rate / lags[candidates.argmax(axis=1)], 0.0)
 
 

@@ -1,23 +1,25 @@
 """Decoder-only transformer over [text; stacked tokens] with K output heads.
 
 The model consumes one position stream: the transcript tokens followed by
-the delay-stacked codec items.  A frame step embeds as the sum of its K
-codebook embeddings (EMPTY slots draw one shared learned vector), marker
-steps draw a single learned vector each, and a shared sinusoidal position
-encoding is added over the whole concatenation.  The final hidden state
-feeds K separate MLP heads, one per codebook, at the positions the
-caller asks for (training: those that carry loss; decoding: each row's
-last); their vocabularies append the marker/EMPTY ids so targets can be
-scored uniformly.  The special-id layout is defined once,
-:meth:`ModelConfig.special_index`: it is both a marker's embedding row
-and, offset by the codebook size, its id in every head.
+the delay-stacked codec items.  Every codec item is K ids in one id
+space, slot k holding the id head k predicts for it: a real token is
+itself, and a marker or EMPTY is ``codebook_sizes[k]`` plus its
+:meth:`ModelConfig.special_index`, the one special-id layout.  Slot k's
+input table is [codebook_emb_k; marker_emb; empty_emb], the
+``head_vocab_size(k)`` rows of head k's vocabulary.  A frame step embeds
+as the sum of its K slots' rows (so each EMPTY slot adds one shared
+learned vector), a marker draws its row of slot 0's table, and a text
+item its ``text_emb`` row; a shared sinusoidal position encoding is added
+over the whole concatenation.  The final hidden state feeds K separate
+MLP heads, one per codebook, at the positions the caller asks for
+(training: those that carry loss; decoding: each row's last).
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
-one-row batch.  Each position's training target is the item at the next
-position of that batch (:func:`next_item_targets`).  Training minimizes
-sum_k alpha_k * L_k where L_k is the mean masked cross-entropy of head
-k; positions whose target is a mask marker or the EMPTY filler carry no
-loss.
+one-row batch.  Each position's training targets are the ids of the
+item at the next position of that batch (:func:`next_item_targets`).
+Training minimizes sum_k alpha_k * L_k where L_k is the mean
+masked cross-entropy of head k; positions whose target is a mask marker
+or the EMPTY filler carry no loss.
 
 Everything is plain numpy with hand-written reverse-mode gradients; the
 forward pass records the intermediates the backward pass needs.  All
@@ -108,7 +110,8 @@ class ModelConfig:
 
         With M = max_mask_spans: mask i -> i - 1, EOS -> M, EOU -> M + 1 and
         EMPTY -> M + 2.  A marker's row in ``marker_emb`` is this index, and
-        head k's output id is ``codebook_sizes[k]`` plus it.
+        its id in slot k, as input and as head k's output, is
+        ``codebook_sizes[k]`` plus it.
         """
         m = self.max_mask_spans
         if kind == "mask":
@@ -214,13 +217,18 @@ def sinusoidal_positions(length: int, dim: int, dtype=np.float64, start=0) -> np
 
 @dataclass
 class EncodedBatch:
-    """[text; stacked items] streams as padded parallel id arrays, one row each."""
+    """[text; stacked items] streams as padded id arrays, one row each.
 
-    kind: np.ndarray        # (B, L) int8
-    text_ids: np.ndarray    # (B, L) int64
-    frame_ids: np.ndarray   # (B, L, K) int64, EMPTY slots hold -1
-    marker_ids: np.ndarray  # (B, L) int64, ``special_index`` of each marker
-    lengths: np.ndarray     # (B,)
+    Every item holds K slots in one id space, the output vocabulary of the
+    head of the same slot: a real codec token is itself, and an EMPTY slot
+    or a marker holds ``special_output_id(k, ...)``, so slot k of the next
+    item is head k's target.  A text item's id sits in slot 0; padding and
+    the other slots of text hold 0.
+    """
+
+    kind: np.ndarray     # (B, L) int8
+    ids: np.ndarray      # (B, L, K) int64
+    lengths: np.ndarray  # (B,)
 
     @property
     def batch_size(self):
@@ -232,10 +240,7 @@ class EncodedBatch:
 
     def rows(self, index) -> "EncodedBatch":
         """The batch made of the given rows, in the given order."""
-        return EncodedBatch(
-            self.kind[index], self.text_ids[index], self.frame_ids[index],
-            self.marker_ids[index], self.lengths[index],
-        )
+        return EncodedBatch(self.kind[index], self.ids[index], self.lengths[index])
 
 
 _ID_TYPES = (int, np.integer)
@@ -253,22 +258,22 @@ def encode_batch(contexts, cfg: ModelConfig) -> EncodedBatch:
             f"sequence length {lengths.max()} exceeds max_positions {cfg.max_positions}"
         )
     b, width, k_count = len(contexts), int(lengths.max(initial=0)), cfg.num_codebooks
+    sizes = np.asarray(cfg.codebook_sizes, dtype=np.int64)
+    empty = sizes + cfg.special_index("empty")
     kind = np.zeros((b, width), dtype=np.int8)
-    text = np.zeros((b, width), dtype=np.int64)
-    frames = np.full((b, width, k_count), EMPTY, dtype=np.int64)
-    markers = np.zeros((b, width), dtype=np.int64)
+    ids = np.zeros((b, width, k_count), dtype=np.int64)
     for row, (text_ids, items) in enumerate(contexts):
         first = int(width - lengths[row])
         for pos, t in enumerate(text_ids, start=first):
             if not (isinstance(t, _ID_TYPES) and 0 <= t < cfg.text_vocab_size):
                 raise VocabularyError(f"text id {t!r} out of range")
             kind[row, pos] = KIND_TEXT
-            text[row, pos] = t
+            ids[row, pos, 0] = t
         first += len(text_ids)
         for pos, item in enumerate(items, start=first):
             if isinstance(item, SpecialToken):
                 kind[row, pos] = KIND_MARKER
-                markers[row, pos] = cfg.special_index(item.kind, item.index)
+                ids[row, pos] = sizes + cfg.special_index(item.kind, item.index)
                 continue
             if not isinstance(item, (tuple, list, np.ndarray)) or len(item) != k_count:
                 raise InvalidInputError(
@@ -278,8 +283,8 @@ def encode_batch(contexts, cfg: ModelConfig) -> EncodedBatch:
             for k, v in enumerate(item):
                 if not (isinstance(v, _ID_TYPES) and (v == EMPTY or 0 <= v < cfg.codebook_sizes[k])):
                     raise VocabularyError(f"codebook {k + 1} token {v!r} out of range")
-                frames[row, pos, k] = v
-    return EncodedBatch(kind, text, frames, markers, lengths)
+                ids[row, pos, k] = empty[k] if v == EMPTY else v
+    return EncodedBatch(kind, ids, lengths)
 
 
 def encode_sequence(text_ids, items, cfg: ModelConfig) -> EncodedBatch:
@@ -293,9 +298,7 @@ def distinct_rows(batch: EncodedBatch) -> tuple[np.ndarray, np.ndarray]:
     firsts: list[int] = []
     inverse = np.empty(batch.batch_size, dtype=np.int64)
     for row in range(batch.batch_size):
-        key = b"".join(
-            a[row].tobytes() for a in (batch.kind, batch.text_ids, batch.frame_ids, batch.marker_ids)
-        )
+        key = batch.kind[row].tobytes() + batch.ids[row].tobytes()
         if key not in index:
             index[key] = len(firsts)
             firsts.append(row)
@@ -310,54 +313,50 @@ def pad_sequences(rows: list[EncodedBatch], cfg: ModelConfig) -> EncodedBatch:
     b = len(rows)
     length = max(r.max_length for r in rows)
     kind = np.zeros((b, length), dtype=np.int8)
-    text = np.zeros((b, length), dtype=np.int64)
-    frames = np.full((b, length, cfg.num_codebooks), EMPTY, dtype=np.int64)
-    markers = np.zeros((b, length), dtype=np.int64)
+    ids = np.zeros((b, length, cfg.num_codebooks), dtype=np.int64)
     for i, r in enumerate(rows):
         n = r.max_length
         kind[i, :n] = r.kind[0]
-        text[i, :n] = r.text_ids[0]
-        frames[i, :n] = r.frame_ids[0]
-        markers[i, :n] = r.marker_ids[0]
-    return EncodedBatch(kind, text, frames, markers, np.concatenate([r.lengths for r in rows]))
+        ids[i, :n] = r.ids[0]
+    return EncodedBatch(kind, ids, np.concatenate([r.lengths for r in rows]))
 
 
 def next_item_targets(batch: EncodedBatch, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Head targets and loss mask of a batch: position t predicts the item at t + 1.
 
-    A real frame slot's target is its token, with loss; an EMPTY slot's is
-    the EMPTY id, a mask marker's its marker id, both without loss; EOS and
-    EOU are targets with loss.  Where the next item is text or padding (and
-    at each row's last position) the target is 0, without loss.
+    A frame or marker item's ids are the targets.  Real tokens, EOS and
+    EOU carry loss; EMPTY and mask markers do not.  Where the next item is
+    text or padding (and at each row's last position) the target is 0,
+    without loss.
 
     One exception ends the relocated spans: where the next item is the
     first delay-tail step of a span after EOU (the first frame step whose
     codebook-1 slot is EMPTY), head 1's target is EOS, with loss.  That is
     the step at which decoding reads head 1's EOS to fix the span's length.
     """
-
-    def shifted(ids, fill):
-        out = np.full_like(ids, fill)
-        out[:, :-1] = ids[:, 1:]
-        return out
-
-    kind = shifted(batch.kind, KIND_PAD)
-    frames = shifted(batch.frame_ids, EMPTY)
-    markers = shifted(batch.marker_ids, 0)
-    is_frame = (kind == KIND_FRAME)[:, :, None]
-    is_marker = (kind == KIND_MARKER)[:, :, None]
-    real = is_frame & (frames != EMPTY)
-    special = np.where(is_marker, markers[:, :, None], cfg.special_index("empty"))
-    sizes = np.asarray(cfg.codebook_sizes, dtype=np.int64)
-    targets = np.where(real, frames, np.where(is_frame | is_marker, sizes + special, 0))
-    loss_mask = real | (is_marker & (markers >= cfg.special_index("eos"))[:, :, None])
+    kind = np.full_like(batch.kind, KIND_PAD)
+    kind[:, :-1] = batch.kind[:, 1:]
+    item = (kind == KIND_FRAME) | (kind == KIND_MARKER)
+    targets = np.zeros_like(batch.ids)
+    targets[:, :-1] = batch.ids[:, 1:]
+    targets[~item] = 0
+    special = targets - np.asarray(cfg.codebook_sizes)  # special_index of EMPTY and markers
+    eos, eou = cfg.special_index("eos"), cfg.special_index("eou")
+    loss_mask = item[:, :, None] & ((special < 0) | (special == eos) | (special == eou))
     # the next item opens a delay tail after EOU, and this item is no tail step
-    after_eou = np.cumsum(is_marker[:, :, 0] & (markers == cfg.special_index("eou")), axis=1) > 0
-    in_tail = (batch.kind == KIND_FRAME) & (batch.frame_ids[:, :, 0] == EMPTY)
-    ends = after_eou & is_frame[:, :, 0] & (frames[:, :, 0] == EMPTY) & ~in_tail
+    head1, empty = targets[:, :, 0], cfg.special_output_id(0, "empty")
+    after_eou = np.cumsum(head1 == cfg.special_output_id(0, "eou"), axis=1) > 0
+    in_tail = (batch.kind == KIND_FRAME) & (batch.ids[:, :, 0] == empty)
+    ends = after_eou & (head1 == empty) & ~in_tail
     targets[ends, 0] = cfg.special_output_id(0, "eos")
     loss_mask[ends, 0] = True
     return targets, loss_mask
+
+
+def _slot_tables(params: dict, cfg: ModelConfig) -> list[np.ndarray]:
+    """Slot k's input table [codebook_emb_k; marker_emb; empty_emb]: row i embeds head k's id i."""
+    specials = np.concatenate([params["marker_emb"], params["empty_emb"]])
+    return [np.concatenate([params[f"codebook_emb_{k}"], specials]) for k in range(cfg.num_codebooks)]
 
 
 def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0) -> np.ndarray:
@@ -366,29 +365,21 @@ def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0) -
     The batch's first column sits at position ``start``, one position for
     every row or one per row.  Padding gets no vector.
 
-    Text and marker items draw one learned vector each.  A frame step sums
-    its K codebook embeddings, and every EMPTY slot adds the shared EMPTY
-    vector.  The sinusoidal encoding of the absolute position is added.
+    A text item draws its ``text_emb`` row and a marker its row of slot
+    0's table (:func:`_slot_tables`).  A frame step sums the rows of its K
+    ids in their slots' tables, so each EMPTY slot adds ``empty_emb``.
+    The sinusoidal encoding of the absolute position is added.
     """
     real = batch.kind != KIND_PAD
-    kind = batch.kind[real]
-    emb = np.zeros((kind.size, cfg.hidden_dim), dtype=cfg.np_dtype)
+    kind, ids = batch.kind[real], batch.ids[real]
+    tables = _slot_tables(params, cfg)
     text = kind == KIND_TEXT
-    if text.any():
-        emb[text] = params["text_emb"][batch.text_ids[real][text]]
+    emb = np.empty((kind.size, cfg.hidden_dim), dtype=cfg.np_dtype)
+    emb[text] = params["text_emb"][ids[text, 0]]
+    emb[~text] = tables[0][ids[~text, 0]]
     frame = kind == KIND_FRAME
-    if frame.any():
-        ids = batch.frame_ids[real]
-        slot = frame[:, None] & (ids >= 0)  # (N, K) real codebook tokens
-        ids = np.maximum(ids, 0)
-        for k in range(cfg.num_codebooks):
-            table = params[f"codebook_emb_{k}"]
-            np.add(emb, table[ids[:, k]], out=emb, where=slot[:, k, None])
-        empty_count = (frame[:, None] & ~slot).sum(axis=1)
-        emb += empty_count[:, None].astype(cfg.np_dtype) * params["empty_emb"][0]
-    marker = kind == KIND_MARKER
-    if marker.any():
-        emb[marker] = params["marker_emb"][batch.marker_ids[real][marker]]
+    for k in range(1, cfg.num_codebooks):
+        np.add(emb, tables[k][ids[:, k]], out=emb, where=frame[:, None])
     pe = sinusoidal_positions(batch.max_length, cfg.hidden_dim, cfg.np_dtype, start)
     emb += np.broadcast_to(pe, real.shape + pe.shape[-1:])[real]
     return emb
@@ -397,23 +388,18 @@ def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0) -
 def _embed_backward(params: dict, cfg: ModelConfig, batch: EncodedBatch, d_emb, grads: dict):
     """Add the gradient of the packed input vectors ``d_emb`` to the embedding tables."""
     real = batch.kind != KIND_PAD
-    kind = batch.kind[real]
+    kind, ids = batch.kind[real], batch.ids[real]
     text = kind == KIND_TEXT
-    if text.any():
-        np.add.at(grads["text_emb"], batch.text_ids[real][text], d_emb[text])
+    np.add.at(grads["text_emb"], ids[text, 0], d_emb[text])
     frame = kind == KIND_FRAME
-    if frame.any():
-        ids = batch.frame_ids[real][frame]
-        d_frame = d_emb[frame]
-        for k in range(cfg.num_codebooks):
-            slot = ids[:, k] >= 0
-            if slot.any():
-                np.add.at(grads[f"codebook_emb_{k}"], ids[slot, k], d_frame[slot])
-        empty_count = (ids < 0).sum(axis=1)
-        grads["empty_emb"][0] += (empty_count[:, None] * d_frame).sum(axis=0)
-    marker = kind == KIND_MARKER
-    if marker.any():
-        np.add.at(grads["marker_emb"], batch.marker_ids[real][marker], d_emb[marker])
+    for k in range(cfg.num_codebooks):
+        drawn = ~text if k == 0 else frame
+        d_table = np.zeros((cfg.head_vocab_size(k), cfg.hidden_dim), dtype=d_emb.dtype)
+        np.add.at(d_table, ids[drawn, k], d_emb[drawn])
+        size = cfg.codebook_sizes[k]
+        grads[f"codebook_emb_{k}"] += d_table[:size]
+        grads["marker_emb"] += d_table[size:-1]
+        grads["empty_emb"] += d_table[-1:]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ is a pure function of its inputs.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +132,10 @@ def encode_transcript(
 
 @dataclass
 class DecodeResult:
-    """Best-effort transcript plus flags for imperfect regions."""
+    """Best-effort transcript; ``partial_tail`` flags a trailing block shorter than frames_per_symbol."""
 
     symbols: list[int]
     partial_tail: bool = False
-    inexact_blocks: list[int] = field(default_factory=list)
 
 
 def decode_tokens(tokens: CodecMatrix, cfg: ToyCodecConfig) -> DecodeResult:
@@ -153,7 +152,6 @@ def decode_tokens(tokens: CodecMatrix, cfg: ToyCodecConfig) -> DecodeResult:
     frames = tokens.frames
     total = frames.shape[0]
     symbols: list[int] = []
-    inexact: list[int] = []
     num_blocks = (total + f - 1) // f
     for b in range(num_blocks):
         block = frames[b * f : (b + 1) * f]
@@ -162,11 +160,8 @@ def decode_tokens(tokens: CodecMatrix, cfg: ToyCodecConfig) -> DecodeResult:
         for k in invertible:
             # tables[k][:, :width] is (A, width); compare against the block column
             scores += (tables[k][:, :width] == block[:, k][None, :]).sum(axis=1)
-        best = int(np.argmax(scores))
-        symbols.append(best)
-        if scores[best] < len(invertible) * width:
-            inexact.append(b)
-    return DecodeResult(symbols, partial_tail=(total % f != 0), inexact_blocks=inexact)
+        symbols.append(int(np.argmax(scores)))
+    return DecodeResult(symbols, partial_tail=(total % f != 0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,21 @@ import numpy as np
 
 from codec_infill.metrics import (
     F0_RANGE_HZ,
+    ROUNDING_ENERGY,
     VOICING_THRESHOLD,
     WINDOW_LENGTH,
     _as_feature_matrix,
     _frame_signal,
     _pairwise_euclidean,
 )
-from codec_infill.model import ModelConfig, distinct_rows, encode_batch, encode_sequence, next_item_targets
+from codec_infill.model import (
+    ModelConfig,
+    distinct_rows,
+    encode_batch,
+    encode_sequence,
+    next_item_targets,
+    parameter_shapes,
+)
 from codec_infill.tokens import EMPTY, EOU, CodecMatrix, Span, SpecialToken
 
 
@@ -92,6 +100,36 @@ def next_item_targets_oracle(text_ids, items, cfg: ModelConfig):
     return targets, mask
 
 
+def embed_backward_oracle(streams, d_emb, cfg: ModelConfig) -> dict:
+    """Per-item reference for ``model._embed_backward``: the gradient of every embedding table.
+
+    ``streams`` are a batch's ``(text_ids, items)`` rows and ``d_emb`` the
+    gradient of their packed input vectors, one row per item, row-major.
+    A text item adds its row to ``text_emb`` and a marker to its
+    ``marker_emb`` row; a frame step adds it to its token's row of each
+    ``codebook_emb_k``, or to ``empty_emb`` for each EMPTY slot.
+    """
+    shapes = parameter_shapes(cfg)
+    names = ["text_emb", *(f"codebook_emb_{k}" for k in range(cfg.num_codebooks)), "marker_emb", "empty_emb"]
+    grads = {name: np.zeros(shapes[name]) for name in names}
+    rows = iter(d_emb)
+    for text_ids, items in streams:
+        for t in text_ids:
+            grads["text_emb"][t] += next(rows)
+        for item in items:
+            g = next(rows)
+            if isinstance(item, SpecialToken):
+                grads["marker_emb"][cfg.special_index(item.kind, item.index)] += g
+                continue
+            for k, v in enumerate(item):
+                if v == EMPTY:
+                    grads["empty_emb"][0] += g
+                else:
+                    grads[f"codebook_emb_{k}"][v] += g
+    assert next(rows, None) is None, "more gradient rows than items"
+    return grads
+
+
 def loss_gradient_oracle(logits, targets, loss_mask, weights):
     """Reference for ``loss_gradient``: computes each head's softmax from the logits itself."""
     d_logits = []
@@ -109,6 +147,29 @@ def loss_gradient_oracle(logits, targets, loss_mask, weights):
             d_k[mask] = (p * (weights[k] / n)).astype(logit_k.dtype)
         d_logits.append(d_k)
     return d_logits
+
+
+def adamw_oracle(params: dict, grad_steps: list, lrs: list, cfg) -> dict:
+    """Element-by-element reference for ``train.AdamW``: one step per (grads, lr), as Python floats.
+
+    Decoupled weight decay (Loshchilov & Hutter): each step moves a
+    parameter by lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
+    """
+    out = {}
+    for name, p in params.items():
+        values = []
+        for index in np.ndindex(p.shape):
+            x, m, v = float(p[index]), 0.0, 0.0
+            for t, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+                g = float(grads[name][index])
+                m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+                v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+                m_hat = m / (1.0 - cfg.beta1**t)
+                v_hat = v / (1.0 - cfg.beta2**t)
+                x -= lr * (m_hat / (v_hat**0.5 + cfg.adam_eps) + cfg.weight_decay * x)
+            values.append(x)
+        out[name] = np.array(values).reshape(p.shape)
+    return out
 
 
 def levenshtein_oracle(ref, hyp) -> int:
@@ -168,11 +229,11 @@ def f0_track_oracle(wav, sample_rate: int) -> np.ndarray:
     lag_min = int(np.ceil(sample_rate / f_max))
     lag_max = min(int(np.floor(sample_rate / f_min)), WINDOW_LENGTH - 1)
     out = np.zeros(len(frames))
-    for i, frame in enumerate(frames):
-        frame = frame - frame.mean()
+    for i, signal in enumerate(frames):
+        frame = signal - signal.mean()
         energy = float(frame @ frame)
-        if energy <= 0.0:
-            continue
+        if energy <= ROUNDING_ENERGY * float(signal @ signal):
+            continue  # silence, or the rounding residue of a constant offset
         raw = np.correlate(frame, frame, mode="full")[WINDOW_LENGTH - 1 :]
         forward = np.concatenate([[0.0], np.cumsum(frame * frame)])
         tail = energy - forward  # sum of squares from each lag onward

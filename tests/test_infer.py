@@ -62,24 +62,24 @@ class TestDiff:
 
     def test_single_substitution(self):
         script = diff_transcripts(["a", "b", "c"], ["a", "x", "c"])
-        assert len(script.ops) == 1
-        op = script.ops[0]
+        assert len(script) == 1
+        op = script[0]
         assert op.kind == "substitution"
         assert (op.orig_start, op.orig_end) == (1, 2)
         assert (op.repl_start, op.repl_end) == (1, 2)
 
     def test_two_word_insertion_merges(self):
         script = diff_transcripts(["a", "b"], ["a", "x", "y", "b"])
-        assert len(script.ops) == 1
-        op = script.ops[0]
+        assert len(script) == 1
+        op = script[0]
         assert op.kind == "insertion"
         assert (op.orig_start, op.orig_end) == (1, 1)
         assert (op.repl_start, op.repl_end) == (1, 3)
 
     def test_deletion(self):
         script = diff_transcripts(["a", "b", "c", "d"], ["a", "d"])
-        assert [op.kind for op in script.ops] == ["deletion"]
-        assert (script.ops[0].orig_start, script.ops[0].orig_end) == (1, 3)
+        assert [op.kind for op in script] == ["deletion"]
+        assert (script[0].orig_start, script[0].orig_end) == (1, 3)
 
     def brute_force_cost(self, a, b):
         from functools import lru_cache
@@ -105,7 +105,7 @@ class TestDiff:
             assert apply_script(script, a, b) == b
             cost = sum(
                 max(op.orig_end - op.orig_start, op.repl_end - op.repl_start)
-                for op in script.ops
+                for op in script
             )
             assert cost == self.brute_force_cost(tuple(a), tuple(b))
 
@@ -114,7 +114,7 @@ class TestDiff:
         for _ in range(200):
             a = [int(v) for v in rng.integers(0, 4, size=10)]
             b = [int(v) for v in rng.integers(0, 4, size=10)]
-            ops = diff_transcripts(a, b).ops
+            ops = diff_transcripts(a, b)
             for x, y in zip(ops, ops[1:]):
                 assert x.orig_end <= y.orig_start
 
@@ -137,7 +137,7 @@ class TestSelectEditSpans:
         """Insert between words 1 and 2 (boundary frame 20), 0.04 s margin."""
         align = word_alignment(4)
         script = diff_transcripts(list("abcd"), list("abXcd"))
-        assert script.ops[0].kind == "insertion"
+        assert script[0].kind == "insertion"
         spans = select_edit_spans(script, align, 0.04, 50)
         assert spans == [Span(18, 22)]
 

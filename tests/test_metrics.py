@@ -222,6 +222,11 @@ class TestF0:
             track = f0_track(render_waveform(matrix, codec), codec.sample_rate)
             assert np.all(np.abs(track - tone) <= 0.03 * tone), (tone, track)
 
+    @pytest.mark.parametrize("level", [0.1, 0.7, 123.456])
+    def test_tone_on_a_constant_offset_keeps_its_pitch(self, level):
+        track = f0_track(sinusoid(220.0, amp=0.01) + level, SR)
+        assert np.all(np.abs(track - 220.0) <= 0.03 * 220.0)
+
     def test_rate_with_nyquist_at_or_below_the_f0_range_rejected(self):
         with pytest.raises(InvalidInputError, match="Nyquist"):
             f0_track(np.zeros(SR // 4), 1200)
@@ -273,11 +278,13 @@ class TestF0AllFrames:
         np.testing.assert_array_equal(f0_track(wav, sample_rate), f0_track_oracle(wav, sample_rate))
 
     def test_constant_offset_equals_the_frame_loop(self):
-        """A flat autocorrelation, where rounding alone picks the lag."""
+        """A constant offset reads unvoiced in both: mean removal leaves it only rounding residue,
+        whose flat autocorrelation would otherwise read as the top of the range."""
         for sample_rate in (16000, 24000):
-            for level in (0.1, 0.3, 1 / 3, 0.7):
+            for level in (0.1, 0.3, 1 / 3, 0.7, 123.456, -2.2, 0.5):
                 wav = np.full(4000, level)
-                np.testing.assert_array_equal(f0_track(wav, sample_rate), f0_track_oracle(wav, sample_rate))
+                np.testing.assert_array_equal(f0_track(wav, sample_rate), 0.0)
+                np.testing.assert_array_equal(f0_track_oracle(wav, sample_rate), 0.0)
 
     def test_too_short_input_rejected(self):
         with pytest.raises(InvalidInputError, match="shorter than one window"):

@@ -14,6 +14,7 @@ from codec_infill.model import (
     ModelConfig,
     ModelState,
     _embed_batch,
+    encode_batch,
     encode_sequence,
     forward,
     backward,
@@ -29,7 +30,7 @@ from codec_infill.model import (
 from codec_infill.rearrange import causal_mask, delay_stack
 from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, mask_marker
 
-from helpers import loss_gradient_oracle, random_matrix
+from helpers import embed_backward_oracle, loss_gradient_oracle, random_matrix
 
 
 def tiny_config(**overrides):
@@ -143,9 +144,19 @@ class TestEncoding:
             assert cfg.head_vocab_size(k) == cfg.special_output_id(k, "empty") + 1
         row = encode_sequence([1], [mask_marker(3), (0, EMPTY), EOU, EOS], cfg)
         assert row.lengths.tolist() == [5]
-        assert row.marker_ids.tolist() == [[0, 2, 0, 4, 3]]
+        # each slot holds its head's id: text 1, mask 3, (0, EMPTY), EOU, EOS
+        assert row.ids.tolist() == [[[1, 0], [7, 8], [0, 11], [9, 10], [8, 9]]]
         with pytest.raises(VocabularyError):
             encode_sequence([], [mask_marker(4)], cfg)
+
+    def test_every_id_is_a_row_of_its_slot_table(self):
+        """Ids index slot k's table of head_vocab_size(k) rows; no sentinel is left in them."""
+        cfg = tiny_config(num_codebooks=4, codebook_sizes=(5, 6, 5, 7), loss_weights=(1.0,) * 4)
+        rng = np.random.default_rng(26)
+        batch = encode_batch([random_context(rng, cfg, num_frames=n) for n in (3, 6)], cfg)
+        for k in range(cfg.num_codebooks):
+            assert 0 <= batch.ids[..., k].min() and batch.ids[..., k].max() < cfg.head_vocab_size(k)
+        assert (batch.ids[batch.kind == model.KIND_FRAME] >= np.array(cfg.codebook_sizes)).any()  # EMPTY slots
 
     @pytest.mark.parametrize("item", [5, None, "ab", (1,), (1, 2, 3)])
     def test_item_neither_marker_nor_step_is_invalid_input(self, item):
@@ -538,6 +549,37 @@ class TestGradients:
             rel = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
             assert rel < 1e-4, f"{name}{idx}: analytic {an} vs fd {fd}"
             checked += 1
+
+    @pytest.mark.parametrize("left_padded", [False, True])
+    def test_embedding_gradient_equals_the_per_item_oracle(self, left_padded):
+        """Every embedding table's gradient, exactly.
+
+        The embedding is linear: its gradient adds each item's input
+        gradient to the rows that item drew.  The finite-difference test
+        samples a few coordinates; this checks every row of every table,
+        ``marker_emb`` and ``empty_emb`` included.  Integer-valued input
+        gradients make every sum exact in any order.
+        """
+        cfg = tiny_config(num_codebooks=4, codebook_sizes=(5, 6, 5, 7), loss_weights=(1.0,) * 4)
+        params = init_params(cfg, np.random.default_rng(24))
+        rng = np.random.default_rng(25)
+        streams = [random_context(rng, cfg, num_frames=n) for n in (4, 7, 5)]
+        x = CodecMatrix(random_matrix(rng, 7, 4, vocab=5).frames, codebook_sizes=cfg.codebook_sizes)
+        streams.append(([], delay_stack(causal_mask(x, [Span(1, 3), Span(4, 6)])).items))
+        if left_padded:
+            batch = encode_batch(streams, cfg)
+        else:
+            batch = pad_sequences([encode_sequence(t, i, cfg) for t, i in streams], cfg)
+        d_emb = rng.integers(-8, 9, size=(int(batch.lengths.sum()), cfg.hidden_dim)).astype(np.float64)
+        grads = {name: np.zeros_like(p) for name, p in params.items()}
+        model._embed_backward(params, cfg, batch, d_emb, grads)
+        want = embed_backward_oracle(streams, d_emb, cfg)
+        for name, got in grads.items():
+            if name in want:
+                assert want[name].any(), f"{name} is never drawn"
+                np.testing.assert_array_equal(got, want[name], err_msg=name)
+            else:
+                assert not got.any(), name
 
     def test_gradient_scales_linearly_in_loss_weight(self):
         cfg = tiny_config()

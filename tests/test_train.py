@@ -26,6 +26,7 @@ from codec_infill.rearrange import MaskSamplingConfig, causal_mask, delay_stack
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus
 from codec_infill.tokens import EMPTY, EOU, CodecMatrix, SpecialToken, Span, mask_marker
 from codec_infill.train import (
+    AdamW,
     Batch,
     SchedulerConfig,
     TrainConfig,
@@ -37,7 +38,7 @@ from codec_infill.train import (
     train_loop,
 )
 
-from helpers import next_item_targets_oracle, random_matrix, random_spans
+from helpers import adamw_oracle, next_item_targets_oracle, random_matrix, random_spans
 
 
 def small_model_config(codec: ToyCodecConfig, **overrides):
@@ -173,7 +174,7 @@ def check_targets_against_oracle(streams, cfg):
     """
     batch = pad_sequences([encode_sequence(text, items, cfg) for text, items in streams], cfg)
     targets, mask = next_item_targets(batch, cfg)
-    assert targets.shape == mask.shape == batch.frame_ids.shape
+    assert targets.shape == mask.shape == batch.ids.shape
     seen = set()
     for b, (text, items) in enumerate(streams):
         want_targets, want_mask = next_item_targets_oracle(text, items, cfg)
@@ -352,6 +353,79 @@ class TestTrainLoop:
         assert err.value.batch_id.startswith("utt")
         dump = read_json(tmp_path / "nonfinite_batch.json")
         assert dump["step"] == 0 and dump["utterances"][0] == err.value.batch_id
+
+
+class TestOptimizerStep:
+    def test_grad_accum_applies_the_mean_of_its_batches_gradients(self, monkeypatch):
+        """With grad_accum=2 one step reads two batches and hands AdamW their mean gradient."""
+        corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
+        state = new_model(small_model_config(CODEC), seed=0)
+        tcfg = TrainConfig(batch_frame_budget=96, total_steps=1, seed=0, grad_accum=2, grad_clip=0.0)
+        batch_grads, losses, stepped, batches = [], [], [], []
+        real_backward, real_weighted_loss, real_make_batch = train.backward, train.weighted_loss, train.make_batch
+        real_step = AdamW.step
+
+        def backward(*args):
+            grads = real_backward(*args)
+            batch_grads.append({name: g.copy() for name, g in grads.items()})
+            return grads
+
+        def weighted_loss(*args):
+            out = real_weighted_loss(*args)
+            losses.append(out[:2])
+            return out
+
+        def make_batch(*args, **kwargs):
+            batches.append(real_make_batch(*args, **kwargs))
+            return batches[-1]
+
+        def step(self, params, grads, lr):
+            stepped.append({name: g.copy() for name, g in grads.items()})
+            return real_step(self, params, grads, lr)
+
+        monkeypatch.setattr(train, "backward", backward)
+        monkeypatch.setattr(train, "weighted_loss", weighted_loss)
+        monkeypatch.setattr(train, "make_batch", make_batch)
+        monkeypatch.setattr(AdamW, "step", step)
+        _, metrics = train_loop(corpus, state, tcfg, SchedulerConfig(base_lr=3e-3))
+        assert len(batch_grads) == len(losses) == 2 and len(stepped) == 1
+        assert batches[0].utterance_ids != batches[1].utterance_ids
+        first, second = batch_grads
+        mean = {name: (first[name] + second[name]) / 2 for name in first}
+        assert any(not np.array_equal(first[name], second[name]) for name in first)
+        for name, g in stepped[0].items():
+            np.testing.assert_allclose(g, mean[name], rtol=1e-15, atol=0, err_msg=name)
+        (loss_a, per_k_a), (loss_b, per_k_b) = losses
+        (entry,) = metrics
+        assert entry["loss"] == pytest.approx((loss_a + loss_b) / 2, rel=1e-15)
+        np.testing.assert_allclose(entry["loss_k"], (np.array(per_k_a) + np.array(per_k_b)) / 2, rtol=1e-15)
+        norm = np.sqrt(sum(float((g**2).sum()) for g in mean.values()))
+        assert entry["grad_norm"] == pytest.approx(norm, rel=1e-12)
+        assert entry["positions"] == sum(int(b.inputs.lengths.sum()) for b in batches)
+        assert entry["batch_size"] == sum(b.inputs.batch_size for b in batches)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_adamw_matches_the_scalar_reference(self, weight_decay):
+        rng = np.random.default_rng(40)
+        params = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
+        start = {name: p.copy() for name, p in params.items()}
+        cfg = TrainConfig(weight_decay=weight_decay)
+        grad_steps = [{name: rng.standard_normal(p.shape) for name, p in params.items()} for _ in range(4)]
+        grad_steps[2]["b"][:] = 0.0  # a step where only the moments and the decay move ``b``
+        lrs = [0.01, 0.02, 0.015, 0.005]
+        optimizer = AdamW(params, cfg)
+        for grads, lr in zip(grad_steps, lrs):
+            optimizer.step(params, grads, lr)
+        want = adamw_oracle(start, grad_steps, lrs, cfg)
+        for name in params:
+            np.testing.assert_allclose(params[name], want[name], rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_weight_decay_alone_shrinks_by_one_minus_lr_times_decay(self):
+        params = {"w": np.array([1.5, -2.0, 0.25])}
+        optimizer = AdamW(params, TrainConfig(weight_decay=0.1))
+        for lr in (0.5, 0.2):
+            optimizer.step(params, {"w": np.zeros(3)}, lr)
+        np.testing.assert_allclose(params["w"], np.array([1.5, -2.0, 0.25]) * (1 - 0.05) * (1 - 0.02), rtol=1e-15)
 
 
 class TestCheckpoint:
