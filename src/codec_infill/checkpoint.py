@@ -10,6 +10,9 @@ name, shape and dtype against the config, so a truncated, corrupt or
 mis-shaped file raises :class:`InvalidInputError`.  Files written while
 the model still had an attention key bias carry ``layer<i>.attn.bk``
 tensors; loading drops them, since the softmax cancels a key bias.
+Every head is a two-layer FFN block; headers written while the head
+depth was a setting carry ``"head_mlp_layers": 2``, which loads, and any
+other depth raises :class:`InvalidInputError`.
 """
 
 from __future__ import annotations
@@ -74,7 +77,11 @@ def load_checkpoint(path) -> tuple[ModelState, dict | None]:
     head = take(head_len, "header")
     try:
         header = json.loads(bytes(head).decode("utf-8"))
-        cfg = config_from_json(ModelConfig, header["config"], "config")
+        config = header["config"]
+        depth = config.pop("head_mlp_layers", 2) if isinstance(config, dict) else 2
+        if depth != 2:
+            raise InvalidInputError(f"checkpoint {path} has heads of {depth!r} layers; every head has 2")
+        cfg = config_from_json(ModelConfig, config, "config")
         step = int(header["step"])
         specs = [
             (spec["name"], np.dtype(spec["dtype"]), tuple(int(n) for n in spec["shape"]))

@@ -214,11 +214,8 @@ def cmd_train(args) -> int:
 
 def _edit_request(request: dict) -> tuple:
     """(request, id, corpus_dir, original or None, target, sampling, edit config) of an edit request."""
-    check_keys(request, {"id", "corpus_dir", "original", "target", "sampling", "edit", "margin_schedule"})
+    check_keys(request, {"id", "corpus_dir", "original", "target", "sampling", "edit"})
     ids = lambda values: [int(v) for v in values]
-    edit_payload = request.get("edit", {})
-    if "margin_schedule" in request and isinstance(edit_payload, dict):  # the request-level schedule wins
-        edit_payload = {**edit_payload, "margin_schedule": request["margin_schedule"]}
     return (
         request,
         get_field(request, "id", str),
@@ -226,8 +223,29 @@ def _edit_request(request: dict) -> tuple:
         get_field(request, "original", ids, None),
         get_field(request, "target", ids),
         config_from_json(SamplingConfig, request.get("sampling", {}), "sampling"),
-        config_from_json(EditConfig, edit_payload, "edit"),
+        config_from_json(EditConfig, request.get("edit", {}), "edit"),
     )
+
+
+def _write_outputs(out: Path, name: str, utt_id: str, matrix, codec, report, header: dict, **extra) -> None:
+    """``<name>_tokens.jsonl`` (record ``<id>_<name>``), ``<name>.wav`` and ``report.json`` under ``out``.
+
+    The report holds the header, the decode outcome and the transcript
+    decoded from ``matrix``; ``extra`` adds the command's own keys.
+    """
+    write_token_dump(out / f"{name}_tokens.jsonl", [TokenDumpRecord(f"{utt_id}_{name}", matrix)])
+    write_wav(out / f"{name}.wav", render_waveform(matrix, codec), codec.sample_rate)
+    write_json(out / "report.json", {
+        "header": header,
+        "id": utt_id,
+        "identity": report.identity,
+        "candidate_lengths": report.candidate_lengths,
+        "chosen_index": report.chosen_index,
+        "prefill_positions": report.prefill_positions,
+        "decode_steps": report.decode_steps,
+        "decoded_transcript": decode_tokens(matrix, codec).symbols,
+        **extra,
+    })
 
 
 def cmd_edit(args) -> int:
@@ -247,19 +265,10 @@ def cmd_edit(args) -> int:
         decoder, state.config, utt.tokens, original, target, align, edit_cfg, sampling
     )
     out = _out_dir(args, "edit")
-    write_token_dump(out / "edited_tokens.jsonl", [TokenDumpRecord(f"{utt.id}_edited", out_matrix)])
-    write_wav(out / "edited.wav", render_waveform(out_matrix, codec), codec.sample_rate)
-    write_json(out / "report.json", {
-        "header": _report_header(request, sampling.seed),
-        "id": utt.id,
-        "identity": report.identity,
-        "candidate_lengths": report.candidate_lengths,
-        "chosen_index": report.chosen_index,
-        "candidates": [dataclasses.asdict(c) for c in report.candidates],
-        "prefill_positions": report.prefill_positions,
-        "decode_steps": report.decode_steps,
-        "decoded_transcript": decode_tokens(out_matrix, codec).symbols,
-    })
+    _write_outputs(
+        out, "edited", utt.id, out_matrix, codec, report, _report_header(request, sampling.seed),
+        candidates=[dataclasses.asdict(c) for c in report.candidates],
+    )
     print(f"edited tokens, waveform, and report under {out}")
     return EXIT_OK
 
@@ -277,19 +286,8 @@ def cmd_tts(args) -> int:
         decoder, state.config, record.matrix, prompt_text, target_text, edit_cfg, sampling
     )
     out = _out_dir(args, "tts")
-    write_token_dump(out / "tts_tokens.jsonl", [TokenDumpRecord(f"{record.id}_tts", out_matrix)])
-    write_wav(out / "tts.wav", render_waveform(out_matrix, codec), codec.sample_rate)
-    write_json(out / "report.json", {
-        "header": _report_header({"prompt": prompt_text, "target": target_text}, sampling.seed),
-        "id": record.id,
-        "identity": report.identity,
-        "candidate_lengths": report.candidate_lengths,
-        "chosen_index": report.chosen_index,
-        "truncated": report.truncated,
-        "prefill_positions": report.prefill_positions,
-        "decode_steps": report.decode_steps,
-        "decoded_transcript": decode_tokens(out_matrix, codec).symbols,
-    })
+    header = _report_header({"prompt": prompt_text, "target": target_text}, sampling.seed)
+    _write_outputs(out, "tts", record.id, out_matrix, codec, report, header, truncated=report.truncated)
     print(f"continuation tokens, waveform, and report under {out}")
     return EXIT_OK
 

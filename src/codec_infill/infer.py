@@ -366,9 +366,11 @@ def generate_infill(
     ``rows`` holds one ``(text_ids, context_items, num_masks)`` per row and
     ``rngs`` one generator per row.  The rows with masks decode together
     in one ``decoder.new_session(contexts)``, a session with
-    ``logits`` (K arrays of shape (rows, V_k)), ``append(items)`` (one
-    item per row), ``keep(rows)`` and ``prefill_positions``.  A row
-    leaves the session once its last span is closed.  Returns one (L, K)
+    ``logits`` (one (rows, V_k) array per codebook head, each head a
+    two-layer FFN block), ``append(items)`` (one item per row),
+    ``keep(rows)`` and ``prefill_positions``.  Rows that share their
+    ``text_ids`` and context objects share one prefill.  A row leaves the
+    session once its last span is closed.  Returns one (L, K)
     frame array per mask, every row's masks in row order; spans whose
     frame budget ran out before the first codebook emitted EOS are
     flagged truncated.
@@ -505,8 +507,11 @@ def edit_speech(
         return matrix, report
 
     margins = edit_cfg.margin_schedule
-    span_sets = [select_edit_spans(script, align, eps, matrix.frame_rate) for eps in margins]
-    rows = [(list(target_words), build_infill_context(matrix, spans), len(spans)) for spans in span_sets]
+    span_sets = [tuple(select_edit_spans(script, align, eps, matrix.frame_rate)) for eps in margins]
+    # one context object per distinct span set: margins that give the same spans share a prefill
+    contexts = {spans: build_infill_context(matrix, spans) for spans in set(span_sets)}
+    text_ids = list(target_words)
+    rows = [(text_ids, contexts[spans], len(spans)) for spans in span_sets]
     rngs = [np.random.default_rng([sampling_cfg.seed, i]) for i in range(len(margins))]
     result = generate_infill(decoder, model_cfg, rows, sampling_cfg, rngs)
     candidates: list[CodecMatrix] = []

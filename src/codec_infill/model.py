@@ -11,8 +11,10 @@ as the sum of its K slots' rows (so each EMPTY slot adds one shared
 learned vector), a marker draws its row of slot 0's table, and a text
 item its ``text_emb`` row; a shared sinusoidal position encoding is added
 over the whole concatenation.  The final hidden state feeds K separate
-MLP heads, one per codebook, at the positions the caller asks for
-(training: those that carry loss; decoding: each row's last).
+heads, one per codebook, at the positions the caller asks for (training:
+those that carry loss; decoding: each row's last).  Each head is a
+two-layer FFN block, Linear -> GELU -> Linear, the same block as a
+layer's FFN but ending in head k's vocabulary.
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
 one-row batch.  Each position's training targets are the ids of the
@@ -30,7 +32,7 @@ real positions of a batch packed as one (N, d) array, so padding costs
 only its share of the attention core.  Training runs it over
 right-padded batches.  A :class:`DecodeSession` decodes several rows
 at once: it runs ``forward`` over their left-padded contexts (prefill,
-once per distinct context) and then over one appended item per row,
+once per context object) and then over one appended item per row,
 passing a :class:`KVCache` so every call continues each row's positions.
 
 Architecture choices not pinned elsewhere, recorded here: pre-norm
@@ -73,7 +75,6 @@ class ModelConfig:
     text_vocab_size: int = 30
     max_positions: int = 2048
     loss_weights: tuple[float, ...] = (5.0, 1.0, 0.5, 0.1)
-    head_mlp_layers: int = 2
     max_mask_spans: int = 3
     init_scale: float = 0.02
     dtype: str = "float32"
@@ -89,8 +90,6 @@ class ModelConfig:
             raise InvalidInputError("loss_weights must all be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidInputError("hidden_dim must be divisible by num_heads")
-        if self.head_mlp_layers < 1:
-            raise InvalidInputError("head_mlp_layers must be >= 1")
         try:
             floating = np.issubdtype(np.dtype(self.dtype), np.floating)
         except TypeError:
@@ -140,6 +139,16 @@ class ModelState:
     step: int = 0
 
 
+def _layer_ffn(i: int) -> tuple[str, ...]:
+    """The parameters of layer i's FFN block: (w1, b1, w2, b2)."""
+    return tuple(f"layer{i}.ffn.{n}" for n in ("w1", "b1", "w2", "b2"))
+
+
+def _head_ffn(k: int) -> tuple[str, ...]:
+    """The parameters of head k's FFN block, in the same roles."""
+    return tuple(f"head{k}.{n}" for n in ("w0", "b0", "w1", "b1"))
+
+
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape, in the canonical order checkpoints serialize."""
     d, f = cfg.hidden_dim, cfg.ffn_dim
@@ -156,13 +165,11 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
             if name != "k":  # no key bias (see the module docstring)
                 shapes[f"{p}.attn.b{name}"] = (d,)
         shapes[f"{p}.ln2.gain"] = shapes[f"{p}.ln2.bias"] = (d,)
-        shapes[f"{p}.ffn.w1"], shapes[f"{p}.ffn.b1"] = (d, f), (f,)
-        shapes[f"{p}.ffn.w2"], shapes[f"{p}.ffn.b2"] = (f, d), (d,)
+        shapes.update(zip(_layer_ffn(i), [(d, f), (f,), (f, d), (d,)]))
     shapes["final_ln.gain"] = shapes["final_ln.bias"] = (d,)
     for k in range(cfg.num_codebooks):
-        dims = [d] * cfg.head_mlp_layers + [cfg.head_vocab_size(k)]
-        for j in range(cfg.head_mlp_layers):
-            shapes[f"head{k}.w{j}"], shapes[f"head{k}.b{j}"] = (dims[j], dims[j + 1]), (dims[j + 1],)
+        v = cfg.head_vocab_size(k)
+        shapes.update(zip(_head_ffn(k), [(d, d), (d,), (d, v), (v,)]))
     return shapes
 
 
@@ -238,10 +245,6 @@ class EncodedBatch:
     def max_length(self):
         return self.kind.shape[1]
 
-    def rows(self, index) -> "EncodedBatch":
-        """The batch made of the given rows, in the given order."""
-        return EncodedBatch(self.kind[index], self.ids[index], self.lengths[index])
-
 
 _ID_TYPES = (int, np.integer)
 
@@ -290,20 +293,6 @@ def encode_batch(contexts, cfg: ModelConfig) -> EncodedBatch:
 def encode_sequence(text_ids, items, cfg: ModelConfig) -> EncodedBatch:
     """Turn transcript ids plus stacked items into a one-row batch."""
     return encode_batch([(text_ids, items)], cfg)
-
-
-def distinct_rows(batch: EncodedBatch) -> tuple[np.ndarray, np.ndarray]:
-    """(first row of each distinct stream, index of each row's stream among them)."""
-    index: dict[bytes, int] = {}
-    firsts: list[int] = []
-    inverse = np.empty(batch.batch_size, dtype=np.int64)
-    for row in range(batch.batch_size):
-        key = batch.kind[row].tobytes() + batch.ids[row].tobytes()
-        if key not in index:
-            index[key] = len(firsts)
-            firsts.append(row)
-        inverse[row] = index[key]
-    return np.array(firsts, dtype=np.int64), inverse
 
 
 def pad_sequences(rows: list[EncodedBatch], cfg: ModelConfig) -> EncodedBatch:
@@ -532,22 +521,25 @@ def _attention_backward(params, prefix, d_out, cache, cfg, grads):
     return d_x
 
 
-def _ffn_forward(params, prefix, x):
-    pre = x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]
+def _ffn_forward(params, names, x):
+    """Linear -> GELU -> Linear over the rows ``x``; ``names`` are its (w1, b1, w2, b2)."""
+    w1, b1, w2, b2 = names
+    pre = x @ params[w1] + params[b1]
     act, phi = _gelu_forward(pre)
-    out = act @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
+    out = act @ params[w2] + params[b2]
     return out, (x, pre, phi, act)
 
 
-def _ffn_backward(params, prefix, d_out, cache, grads):
+def _ffn_backward(params, names, d_out, cache, grads):
+    w1, b1, w2, b2 = names
     x, pre, phi, act = cache
-    grads[f"{prefix}.w2"] += act.T @ d_out
-    grads[f"{prefix}.b2"] += d_out.sum(axis=0)
-    d_act = d_out @ params[f"{prefix}.w2"].T
+    grads[w2] += act.T @ d_out
+    grads[b2] += d_out.sum(axis=0)
+    d_act = d_out @ params[w2].T
     d_pre = _gelu_grad(pre, phi, d_act)
-    grads[f"{prefix}.w1"] += x.T @ d_pre
-    grads[f"{prefix}.b1"] += d_pre.sum(axis=0)
-    return d_pre @ params[f"{prefix}.w1"].T
+    grads[w1] += x.T @ d_pre
+    grads[b1] += d_pre.sum(axis=0)
+    return d_pre @ params[w1].T
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +564,7 @@ def forward(
     (scores, softmax, context) places them at their (B, L) columns.
     Padding costs nothing outside that core.
 
-    The heads (final LayerNorm and the K head MLPs) run only at the
+    The heads (final LayerNorm and the K head FFN blocks) run only at the
     positions the (B, L) boolean ``heads_at`` marks, which must be real
     positions: ``logits[k]`` has shape (heads_at.sum(), V_k), one row per
     marked position in row-major order.  A position's logits are
@@ -602,29 +594,15 @@ def forward(
         attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, real, bias, cfg, kv)
         x = x + attn_out
         normed2, ln2_cache = _layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        ffn_out, ffn_cache = _ffn_forward(params, f"{p}.ffn", normed2)
+        ffn_out, ffn_cache = _ffn_forward(params, _layer_ffn(i), normed2)
         x = x + ffn_out
         if want_cache:  # otherwise each layer's intermediates are freed as it ends
             layer_caches.append((ln1_cache, attn_cache, ln2_cache, ffn_cache))
     heads = heads_at[real]  # (N,) packed rows the heads run at
     hidden, final_cache = _layer_norm(x[heads], params["final_ln.gain"], params["final_ln.bias"])
 
-    logits = []
-    head_caches = []
-    for k in range(cfg.num_codebooks):
-        h = hidden
-        cache_k = []
-        for j in range(cfg.head_mlp_layers):
-            pre = h @ params[f"head{k}.w{j}"] + params[f"head{k}.b{j}"]
-            if j < cfg.head_mlp_layers - 1:
-                act, phi = _gelu_forward(pre)
-                cache_k.append((h, pre, phi))
-                h = act
-            else:
-                cache_k.append((h, None, None))
-                h = pre
-        logits.append(h)
-        head_caches.append(cache_k)
+    heads_out = [_ffn_forward(params, _head_ffn(k), hidden) for k in range(cfg.num_codebooks)]
+    logits = [out for out, _ in heads_out]
 
     cache = None
     if want_cache:
@@ -633,7 +611,7 @@ def forward(
             "heads": heads,
             "layer_caches": layer_caches,
             "final_cache": final_cache,
-            "head_caches": head_caches,
+            "head_caches": [head_cache for _, head_cache in heads_out],
         }
     return logits, cache
 
@@ -642,17 +620,10 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     """Gradients of a scalar whose logit-gradients are ``d_logits`` (rows as ``forward``'s logits)."""
     grads = {name: np.zeros_like(p) for name, p in params.items()}
 
-    d_hidden = None
-    for k in range(cfg.num_codebooks):
-        d_x = np.asarray(d_logits[k], dtype=cfg.np_dtype)
-        for j in reversed(range(cfg.head_mlp_layers)):
-            h_in, pre, phi = cache["head_caches"][k][j]
-            # non-last layers applied GELU after the affine map
-            d_pre = d_x if pre is None else _gelu_grad(pre, phi, d_x)
-            grads[f"head{k}.w{j}"] += h_in.T @ d_pre
-            grads[f"head{k}.b{j}"] += d_pre.sum(axis=0)
-            d_x = d_pre @ params[f"head{k}.w{j}"].T
-        d_hidden = d_x if d_hidden is None else d_hidden + d_x
+    d_hidden = sum(
+        _ffn_backward(params, _head_ffn(k), np.asarray(d_k, dtype=cfg.np_dtype), head_cache, grads)
+        for k, (d_k, head_cache) in enumerate(zip(d_logits, cache["head_caches"]))
+    )
 
     d_heads, d_gain, d_bias = _layer_norm_backward(d_hidden, params["final_ln.gain"], cache["final_cache"])
     grads["final_ln.gain"] += d_gain
@@ -665,7 +636,7 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
         p = f"layer{i}"
         ln1_cache, attn_cache, ln2_cache, ffn_cache = cache["layer_caches"][i]
         d_ffn_out = d_x
-        d_normed2 = _ffn_backward(params, f"{p}.ffn", d_ffn_out, ffn_cache, grads)
+        d_normed2 = _ffn_backward(params, _layer_ffn(i), d_ffn_out, ffn_cache, grads)
         d_mid, d_gain, d_bias = _layer_norm_backward(d_normed2, params[f"{p}.ln2.gain"], ln2_cache)
         grads[f"{p}.ln2.gain"] += d_gain
         grads[f"{p}.ln2.bias"] += d_bias
@@ -789,12 +760,16 @@ class DecodeSession:
     Each row starts from its own ``(text_ids, items)`` context.  Contexts
     are left-padded so that every row ends in the same column; a row's
     positions count from its own first item and its padding is never
-    attended to.  Identical contexts are prefilled once and their cache
-    rows repeated; ``prefill_positions`` counts the positions the prefill
-    ran (distinct contexts times the padded width).
+    attended to.  Rows given the same context object (the same
+    ``text_ids`` and ``items`` objects, as in ``[context] * n``) share
+    one prefill, whose cache row is repeated; ``prefill_positions``
+    counts the positions the prefill ran (distinct context objects times
+    the padded width).  Equal contexts passed as different objects are
+    prefilled separately.
 
     ``position`` is the number of columns run so far, and ``logits[k]``
-    holds head k's next-item logits of every row, shape (rows, V_k).
+    holds the next-item logits of every row from head k, a two-layer FFN
+    block over the final hidden state, shape (rows, V_k).
     :meth:`append` extends every row by one item; :meth:`keep` lets rows
     that are done leave.  The prefill and every append run the same
     batched ``forward``, so scored prefixes and incrementally decoded
@@ -804,25 +779,17 @@ class DecodeSession:
     def __init__(self, state: ModelState, contexts):
         self.state = state
         cfg = state.config
-        # the same context object (``[context] * n``) is encoded once
-        unique, seen = [], {}
-        by_object = np.empty(len(contexts), dtype=np.int64)
-        for row, (text_ids, items) in enumerate(contexts):
-            key = (id(text_ids), id(items))
-            if key not in seen:
-                seen[key] = len(unique)
-                unique.append((text_ids, items))
-            by_object[row] = seen[key]
-        batch = encode_batch(unique, cfg)
+        unique = {(id(text_ids), id(items)): (text_ids, items) for text_ids, items in contexts}
+        batch = encode_batch(list(unique.values()), cfg)
         if batch.batch_size == 0 or batch.lengths.min() == 0:
             raise InvalidInputError("every decode context must contain at least one item")
-        firsts, inverse = distinct_rows(batch)
         width = batch.max_length
-        self._kv = KVCache(cfg, width - batch.lengths[firsts], width)
-        self._run(batch.rows(firsts))
-        self.prefill_positions = len(firsts) * width
-        if len(firsts) < len(contexts):
-            self.keep(inverse[by_object])
+        self._kv = KVCache(cfg, width - batch.lengths, width)
+        self._run(batch)
+        self.prefill_positions = len(unique) * width
+        if len(unique) < len(contexts):  # repeat each shared prefill's cache row
+            row = {key: r for r, key in enumerate(unique)}
+            self.keep([row[id(text_ids), id(items)] for text_ids, items in contexts])
 
     def _run(self, batch: EncodedBatch) -> list[np.ndarray]:
         """Run ``batch`` after the cached columns; keep the logits of its last column."""

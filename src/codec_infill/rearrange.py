@@ -52,13 +52,6 @@ class RearrangedSequence:
     def num_codebooks(self) -> int:
         return len(self.codebook_sizes)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RearrangedSequence)
-            and self.items == other.items
-            and self.codebook_sizes == other.codebook_sizes
-        )
-
 
 @dataclass
 class StackedSequence:
@@ -74,13 +67,6 @@ class StackedSequence:
     @property
     def num_codebooks(self) -> int:
         return len(self.codebook_sizes)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StackedSequence)
-            and self.items == other.items
-            and self.codebook_sizes == other.codebook_sizes
-        )
 
 
 # ---------------------------------------------------------------------------

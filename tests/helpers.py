@@ -13,7 +13,6 @@ from codec_infill.metrics import (
 )
 from codec_infill.model import (
     ModelConfig,
-    distinct_rows,
     encode_batch,
     encode_sequence,
     next_item_targets,
@@ -306,7 +305,7 @@ class StubSession:
         self.appended = [[] for _ in plans]
         self.rows = list(range(len(plans)))  # original index of each current row
         batch = encode_batch(contexts, cfg)
-        self.prefill_positions = len(distinct_rows(batch)[0]) * batch.max_length
+        self.prefill_positions = len({(id(t), id(i)) for t, i in contexts}) * batch.max_length
         self.position = batch.max_length
         self.logits = self._make_logits()
 

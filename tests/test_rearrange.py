@@ -6,6 +6,8 @@ import pytest
 from codec_infill.errors import InvalidInputError, InvalidSpanError, StructureError
 from codec_infill.rearrange import (
     MaskSamplingConfig,
+    RearrangedSequence,
+    StackedSequence,
     _parse_layout,
     causal_mask,
     delay_stack,
@@ -211,6 +213,16 @@ class TestDelayStack:
                     positions.append(hits[0][0])
                 assert all(b > a for a, b in zip(positions, positions[1:]))
             checked += 1
+
+
+class TestSequenceEquality:
+    @pytest.mark.parametrize("layout", [RearrangedSequence, StackedSequence])
+    def test_every_field_counts(self, layout):
+        seq = layout([(1, 2), EOU], 50, (8, 8))
+        assert seq == layout([(1, 2), EOU], 50, (8, 8))
+        assert seq != layout([(1, 3), EOU], 50, (8, 8))
+        assert seq != layout([(1, 2), EOU], 25, (8, 8))
+        assert seq != layout([(1, 2), EOU], 50, (8, 9))
 
 
 class TestUnstack:

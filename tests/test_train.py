@@ -460,7 +460,7 @@ class TestCheckpoint:
         "damage",
         [
             "magic", "version", "header_length", "header", "header_json", "first_tensor", "last_tensor", "extra",
-            "config_num_layers_a_string", "config_dtype_unknown",
+            "config_num_layers_a_string", "config_dtype_unknown", "config_heads_of_three_layers",
         ],
     )
     def test_malformed_file_raises_invalid_input(self, tmp_path, damage):
@@ -489,6 +489,7 @@ class TestCheckpoint:
             "extra": data + b"\x00",
             "config_num_layers_a_string": with_config(num_layers="1"),
             "config_dtype_unknown": with_config(dtype="float99"),
+            "config_heads_of_three_layers": with_config(head_mlp_layers=3),
         }[damage]
         (tmp_path / "bad.bin").write_bytes(damaged)
         with pytest.raises(InvalidInputError):
