@@ -33,7 +33,9 @@ from its own generator (candidate i of an edit uses
 ``default_rng([seed, i])``), one draw per sampled coordinate, head 1
 first and then heads 2..K in order, exactly the draws the row would make
 decoded alone.  A row's output therefore depends on the other rows only
-through the rounding of the batched forward pass.
+through the rounding of the batched forward pass.  Every coordinate of a
+step, across heads and rows, is drawn in one :func:`sample_token` call
+(one per run of consecutive heads of equal vocabulary size).
 """
 
 from __future__ import annotations
@@ -248,11 +250,15 @@ def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed=None) -> np.nd
 
     Row r applies temperature, subtracts repetition_gamma * run length
     from the logit of its running token ``runs[r]`` (the caller updates
-    the runs), optionally restricts to the ``allowed`` ids, then keeps the
-    smallest probability-sorted prefix with cumulative mass >= top_p
-    (ties by token id; the crossing token is included).  It draws from
-    the renormalized nucleus with one ``rngs[r].random()``, which picks
-    exactly what ``rngs[r].choice(n, p=nucleus)`` would.
+    the runs), optionally restricts to the ids where the boolean keep-mask
+    ``allowed`` is true (shape (V,) or (rows, V); it broadcasts against
+    the logits), then keeps the smallest probability-sorted prefix with
+    cumulative mass >= top_p (ties by token id; the crossing token is
+    included).  It draws from the renormalized nucleus with one
+    ``rngs[r].random()``, which picks exactly what
+    ``rngs[r].choice(n, p=nucleus)`` would.  The generators are drawn in
+    row order, so a generator that holds several rows is drawn for them
+    top to bottom.
     """
     z = np.asarray(logits, dtype=np.float64) / cfg.temperature
     if cfg.repetition_gamma > 0:
@@ -260,9 +266,7 @@ def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed=None) -> np.nd
             if run.token is not None:
                 z[r, run.token] -= cfg.repetition_gamma * run.length
     if allowed is not None:
-        keep = np.zeros(z.shape[1], dtype=bool)
-        keep[allowed] = True
-        z = np.where(keep, z, -np.inf)
+        z = np.where(allowed, z, -np.inf)
     z -= z.max(axis=1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -278,8 +282,8 @@ def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed=None) -> np.nd
     cdf = np.cumsum(ranked / mass[:, None], axis=1)
     cdf /= cdf[rows, sizes - 1][:, None]
     draws = np.array([rng.random() for rng in rngs])
-    inside = np.arange(z.shape[1]) < sizes[:, None]
-    picks = ((cdf <= draws[:, None]) & inside).sum(axis=1)
+    # past the nucleus the cdf is >= 1.0 and a draw is < 1, so only nucleus steps count
+    picks = (cdf <= draws[:, None]).sum(axis=1)
     # the token at rank `pick`: among the ids of its probability, by id, the
     # one at its offset past the ids of larger probability
     value = ranked[rows, picks][:, None]
@@ -374,6 +378,13 @@ def generate_infill(
     frame array per mask, every row's masks in row order; spans whose
     frame budget ran out before the first codebook emitted EOS are
     flagged truncated.
+
+    Each step draws head 1 of the rows whose length is open and heads
+    2..K of the rows that hold their frame in one :func:`sample_token`
+    call, its rows ordered head-major so that every generator is drawn in
+    head order.  Heads whose vocabulary sizes differ draw in one call per
+    run of consecutive equal sizes.  Head 1 may emit EOS; the other heads
+    keep only real ids.
     """
     if len(rngs) != len(rows):
         raise InvalidInputError(f"{len(rows)} rows need {len(rows)} generators, got {len(rngs)}")
@@ -384,8 +395,17 @@ def generate_infill(
             )
     k_count = model_cfg.num_codebooks
     eos_id = model_cfg.special_output_id(0, "eos")
-    real_allowed = [np.arange(model_cfg.codebook_sizes[k]) for k in range(k_count)]
-    head1_allowed = np.append(real_allowed[0], eos_id)
+    keep = [np.arange(model_cfg.head_vocab_size(k)) < model_cfg.codebook_sizes[k] for k in range(k_count)]
+    keep[0][eos_id] = True  # head 1 may also end the span
+    # one draw per run of consecutive heads of equal width: padding to a common
+    # width would change the softmax sums
+    groups: list[list[int]] = []
+    for k in range(k_count):
+        if groups and len(keep[k]) == len(keep[k - 1]):
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    group_keep = [np.array([keep[k] for k in heads]) for heads in groups]
 
     states = [_InfillRow(n, rng, k_count) for (_, _, n), rng in zip(rows, rngs)]
     active = [state for state in states if state.num_masks > 0]
@@ -394,37 +414,39 @@ def generate_infill(
         session = decoder.new_session([(t, c) for t, c, n in rows if n > 0])
         prefill_positions = session.prefill_positions
 
-    def draw(k, need, allowed):
-        return sample_token(
-            session.logits[k][need], cfg, [active[j].runs[k] for j in need],
-            [active[j].rng for j in need], allowed,
-        )
-
     while active:
         spanning = [j for j, row in enumerate(active) if row.t is not None]
         for j in spanning:
             row = active[j]
             if row.length is None and row.t >= cfg.max_generated_steps:
                 row.length, row.cut = row.t, True
-        open_rows = [j for j in spanning if active[j].length is None]
-        head1 = {}
-        if open_rows:
-            for j, token in zip(open_rows, draw(0, open_rows, head1_allowed)):
-                head1[j] = int(token)
-                if token == eos_id:
+        # the rows each head draws for, fixed before drawing: a head-1 EOS at step t sets
+        # length = t, which changes neither has_frame(k >= 1) nor, when K > 1, closing() at t
+        need = [[j for j in spanning if active[j].length is None]] + [
+            [j for j in spanning if active[j].has_frame(k)] for k in range(1, k_count)
+        ]
+        frames = []  # (row, head, id) of every drawn id but head 1's EOS
+        for heads, masks in zip(groups, group_keep):
+            order = [(j, k) for k in heads for j in need[k]]  # head-major: each row's heads in order
+            if not order:
+                continue
+            tokens = sample_token(
+                np.concatenate([session.logits[k][need[k]] for k in heads]), cfg,
+                [active[j].runs[k] for j, k in order], [active[j].rng for j, _ in order],
+                np.repeat(masks, [len(need[k]) for k in heads], axis=0),
+            )
+            for (j, k), token in zip(order, tokens.tolist()):
+                if k == 0 and token == eos_id:
                     active[j].length = active[j].t
+                else:
+                    frames.append((j, k, token))
         # every row appends one item: a mask marker, a frame step or the EOS closing its span
         items = [mask_marker(row.mask + 1) if row.t is None else EOS for row in active]
         framing = [j for j in spanning if not active[j].closing()]
         steps = {j: [EMPTY] * k_count for j in framing}
-        for k in range(k_count):
-            need = [j for j in framing if active[j].has_frame(k)]
-            if not need:
-                continue
-            tokens = [head1[j] for j in need] if k == 0 else draw(k, need, real_allowed[k])
-            for j, token in zip(need, tokens):
-                steps[j][k] = int(token)
-                active[j].runs[k].update(int(token))
+        for j, k, token in frames:
+            steps[j][k] = token
+            active[j].runs[k].update(token)
         for j in framing:
             items[j] = tuple(steps[j])
             active[j].steps.append(items[j])

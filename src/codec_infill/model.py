@@ -14,7 +14,8 @@ over the whole concatenation.  The final hidden state feeds K separate
 heads, one per codebook, at the positions the caller asks for (training:
 those that carry loss; decoding: each row's last).  Each head is a
 two-layer FFN block, Linear -> GELU -> Linear, the same block as a
-layer's FFN but ending in head k's vocabulary.
+layer's FFN but ending in head k's vocabulary; the K first layers run
+stacked, as one product and one GELU.
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
 one-row batch.  Each position's training targets are the ids of the
@@ -46,7 +47,9 @@ and output projections keep theirs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -222,6 +225,14 @@ def sinusoidal_positions(length: int, dim: int, dtype=np.float64, start=0) -> np
     return pe.astype(dtype)
 
 
+@functools.lru_cache(maxsize=8)
+def _position_table(length: int, dim: int, dtype) -> np.ndarray:
+    """Read-only ``sinusoidal_positions(length, dim, dtype)``, built once per shape and dtype."""
+    table = sinusoidal_positions(length, dim, dtype)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass
 class EncodedBatch:
     """[text; stacked items] streams as padded id arrays, one row each.
@@ -348,20 +359,44 @@ def _slot_tables(params: dict, cfg: ModelConfig) -> list[np.ndarray]:
     return [np.concatenate([params[f"codebook_emb_{k}"], specials]) for k in range(cfg.num_codebooks)]
 
 
-def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0) -> np.ndarray:
+class FixedTables(NamedTuple):
+    """Arrays ``forward`` derives from the parameters alone.
+
+    ``slots`` are the K slot tables (:func:`_slot_tables`); ``head_w0``
+    (K, d, d) and ``head_b0`` (K, 1, d) stack the K heads' first layers so
+    they run as one product.  They are copies: they go stale when the
+    parameters change.
+    """
+
+    slots: list
+    head_w0: np.ndarray
+    head_b0: np.ndarray
+
+
+def _fixed_tables(params: dict, cfg: ModelConfig) -> FixedTables:
+    heads = range(cfg.num_codebooks)
+    return FixedTables(
+        _slot_tables(params, cfg),
+        np.stack([params[f"head{k}.w0"] for k in heads]),
+        np.stack([params[f"head{k}.b0"] for k in heads])[:, None, :],
+    )
+
+
+def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0, slots=None) -> np.ndarray:
     """Input vectors of the real positions of a batch, packed row-major: (N, d).
 
     The batch's first column sits at position ``start``, one position for
     every row or one per row.  Padding gets no vector.
 
     A text item draws its ``text_emb`` row and a marker its row of slot
-    0's table (:func:`_slot_tables`).  A frame step sums the rows of its K
-    ids in their slots' tables, so each EMPTY slot adds ``empty_emb``.
-    The sinusoidal encoding of the absolute position is added.
+    0's table (:func:`_slot_tables`, or ``slots`` when given).  A frame
+    step sums the rows of its K ids in their slots' tables, so each EMPTY
+    slot adds ``empty_emb``.  The sinusoidal encoding of the absolute
+    position is added, read from one table of ``max_positions`` rows.
     """
     real = batch.kind != KIND_PAD
     kind, ids = batch.kind[real], batch.ids[real]
-    tables = _slot_tables(params, cfg)
+    tables = _slot_tables(params, cfg) if slots is None else slots
     text = kind == KIND_TEXT
     emb = np.empty((kind.size, cfg.hidden_dim), dtype=cfg.np_dtype)
     emb[text] = params["text_emb"][ids[text, 0]]
@@ -369,8 +404,10 @@ def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0) -
     frame = kind == KIND_FRAME
     for k in range(1, cfg.num_codebooks):
         np.add(emb, tables[k][ids[:, k]], out=emb, where=frame[:, None])
-    pe = sinusoidal_positions(batch.max_length, cfg.hidden_dim, cfg.np_dtype, start)
-    emb += np.broadcast_to(pe, real.shape + pe.shape[-1:])[real]
+    positions = np.asarray(start)[..., None] + np.arange(batch.max_length)
+    emb += _position_table(cfg.max_positions, cfg.hidden_dim, cfg.np_dtype)[
+        np.broadcast_to(positions, real.shape)[real]
+    ]
     return emb
 
 
@@ -456,14 +493,20 @@ def _causal_bias(key_ok: np.ndarray, length: int, dtype) -> np.ndarray:
 def _split_heads(a, real, cfg):
     """Packed (N, d) rows -> (B, H, L, head_dim) at their batch columns, zero at padding."""
     b, length = real.shape
-    full = np.zeros((b, length, cfg.hidden_dim), dtype=a.dtype)
-    full[real] = a
+    if len(a) == real.size:  # no padding: the packed rows are the columns, row-major
+        full = a.reshape(b, length, cfg.hidden_dim)
+    else:
+        full = np.zeros((b, length, cfg.hidden_dim), dtype=a.dtype)
+        full[real] = a
     return full.reshape(b, length, cfg.num_heads, -1).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(a, real):
     """(B, H, L, head_dim) -> the packed (N, d) rows of the real positions."""
-    return a.transpose(0, 2, 1, 3)[real].reshape(-1, a.shape[1] * a.shape[3])
+    columns = a.transpose(0, 2, 1, 3)
+    if not real.all():
+        columns = columns[real]
+    return columns.reshape(-1, a.shape[1] * a.shape[3])
 
 
 def _attention_forward(params, prefix, x, real, bias, cfg, kv=None):
@@ -542,6 +585,34 @@ def _ffn_backward(params, names, d_out, cache, grads):
     return d_pre @ params[w1].T
 
 
+def _heads_forward(params, tables: FixedTables, hidden):
+    """The K heads' FFN blocks over the rows ``hidden``; returns (K logit arrays, cache).
+
+    The first layers run as one (K, N, d) product and one GELU; the second
+    layers run one per head, since the vocabulary sizes V_k may differ.
+    """
+    pre = hidden @ tables.head_w0 + tables.head_b0
+    act, phi = _gelu_forward(pre)
+    logits = [act[k] @ params[f"head{k}.w1"] + params[f"head{k}.b1"] for k in range(len(act))]
+    return logits, (hidden, pre, phi, act, tables.head_w0)
+
+
+def _heads_backward(params, d_logits, cache, grads):
+    """Mirror of :func:`_heads_forward`; splits the first layers' gradients back per head."""
+    hidden, pre, phi, act, head_w0 = cache
+    d_act = np.empty_like(act)
+    for k, d_k in enumerate(d_logits):
+        grads[f"head{k}.w1"] += act[k].T @ d_k
+        grads[f"head{k}.b1"] += d_k.sum(axis=0)
+        d_act[k] = d_k @ params[f"head{k}.w1"].T
+    d_pre = _gelu_grad(pre, phi, d_act)
+    d_w0, d_b0 = hidden.T @ d_pre, d_pre.sum(axis=1)
+    for k in range(len(d_pre)):
+        grads[f"head{k}.w0"] += d_w0[k]
+        grads[f"head{k}.b0"] += d_b0[k]
+    return sum(d_pre[k] @ head_w0[k].T for k in range(len(d_pre)))
+
+
 # ---------------------------------------------------------------------------
 # Full forward / backward
 # ---------------------------------------------------------------------------
@@ -554,6 +625,7 @@ def forward(
     heads_at: np.ndarray,
     want_cache: bool = False,
     kv_cache=None,
+    tables: FixedTables | None = None,
 ):
     """Run the network; returns (logits per codebook, cache or None).
 
@@ -576,7 +648,12 @@ def forward(
     columns hold keys from its pads alone, so the first call's padding
     must be its left pads and every later batch must hold no padding.
     The gradient cache (``want_cache``) covers no cached keys.
+
+    ``tables`` are :func:`_fixed_tables` of ``params``, built here when not
+    given; a decode session passes the ones it built once.
     """
+    if tables is None:
+        tables = _fixed_tables(params, cfg)
     real = batch.kind != KIND_PAD
     key_ok = real
     start = past = 0
@@ -584,7 +661,7 @@ def forward(
         past = kv_cache.extend(batch.max_length)
         start = past - kv_cache.pad
         key_ok = np.arange(past + batch.max_length) >= kv_cache.pad[:, None]
-    x = _embed_batch(params, cfg, batch, start=start)
+    x = _embed_batch(params, cfg, batch, start=start, slots=tables.slots)
     bias = _causal_bias(key_ok, batch.max_length, x.dtype)
     layer_caches = []
     for i in range(cfg.num_layers):
@@ -601,8 +678,7 @@ def forward(
     heads = heads_at[real]  # (N,) packed rows the heads run at
     hidden, final_cache = _layer_norm(x[heads], params["final_ln.gain"], params["final_ln.bias"])
 
-    heads_out = [_ffn_forward(params, _head_ffn(k), hidden) for k in range(cfg.num_codebooks)]
-    logits = [out for out, _ in heads_out]
+    logits, head_cache = _heads_forward(params, tables, hidden)
 
     cache = None
     if want_cache:
@@ -611,7 +687,7 @@ def forward(
             "heads": heads,
             "layer_caches": layer_caches,
             "final_cache": final_cache,
-            "head_caches": [head_cache for _, head_cache in heads_out],
+            "head_cache": head_cache,
         }
     return logits, cache
 
@@ -620,9 +696,8 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     """Gradients of a scalar whose logit-gradients are ``d_logits`` (rows as ``forward``'s logits)."""
     grads = {name: np.zeros_like(p) for name, p in params.items()}
 
-    d_hidden = sum(
-        _ffn_backward(params, _head_ffn(k), np.asarray(d_k, dtype=cfg.np_dtype), head_cache, grads)
-        for k, (d_k, head_cache) in enumerate(zip(d_logits, cache["head_caches"]))
+    d_hidden = _heads_backward(
+        params, [np.asarray(d_k, dtype=cfg.np_dtype) for d_k in d_logits], cache["head_cache"], grads
     )
 
     d_heads, d_gain, d_bias = _layer_norm_backward(d_hidden, params["final_ln.gain"], cache["final_cache"])
@@ -774,11 +849,16 @@ class DecodeSession:
     that are done leave.  The prefill and every append run the same
     batched ``forward``, so scored prefixes and incrementally decoded
     prefixes agree.
+
+    The session builds the tables ``forward`` derives from the parameters
+    (:class:`FixedTables`) once, so ``state.params`` must not change while
+    it decodes.
     """
 
     def __init__(self, state: ModelState, contexts):
         self.state = state
         cfg = state.config
+        self._tables = _fixed_tables(state.params, cfg)
         unique = {(id(text_ids), id(items)): (text_ids, items) for text_ids, items in contexts}
         batch = encode_batch(list(unique.values()), cfg)
         if batch.batch_size == 0 or batch.lengths.min() == 0:
@@ -796,7 +876,7 @@ class DecodeSession:
         heads_at = np.zeros(batch.kind.shape, dtype=bool)
         heads_at[:, -1] = True  # every row ends in the last column
         self.logits, _ = forward(
-            self.state.params, self.state.config, batch, heads_at, kv_cache=self._kv
+            self.state.params, self.state.config, batch, heads_at, kv_cache=self._kv, tables=self._tables
         )
         return self.logits
 

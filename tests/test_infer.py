@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codec_infill import infer
 from codec_infill.errors import InvalidInputError
 from codec_infill.infer import (
     Alignment,
@@ -33,6 +34,7 @@ from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, SpecialToken
 from helpers import (
     PlannedDecoder,
     StubDecoder,
+    StubSession,
     TeacherDecoder,
     mask_plan,
     nucleus_distribution,
@@ -205,14 +207,14 @@ class TestSampling:
         rng = np.random.default_rng(3)
         logits = np.array([10.0, 0.0, 0.0, 0.0])
         cfg = SamplingConfig(top_p=1.0)
-        allowed = np.array([1, 2, 3])
+        allowed = np.array([False, True, True, True])
         for _ in range(50):
             assert sample_token(logits[None], cfg, [RunState()], [rng], allowed)[0] in (1, 2, 3)
 
 
 @st.composite
 def sampling_cases(draw):
-    """Logits of 1-10 rows (small integers make exact ties common), runs, allowed ids, seeds."""
+    """Logits of 1-10 rows (small integers make exact ties common), runs, a keep-mask, seeds."""
     rows = draw(st.integers(1, 10))
     vocab = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -232,7 +234,7 @@ def sampling_cases(draw):
     allowed = None
     if draw(st.booleans()):
         allowed = np.flatnonzero(rng.random(vocab) < 0.6)
-        allowed = allowed if allowed.size else np.array([int(rng.integers(0, vocab))])
+        allowed = np.isin(np.arange(vocab), allowed if allowed.size else int(rng.integers(0, vocab)))
     seeds = rng.integers(0, 2**32, size=rows).tolist()
     return logits, cfg, runs, allowed, seeds
 
@@ -503,6 +505,88 @@ class TestBatchedRows:
         assert sum(len(s) for s in batched.spans) > 0
 
 
+class HeadIdSession(StubSession):
+    """Head 1 emits id 0 (EOS where its plan does) and head k > 1 emits id k - 1: an id names its head."""
+
+    def _row_logits(self, r):
+        eos = self.cfg.special_output_id(0, "eos")
+        head1 = eos if super()._row_logits(r)[0].argmax() == eos else 0
+        return [self._concentrated(0, head1)] + [
+            self._concentrated(k, k) for k in range(1, self.cfg.num_codebooks)
+        ]
+
+
+class HeadIdDecoder(PlannedDecoder):
+    def new_session(self, contexts):
+        self.session = HeadIdSession(self.cfg, contexts, self.plans)
+        return self.session
+
+
+class TestDrawOrder:
+    """Each row's generator is drawn in head order, step after step, in one call per width."""
+
+    LENGTHS = TestBatchedRows.LENGTHS
+    CAP = 6
+
+    def expected_heads(self, lengths, k_count):
+        """The heads a row whose masks run ``lengths`` frames draws, at each step that draws."""
+        steps = []
+        for n in lengths:
+            length = min(n, self.CAP)
+            for t in range(length + k_count - 1):
+                steps.append(
+                    [0] * (t <= n and t < self.CAP)  # head 1 draws until EOS or the cap
+                    + [k for k in range(1, k_count) if 0 <= t - k < length]
+                )
+        return [heads for heads in steps if heads]
+
+    @pytest.mark.parametrize("sizes", [(64, 64, 64, 64), (5, 6, 5, 7)])
+    def test_generators_drawn_in_head_order(self, monkeypatch, sizes):
+        cfg = ModelConfig(
+            num_codebooks=4, codebook_sizes=sizes, text_vocab_size=30, loss_weights=(1.0,) * 4
+        )
+        eos = cfg.special_output_id(0, "eos")
+        decoder = HeadIdDecoder(cfg, [mask_plan(lengths, self.CAP, cfg) for lengths in self.LENGTHS])
+        draws, calls = [], []  # the row of every draw; (step, [(row, head), ...]) of every call
+
+        class Recorder:
+            def __init__(self, row):
+                self.row, self.rng = row, np.random.default_rng(row)
+
+            def random(self):
+                draws.append(self.row)
+                return self.rng.random()
+
+        sample = infer.sample_token
+
+        def recording(logits, sampling, runs, rngs, allowed=None):
+            first = len(draws)
+            tokens = sample(logits, sampling, runs, rngs, allowed)
+            rows = [rng.row for rng in rngs]
+            assert draws[first:] == rows  # one draw per row of the call, in its row order
+            heads = [0 if token == eos else int(token) for token in tokens]
+            calls.append((decoder.session.position, list(zip(rows, heads))))
+            return tokens
+
+        monkeypatch.setattr(infer, "sample_token", recording)
+        rows = infill_rows([len(lengths) for lengths in self.LENGTHS], cfg)
+        out = generate_infill(
+            decoder, cfg, rows, SamplingConfig(max_generated_steps=self.CAP),
+            [Recorder(r) for r in range(len(rows))],
+        )
+        assert [len(s) for s in out.spans] == [min(n, self.CAP) for lengths in self.LENGTHS for n in lengths]
+
+        steps = {}
+        for step, pairs in calls:
+            steps.setdefault(step, []).append(pairs)
+        for r, lengths in enumerate(self.LENGTHS):
+            drawn = [[h for pairs in step for row, h in pairs if row == r] for step in steps.values()]
+            assert [heads for heads in drawn if heads] == self.expected_heads(lengths, 4)
+        for step in steps.values():
+            heads = {h for pairs in step for _, h in pairs}
+            assert len(step) == (1 if len(set(sizes)) == 1 else len(heads))
+
+
 def pinned_generation(k_count, cap, spans):
     """generate_infill on a tiny seeded model: K codebooks of 5 tokens, a step cap."""
     sizes = (5,) * k_count
@@ -555,6 +639,63 @@ def test_generate_infill_pinned_outputs(k_count, cap, spans, truncated, frames):
     assert [s.tolist() for s in result.spans] == frames
     for s in result.spans:
         assert s.shape[1:] == (k_count,) and len(s) <= cap
+
+
+def pinned_pipelines(sizes, seed):
+    """``edit_speech`` and ``zero_shot_tts`` on a tiny float32 model; frames as digit strings.
+
+    Returns, for the edit and then the continuation, the output frames
+    (one string of K digits per frame), the chosen index and the
+    candidate lengths.
+    """
+    k_count = len(sizes)
+    cfg = ModelConfig(
+        num_layers=1, hidden_dim=8, ffn_dim=16, num_heads=2, num_codebooks=k_count,
+        codebook_sizes=sizes, text_vocab_size=7, max_positions=512,
+        loss_weights=(1.0,) * k_count, init_scale=0.5,
+    )
+    decoder = TransformerDecoder(new_model(cfg, seed=7))
+    frames = np.random.default_rng(11).integers(0, min(sizes), size=(16, k_count))
+    align = Alignment([Span(4 * i, 4 * i + 4) for i in range(4)], 16)
+    sampling = SamplingConfig(seed=seed, max_generated_steps=10)
+    edited, edit = edit_speech(
+        decoder, cfg, CodecMatrix(frames, codebook_sizes=sizes), [1, 2, 3, 4], [1, 5, 3, 4],
+        align, EditConfig(), sampling,
+    )
+    prompt = CodecMatrix(frames[:6], codebook_sizes=sizes)
+    spoken, tts = zero_shot_tts(decoder, cfg, prompt, [1, 2], [3, 4], EditConfig(), sampling)
+
+    def digits(matrix):
+        return " ".join("".join(str(v) for v in row) for row in matrix.frames.tolist())
+
+    return (
+        (digits(edited), edit.chosen_index, edit.candidate_lengths),
+        (digits(spoken), tts.chosen_index, tts.candidate_lengths),
+    )
+
+
+# recorded from the implementation that called sample_token once per head per step
+PINNED_PIPELINES = [
+    ((5, 5, 5, 5), 1, ("3400 4440 3231", 7, [8, 9, 12, 14, 5, 7, 6, 3, 7, 1]),
+     ("0032 2330 2024 2020 3443 4102 0401 0412", 0, [2, 3, 4, 3, 5])),
+    ((5, 5, 5, 5), 2, ("3124 4440 3231", 5, [9, 8, 12, 7, 4, 3, 13, 5, 10, 6]),
+     ("0032 2330 2024 2020 3443 4102", 1, [8, 0, 0, 9, 8])),
+    ((5, 5, 5, 5), 3, ("3400 4440 3231", 7, [9, 11, 9, 7, 12, 5, 7, 3, 4, 11]),
+     ("0032 2330 2024 2020 3443 4102", 4, [2, 7, 10, 5, 0])),
+    ((5, 6, 5, 7), 1, ("0045 4040 1234 3545 3124 4440 3231", 6, [11, 10, 11, 9, 5, 9, 7, 3, 9, 9]),
+     ("0032 2330 2024 2020 3443 4102 3225", 0, [1, 10, 8, 2, 8])),
+    ((5, 6, 5, 7), 2, ("3124 4440 3231", 6, [14, 11, 15, 10, 6, 5, 3, 4, 11, 3]),
+     ("0032 2330 2024 2020 3443 4102 2222", 1, [8, 1, 1, 6, 9])),
+    ((5, 6, 5, 7), 3, (
+        "3225 2215 0541 4033 3430 2202 1033 4440 3231", 8, [15, 11, 14, 10, 9, 11, 9, 3, 9, 8]
+    ), ("0032 2330 2024 2020 3443 4102 3010 0042 0244", 3, [10, 7, 10, 3, 4])),
+]
+
+
+@pytest.mark.parametrize("sizes, seed, edit, tts", PINNED_PIPELINES)
+def test_pipelines_pinned_outputs(sizes, seed, edit, tts):
+    """Edit and continuation outputs of a real model, equal and unequal codebook sizes."""
+    assert pinned_pipelines(sizes, seed) == (edit, tts)
 
 
 class TestEditPipeline:

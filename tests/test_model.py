@@ -95,6 +95,31 @@ class TestEmbedding:
         np.testing.assert_array_equal(pe[0, 0::2], 0.0)
         np.testing.assert_array_equal(pe[0, 1::2], 1.0)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_position_rows_come_from_one_read_only_table(self, dtype):
+        """Per-row starts read each real position's sinusoid, up to max_positions - 1."""
+        cfg = tiny_config(dtype=dtype, max_positions=16)
+        params = {name: np.zeros_like(p) for name, p in new_model(cfg).params.items()}
+        batch = encode_batch([([1], []), ([1, 2, 3], []), ([1, 2], [])], cfg)  # pads 2, 0, 1
+        top = cfg.max_positions - 1
+        emb = _embed_batch(params, cfg, batch, start=np.array([top - 2, 5, -1]))
+        expected = np.concatenate([
+            sinusoidal_positions(n, cfg.hidden_dim, cfg.np_dtype, start=s)
+            for n, s in ((1, top), (3, 5), (2, 0))
+        ])
+        assert emb.dtype == cfg.np_dtype and np.array_equal(emb, expected)
+        table = model._position_table(cfg.max_positions, cfg.hidden_dim, cfg.np_dtype)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        # the longest row fills positions 0..15 in three appends; a fourth is refused
+        session = DecodeSession(
+            new_model(cfg, seed=15), [([1, 2, 3], [(0, EMPTY)] * 10), ([1], [mask_marker(1)])]
+        )
+        for _ in range(3):
+            session.append([(1, 2), (1, 2)])
+        with pytest.raises(CapacityError):
+            session.append([(1, 2), (1, 2)])
+
     def test_all_empty_step(self):
         cfg = tiny_config(num_codebooks=4, codebook_sizes=(5,) * 4, loss_weights=(1,) * 4)
         params = init_params(cfg, np.random.default_rng(0))
