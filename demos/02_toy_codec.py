@@ -11,7 +11,7 @@ so editing correctness reduces to exact symbol comparisons.
 import numpy as np
 
 from codec_infill import ToyCodecConfig, decode_tokens, encode_transcript, render_waveform
-from codec_infill.synthcodec import gen_corpus, write_wav
+from codec_infill.synthcodec import exact_alignment, gen_corpus, write_wav
 from codec_infill.tokens import CodecMatrix
 
 cfg = ToyCodecConfig()
@@ -20,18 +20,19 @@ print(f"alphabet {cfg.alphabet_size}, {cfg.frames_per_symbol} frames/symbol, "
 
 # --- encode / decode is the identity ---------------------------------------
 transcript = [4, 17, 2, 29, 8, 8, 13]
-tokens, alignment = encode_transcript(transcript, cfg)
+tokens = encode_transcript(transcript, cfg)
 print("\ntranscript:", transcript)
 print("tokens shape:", tokens.frames.shape)
+alignment = exact_alignment(len(transcript), cfg)
 print("word alignment:", [(s.start, s.end) for s in alignment.word_spans])
 decoded = decode_tokens(tokens, cfg)
-print("decoded:  ", decoded.symbols, "(exact)" if decoded.symbols == transcript else "(MISMATCH)")
+print("decoded:  ", decoded, "(exact)" if decoded == transcript else "(MISMATCH)")
 
 # --- corruption stays local to one symbol block -----------------------------
 corrupted = tokens.frames.copy()
 corrupted[9] = (corrupted[9] + 111) % cfg.codebook_size
 out = decode_tokens(CodecMatrix(corrupted, cfg.frame_rate, cfg.codebook_sizes), cfg)
-errors = sum(a != b for a, b in zip(out.symbols, transcript))
+errors = sum(a != b for a, b in zip(out, transcript))
 print(f"\ncorrupting one frame: {errors} symbol error(s) "
       "(majority vote inside the 4-frame block absorbs it)")
 

@@ -64,7 +64,7 @@ edited, report = edit_speech(
 print("\nediting", utt.id)
 print("  original:", utt.transcript)
 print("  target:  ", target)
-print("  decoded: ", decode_tokens(edited, codec).symbols)
+print("  decoded: ", decode_tokens(edited, codec))
 print("  candidate lengths:", report.candidate_lengths, "-> chose", report.chosen_index)
 
 # --- zero-shot continuation: prompt + target text ----------------------------
@@ -79,5 +79,5 @@ out, tts_report = zero_shot_tts(
 )
 print("\ncontinuation of", utt.id)
 print("  full transcript:  ", utt.transcript)
-print("  decoded output:   ", decode_tokens(out, codec).symbols)
+print("  decoded output:   ", decode_tokens(out, codec))
 print("  sample lengths:", tts_report.candidate_lengths, "-> shortest is", tts_report.chosen_index)

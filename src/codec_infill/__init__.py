@@ -9,7 +9,7 @@ exactly invertible toy codec that makes every pipeline stage verifiable
 against exact oracles.
 """
 
-from .tokens import EMPTY, EOS, EOU, CodecMatrix, Span, SpecialToken, mask_marker
+from .tokens import EMPTY, EOS, EOU, Alignment, CodecMatrix, Span, SpecialToken, mask_marker
 from .rearrange import (
     MaskSamplingConfig,
     RearrangedSequence,
@@ -28,7 +28,6 @@ from .model import ModelConfig, ModelState, TransformerDecoder, new_model
 from .train import SchedulerConfig, TrainConfig, eden_lr, make_batch, train_loop
 from .checkpoint import load_checkpoint, save_checkpoint
 from .infer import (
-    Alignment,
     EditConfig,
     EditOp,
     SamplingConfig,

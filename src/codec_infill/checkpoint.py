@@ -6,9 +6,9 @@ config, training step, rng state and tensor table, then the raw tensor
 bytes concatenated in the documented parameter order.  Writing the same
 state twice produces identical bytes.  Loading checks the length of every
 read, rejects bytes after the last tensor and checks every tensor's
-name, shape and dtype against the config, so a truncated, corrupt or
-mis-shaped file raises :class:`InvalidInputError`.  Files written while
-the model still had an attention key bias carry ``layer<i>.attn.bk``
+name, shape and dtype against the config before reading its bytes, so
+a truncated, corrupt or mis-shaped file raises :class:`InvalidInputError`.
+Files written while the model still had an attention key bias carry ``layer<i>.attn.bk``
 tensors; loading drops them, since the softmax cancels a key bias.
 Every head is a two-layer FFN block; headers written while the head
 depth was a setting carry ``"head_mlp_layers": 2``, which loads, and any
@@ -17,6 +17,7 @@ other depth raises :class:`InvalidInputError`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -89,20 +90,18 @@ def load_checkpoint(path) -> tuple[ModelState, dict | None]:
         ]
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise InvalidInputError(f"checkpoint {path} has a malformed header: {err!r}") from err
+    legacy = lambda name: name.endswith(".attn.bk")  # a key bias the model no longer has
+    wanted = [(name, cfg.np_dtype, shape) for name, shape in parameter_shapes(cfg).items()]
+    for got, want in itertools.zip_longest((spec for spec in specs if not legacy(spec[0])), wanted):
+        if got != want:
+            raise InvalidInputError(
+                f"checkpoint {path} tensor table does not match the config: it has {got}, the config needs {want}"
+            )
     params = {}
     for name, dtype, shape in specs:
         raw = take(math.prod(shape) * dtype.itemsize, f"tensor {name}")
-        if not name.endswith(".attn.bk"):  # a key bias the model no longer has
+        if not legacy(name):
             params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(data):
         raise InvalidInputError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
-    shapes = parameter_shapes(cfg)
-    if list(params) != list(shapes):
-        raise InvalidInputError("checkpoint tensor table does not match the config")
-    for name, tensor in params.items():
-        if tensor.shape != shapes[name] or tensor.dtype != cfg.np_dtype:
-            raise InvalidInputError(
-                f"checkpoint tensor {name} is {tensor.dtype} {tensor.shape}; "
-                f"the config needs {cfg.np_dtype} {shapes[name]}"
-            )
     return ModelState(params, cfg, step=step), header.get("rng_state")

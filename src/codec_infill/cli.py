@@ -243,7 +243,7 @@ def _write_outputs(out: Path, name: str, utt_id: str, matrix, codec, report, hea
         "chosen_index": report.chosen_index,
         "prefill_positions": report.prefill_positions,
         "decode_steps": report.decode_steps,
-        "decoded_transcript": decode_tokens(matrix, codec).symbols,
+        "decoded_transcript": decode_tokens(matrix, codec),
         **extra,
     })
 

@@ -2,6 +2,8 @@
 
 Every error raised by library code derives from :class:`CodecInfillError`
 so callers (and the CLI) can map failure classes to distinct exit codes.
+:func:`require_positive` is the one check the configs share for values
+that count or divide.
 """
 
 
@@ -11,6 +13,14 @@ class CodecInfillError(Exception):
 
 class InvalidInputError(CodecInfillError):
     """An argument violates an operation's precondition."""
+
+
+def require_positive(config, *fields: str) -> None:
+    """Raise InvalidInputError naming the first of ``fields`` of ``config`` below 1."""
+    for name in fields:
+        value = getattr(config, name)
+        if value < 1:
+            raise InvalidInputError(f"{name} must be >= 1, not {value!r}")
 
 
 class InvalidSpanError(InvalidInputError):

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError
 from .infer import EditConfig, SamplingConfig, build_infill_context, diff_transcripts, edit_speech, generate_infill
 from .jsonio import get_field, read_json_lines, write_json_lines
-from .metrics import WINDOW_LENGTH, energy_distance, f0_distance, mcd_distance, symbol_error_rate
+from .metrics import WINDOW_LENGTH, energy_distance, f0_distance, levenshtein, mcd_distance, symbol_error_rate
 from .model import ModelConfig
 from .rearrange import splice
 from .synthcodec import (
@@ -239,8 +239,8 @@ def run_eval(
             decoder, model_cfg, matrix, record.original, record.edited, align,
             edit_cfg, sampling_cfg,
         )
-        truth, _ = encode_transcript(record.edited, codec_cfg)
-        ser = symbol_error_rate(record.edited, decode_tokens(out, codec_cfg).symbols)
+        truth = encode_transcript(record.edited, codec_cfg)
+        ser = symbol_error_rate(record.edited, decode_tokens(out, codec_cfg))
         wav_out = _scored_waveform(out, codec_cfg)
         wav_truth = _scored_waveform(truth, codec_cfg)
         row = {
@@ -335,9 +335,8 @@ def masked_reconstruction_eval(
         gen_len = len(result.spans[0])
         region = out.frames[span.start : span.start + gen_len]
         region_matrix = CodecMatrix(region, codec_cfg.frame_rate, codec_cfg.codebook_sizes)
-        decoded = decode_tokens(region_matrix, codec_cfg).symbols
         reference = utt.transcript[case.symbol_start : case.symbol_end]
-        errors = int(round(symbol_error_rate(reference, decoded) * max(1, len(reference))))
+        errors = levenshtein(reference, decode_tokens(region_matrix, codec_cfg))
         prefix_ok = np.array_equal(out.frames[:span.start], utt.tokens.frames[:span.start])
         suffix_ok = np.array_equal(out.frames[span.start + gen_len :], utt.tokens.frames[span.end :])
         rows.append(

@@ -44,11 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidInputError
+from .errors import AlignmentError, InvalidInputError, require_positive
 from .metrics import edit_distance_table
 from .model import ModelConfig
 from .rearrange import causal_mask, delay_stack, splice, stack_span, unstack_span
-from .tokens import EMPTY, EOS, EOU, CodecMatrix, Span, mask_marker, validate_spans
+from .tokens import EMPTY, EOS, EOU, Alignment, CodecMatrix, Span, mask_marker
 
 # ---------------------------------------------------------------------------
 # Transcript diffing
@@ -135,19 +135,8 @@ def apply_script(script: list[EditOp], original: list, target_words: list) -> li
 
 
 # ---------------------------------------------------------------------------
-# Alignment and span selection
+# Span selection
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Alignment:
-    """Frame span of every original word, plus the total frame count."""
-
-    word_spans: list[Span]
-    total_frames: int
-
-    def __post_init__(self):
-        validate_spans(self.word_spans, self.total_frames)
 
 
 def select_edit_spans(
@@ -226,6 +215,7 @@ class EditConfig:
     tts_num_samples: int = 5
 
     def __post_init__(self):
+        require_positive(self, "tts_num_samples")
         if self.num_discard_longest >= len(self.margin_schedule):
             raise InvalidInputError("num_discard_longest must be < the number of margins")
 

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from .errors import CapacityError, InvalidInputError, VocabularyError
+from .errors import CapacityError, InvalidInputError, VocabularyError, require_positive
 from .tokens import EMPTY, SpecialToken
 
 # position-stream kinds
@@ -83,8 +83,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.num_codebooks < 1:
-            raise InvalidInputError("num_codebooks must be >= 1")
+        require_positive(
+            self, "num_layers", "hidden_dim", "ffn_dim", "num_heads", "num_codebooks", "max_positions",
+            "text_vocab_size",
+        )
         if len(self.codebook_sizes) != self.num_codebooks:
             raise InvalidInputError("codebook_sizes length must equal num_codebooks")
         if len(self.loss_weights) != self.num_codebooks:
@@ -736,14 +738,13 @@ def weighted_loss(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
     """Weighted masked cross-entropy: L = sum_k alpha_k * mean-CE_k.
 
     ``logits[k]`` is (..., V_k); ``targets``/``loss_mask`` are (..., K).
-    Returns (total, per-codebook components, all_masked_warning, probs):
+    Returns (total, per-codebook components, probs):
     ``probs[k]`` is head k's softmax at its loss rows, (N_k, V_k) float64
     in the row order of ``logits[k][loss_mask[..., k]]``, which
     :func:`loss_gradient` takes so the softmax is computed once per step.
     Accumulation runs in float64 regardless of model dtype.
     """
     per_k, probs = [], []
-    all_masked = True
     for k, logit_k in enumerate(logits):
         mask = loss_mask[..., k]
         lk = logit_k[mask].astype(np.float64)
@@ -752,7 +753,6 @@ def weighted_loss(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
             per_k.append(0.0)
             probs.append(lk)
             continue
-        all_masked = False
         tk = targets[..., k][mask]
         m = lk.max(axis=-1, keepdims=True)
         p = np.exp(lk - m)
@@ -762,7 +762,7 @@ def weighted_loss(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
         p /= sums[:, None]
         probs.append(p)
     total = float(sum(w * l for w, l in zip(weights, per_k)))
-    return total, per_k, all_masked, probs
+    return total, per_k, probs
 
 
 def loss_gradient(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weights, probs: list):

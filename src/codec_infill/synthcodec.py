@@ -6,7 +6,11 @@ codebooks use injective (symbol, phase) -> token permutations, so decoding
 is exact on clean data and majority voting over a block localizes any
 corruption to that block.  Codebooks three and up are "texture": their
 base tables may be perturbed by bounded jitter without harming
-invertibility.
+invertibility.  Encoding is one table gather per codebook and decoding
+one phase-indexed match array summed per block; symbol i's word
+alignment is frames [f*i, f*(i+1)), which :func:`exact_alignment`
+builds where an edit needs it.  The module imports only the errors,
+JSON I/O and token containers.
 
 The toy vocoder renders each frame as a sum of one sinusoid per codebook
 (frequency looked up from the token id; codebook 1 stays inside
@@ -22,10 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, VocabularyError
-from .infer import Alignment
+from .errors import ConfigError, InvalidInputError, VocabularyError, require_positive
 from .jsonio import config_from_json, config_to_json, get_field, read_json, read_json_lines, write_json, write_json_lines
-from .tokens import CodecMatrix, Span, TokenDumpRecord, read_token_dump, write_token_dump
+from .tokens import Alignment, CodecMatrix, Span, TokenDumpRecord, read_token_dump, write_token_dump
 
 # per-codebook sinusoid bands: (base Hz, top Hz, step Hz per token id)
 _BANDS = [
@@ -51,8 +54,9 @@ class ToyCodecConfig:
     render_gains: tuple[float, ...] = (1.0, 0.25, 0.15, 0.1)
 
     def __post_init__(self):
-        if self.frames_per_symbol < 1:
-            raise InvalidInputError("frames_per_symbol must be >= 1")
+        require_positive(
+            self, "alphabet_size", "frames_per_symbol", "num_codebooks", "codebook_size", "frame_rate", "sample_rate"
+        )
         if self.alphabet_size * self.frames_per_symbol > self.codebook_size:
             raise InvalidInputError(
                 "codebook_size too small for an injective (symbol, phase) table"
@@ -105,63 +109,46 @@ def exact_alignment(num_symbols: int, cfg: ToyCodecConfig) -> Alignment:
     )
 
 
-def encode_transcript(
-    symbols, cfg: ToyCodecConfig, rng: np.random.Generator | None = None
-) -> tuple[CodecMatrix, Alignment]:
+def _encode(symbols, cfg: ToyCodecConfig, tables: list[np.ndarray], rng: np.random.Generator | None) -> CodecMatrix:
+    """``encode_transcript`` with the codebook tables already built."""
+    ids = np.asarray(symbols, dtype=np.int64)
+    outside = ids[(ids < 0) | (ids >= cfg.alphabet_size)]
+    if outside.size:
+        raise VocabularyError(f"symbol {outside[0]} outside alphabet of {cfg.alphabet_size}")
+    frames = np.stack([table[ids].reshape(-1) for table in tables], axis=1)
+    if rng is not None and cfg.jitter_amount > 0:
+        for k in range(2, cfg.num_codebooks):
+            delta = rng.integers(-cfg.jitter_amount, cfg.jitter_amount + 1, size=frames.shape[0])
+            frames[:, k] = np.clip(frames[:, k] + delta, 0, cfg.codebook_size - 1)
+    return CodecMatrix(frames, frame_rate=cfg.frame_rate, codebook_sizes=cfg.codebook_sizes)
+
+
+def encode_transcript(symbols, cfg: ToyCodecConfig, rng: np.random.Generator | None = None) -> CodecMatrix:
     """Map symbols to frames_per_symbol frames each via the fixed tables.
 
     When an rng is supplied, texture codebooks (3 and up) receive bounded
     jitter; codebooks 1-2 are never perturbed, preserving invertibility.
     """
-    tables = codebook_tables(cfg)
-    for s in symbols:
-        if not (0 <= s < cfg.alphabet_size):
-            raise VocabularyError(f"symbol {s} outside alphabet of {cfg.alphabet_size}")
-    f, k_count = cfg.frames_per_symbol, cfg.num_codebooks
-    frames = np.zeros((len(symbols) * f, k_count), dtype=np.int64)
-    for i, s in enumerate(symbols):
-        for k in range(k_count):
-            frames[f * i : f * (i + 1), k] = tables[k][s]
-    if rng is not None and cfg.jitter_amount > 0:
-        for k in range(2, k_count):
-            delta = rng.integers(-cfg.jitter_amount, cfg.jitter_amount + 1, size=frames.shape[0])
-            frames[:, k] = np.clip(frames[:, k] + delta, 0, cfg.codebook_size - 1)
-    matrix = CodecMatrix(frames, frame_rate=cfg.frame_rate, codebook_sizes=cfg.codebook_sizes)
-    return matrix, exact_alignment(len(symbols), cfg)
+    return _encode(symbols, cfg, codebook_tables(cfg), rng)
 
 
-@dataclass
-class DecodeResult:
-    """Best-effort transcript; ``partial_tail`` flags a trailing block shorter than frames_per_symbol."""
-
-    symbols: list[int]
-    partial_tail: bool = False
-
-
-def decode_tokens(tokens: CodecMatrix, cfg: ToyCodecConfig) -> DecodeResult:
+def decode_tokens(tokens: CodecMatrix, cfg: ToyCodecConfig) -> list[int]:
     """Nearest-table-entry decoding on the invertible codebooks.
 
     Each frames_per_symbol block votes for the symbol matching the most
-    (frame, codebook) cells; ties go to the lowest symbol id.  A trailing
-    block shorter than frames_per_symbol is decoded the same way and
-    flagged.  Exact on unjittered data.
+    (frame, codebook) cells on codebooks 1-2; ties go to the lowest symbol
+    id.  A trailing block shorter than frames_per_symbol is decoded the
+    same way.  Exact on unjittered data.
     """
     tables = codebook_tables(cfg)
-    invertible = list(range(min(2, cfg.num_codebooks)))
-    f = cfg.frames_per_symbol
     frames = tokens.frames
-    total = frames.shape[0]
-    symbols: list[int] = []
-    num_blocks = (total + f - 1) // f
-    for b in range(num_blocks):
-        block = frames[b * f : (b + 1) * f]
-        width = block.shape[0]
-        scores = np.zeros(cfg.alphabet_size, dtype=np.int64)
-        for k in invertible:
-            # tables[k][:, :width] is (A, width); compare against the block column
-            scores += (tables[k][:, :width] == block[:, k][None, :]).sum(axis=1)
-        symbols.append(int(np.argmax(scores)))
-    return DecodeResult(symbols, partial_tail=(total % f != 0))
+    phase = np.arange(len(frames)) % cfg.frames_per_symbol
+    # matches[a, t]: how many invertible codebooks hold symbol a's token for t's phase at frame t
+    matches = sum(
+        (tables[k][:, phase] == frames[:, k]).astype(np.int64) for k in range(min(2, cfg.num_codebooks))
+    )
+    scores = np.add.reduceat(matches, np.arange(0, len(frames), cfg.frames_per_symbol), axis=1)
+    return np.argmax(scores, axis=0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +209,6 @@ class ToyUtterance:
     id: str
     transcript: list[int]
     tokens: CodecMatrix
-    alignment: Alignment
     split: str = "train"
 
 
@@ -259,6 +245,7 @@ def gen_corpus(
         raise InvalidInputError("num_validation must be smaller than num_utterances")
     rng = np.random.default_rng(seed)
     draw = _bigram_sampler(cfg, rng)
+    tables = codebook_tables(cfg)
     utterances = []
     for i in range(num_utterances):
         length = int(rng.integers(length_range[0], length_range[1] + 1))
@@ -271,9 +258,8 @@ def gen_corpus(
         jitter_rng = (
             np.random.default_rng([cfg.jitter_seed, i]) if cfg.jitter_seed is not None else None
         )
-        tokens, alignment = encode_transcript(transcript, cfg, jitter_rng)
         split = "val" if i >= num_utterances - num_validation else "train"
-        utterances.append(ToyUtterance(f"utt{i:05d}", transcript, tokens, alignment, split))
+        utterances.append(ToyUtterance(f"utt{i:05d}", transcript, _encode(transcript, cfg, tables, jitter_rng), split))
     return utterances
 
 
@@ -321,7 +307,5 @@ def load_corpus(corpus_dir) -> tuple[list[ToyUtterance], ToyCodecConfig]:
     for rid, transcript, name, split in entries.values():
         if rid not in dumps[name]:
             raise ConfigError(f"{manifest}: utterance '{rid}' is not in dump {name}")
-        utterances.append(
-            ToyUtterance(rid, transcript, dumps[name][rid].matrix, exact_alignment(len(transcript), cfg), split)
-        )
+        utterances.append(ToyUtterance(rid, transcript, dumps[name][rid].matrix, split))
     return utterances, cfg

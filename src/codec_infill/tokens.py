@@ -1,9 +1,12 @@
-"""Core token containers: codec matrices, spans, special markers, dumps.
+"""Core token containers: codec matrices, spans, word alignments, special markers, dumps.
 
 The currency of the whole system is the T-by-K codec matrix: T temporal
 frames, each holding one token id per residual codebook.  Frames are kept
 as an integer numpy array; all transforms in :mod:`codec_infill.rearrange`
-operate on these exact integers, never on floats.
+operate on these exact integers, never on floats.  An
+:class:`Alignment` maps each word of a transcript to its frame span,
+checked by :func:`validate_spans`; editing reads it, and the toy codec
+builds the exact one.
 
 The on-disk dump format is line-delimited JSON, one utterance per line:
 
@@ -82,6 +85,17 @@ def validate_spans(spans: list[Span], num_frames: int) -> None:
         if s.end > num_frames:
             raise InvalidSpanError(f"span [{s.start}, {s.end}) exceeds frame count {num_frames}")
         prev_end = s.end
+
+
+@dataclass
+class Alignment:
+    """Frame span of every original word, plus the total frame count."""
+
+    word_spans: list[Span]
+    total_frames: int
+
+    def __post_init__(self):
+        validate_spans(self.word_spans, self.total_frames)
 
 
 @dataclass

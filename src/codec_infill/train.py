@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, InvalidInputError, NonFiniteLossError
+from .errors import ConfigError, InvalidInputError, NonFiniteLossError, require_positive
 from .jsonio import append_json_line, write_json
 from .model import (
     EncodedBatch,
@@ -61,8 +61,7 @@ class SchedulerConfig:
         for name in ("base_lr", "step_const", "epoch_const", "warmup_start"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be positive")
-        if self.warmup_steps < 1:
-            raise InvalidInputError("warmup_steps must be >= 1")
+        require_positive(self, "warmup_steps", "steps_per_pseudo_epoch")
 
 
 def eden_lr(t: int, e: int, cfg: SchedulerConfig) -> float:
@@ -93,8 +92,7 @@ class TrainConfig:
     mask: MaskSamplingConfig = field(default_factory=MaskSamplingConfig)
 
     def __post_init__(self):
-        if self.batch_frame_budget < 1 or self.total_steps < 1 or self.grad_accum < 1:
-            raise InvalidInputError("budgets must be positive")
+        require_positive(self, "batch_frame_budget", "total_steps", "grad_accum", "checkpoint_every")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def batch_stream(utterances, model_cfg, train_cfg, rng):
 def evaluation_loss(state: ModelState, batch: Batch) -> float:
     heads = batch.loss_mask.any(axis=-1)
     logits, _ = forward(state.params, state.config, batch.inputs, heads)
-    total, _, _, _ = weighted_loss(
+    total, _, _ = weighted_loss(
         logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights
     )
     return total
@@ -281,7 +279,7 @@ def train_loop(
             heads = batch.loss_mask.any(axis=-1)
             targets, loss_mask = batch.targets[heads], batch.loss_mask[heads]
             logits, cache = forward(state.params, state.config, batch.inputs, heads, want_cache=True)
-            loss_value, loss_k, _, probs = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
+            loss_value, loss_k, probs = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
             if not np.isfinite(loss_value):
                 batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
                 if run_path is not None:

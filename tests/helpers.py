@@ -18,6 +18,7 @@ from codec_infill.model import (
     next_item_targets,
     parameter_shapes,
 )
+from codec_infill.synthcodec import ToyCodecConfig, codebook_tables
 from codec_infill.tokens import EMPTY, EOU, CodecMatrix, Span, SpecialToken
 
 
@@ -169,6 +170,27 @@ def adamw_oracle(params: dict, grad_steps: list, lrs: list, cfg) -> dict:
             values.append(x)
         out[name] = np.array(values).reshape(p.shape)
     return out
+
+
+def decode_tokens_oracle(tokens: CodecMatrix, cfg: ToyCodecConfig) -> list[int]:
+    """Block-by-block reference for ``synthcodec.decode_tokens``.
+
+    Each frames_per_symbol block (the last may be shorter) scores every
+    symbol by its matching (frame, codebook) cells on codebooks 1-2; the
+    best score wins, ties to the lowest symbol id.
+    """
+    tables = codebook_tables(cfg)
+    f = cfg.frames_per_symbol
+    frames = tokens.frames
+    symbols = []
+    for b in range((frames.shape[0] + f - 1) // f):
+        block = frames[b * f : (b + 1) * f]
+        width = block.shape[0]
+        scores = np.zeros(cfg.alphabet_size, dtype=np.int64)
+        for k in range(min(2, cfg.num_codebooks)):
+            scores += (tables[k][:, :width] == block[:, k][None, :]).sum(axis=1)
+        symbols.append(int(np.argmax(scores)))
+    return symbols
 
 
 def levenshtein_oracle(ref, hyp) -> int:

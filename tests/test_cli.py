@@ -427,11 +427,7 @@ class TestEvalCommand:
         for u in corpus:
             if u.id == corrupted_id:
                 frames = (u.tokens.frames + 101) % CODEC.codebook_size
-                u = type(u)(
-                    u.id, u.transcript,
-                    CodecMatrix(frames, CODEC.frame_rate, CODEC.codebook_sizes),
-                    u.alignment, u.split,
-                )
+                u = type(u)(u.id, u.transcript, CodecMatrix(frames, CODEC.frame_rate, CODEC.codebook_sizes), u.split)
             mutated.append(u)
         write_corpus(corpus_path_b, mutated, CODEC)
 
@@ -565,6 +561,25 @@ def gen_data_with_config(tmp_path, payload, *overrides):
     return argv, [str(config)]
 
 
+def train_with_config(tmp_path, corpus_dir, *overrides):
+    config = write_json(tmp_path / "train.json", {
+        "data_dir": str(corpus_dir),
+        "model": {"num_layers": 1, "hidden_dim": 32, "ffn_dim": 64, "num_heads": 2, "max_positions": 512},
+        "train": {"batch_frame_budget": 512, "total_steps": 1},
+    })
+    argv = ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+    for item in overrides:
+        argv += ["--set", item]
+    return argv, [str(config)]
+
+
+def eval_with_set(tmp_path, corpus_dir, checkpoint, item):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n')
+    argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--set", item, "--out", str(tmp_path / "ev")]
+    return argv, ["--set"]
+
+
 @malformed
 def dump_line_not_json(tmp_path, corpus_dir, checkpoint):
     argv, names = dump_with_line(tmp_path, b"{not json")
@@ -688,10 +703,8 @@ def config_train_without_data_dir(tmp_path, corpus_dir, checkpoint):
 
 @malformed
 def eval_set_value_of_the_wrong_type(tmp_path, corpus_dir, checkpoint):
-    manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n')
-    argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--set", "sampling.seed=x", "--out", str(tmp_path / "ev")]
-    return argv, ["--set", "sampling.seed", "str"]
+    argv, names = eval_with_set(tmp_path, corpus_dir, checkpoint, "sampling.seed=x")
+    return argv, names + ["sampling.seed", "str"]
 
 
 @malformed
@@ -737,10 +750,8 @@ def config_model_head_mlp_layers_removed(tmp_path, corpus_dir, checkpoint):
 
 @malformed
 def eval_set_outside_sampling_and_edit(tmp_path, corpus_dir, checkpoint):
-    manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n')
-    argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--set", "seed=3", "--out", str(tmp_path / "ev")]
-    return argv, ["--set", "'seed'"]
+    argv, names = eval_with_set(tmp_path, corpus_dir, checkpoint, "seed=3")
+    return argv, names + ["'seed'"]
 
 
 @malformed
@@ -753,6 +764,43 @@ def tts_text_not_ids(tmp_path, corpus_dir, checkpoint):
     codec = str(corpus_dir / "codec_config.json")
     argv = ["tts", str(checkpoint), str(corpus_dir / "tokens.jsonl"), "1 x", "3", "--codec-config", codec]
     return argv + ["--out", str(tmp_path / "tts")], ["prompt_text", "'1 x'"]
+
+
+def count_below_one(dotted: str, value: int):
+    """Register a case setting the count or divisor ``dotted`` to ``value``; stderr names its section and field."""
+    section, field = dotted.split(".")
+
+    def case(tmp_path, corpus_dir, checkpoint):
+        item = f"{dotted}={value}"
+        if section == "codec":
+            argv, names = gen_data_with_config(tmp_path, {}, item)
+        elif section == "edit":
+            argv, names = eval_with_set(tmp_path, corpus_dir, checkpoint, item)
+        else:
+            argv, names = train_with_config(tmp_path, corpus_dir, item)
+        return argv, names + [f"'{section}'", f"{field} must be >= 1, not {value}"]
+
+    case.__name__ = f"config_{section}_{field}_{'zero' if value == 0 else 'negative'}"
+    malformed(case)
+
+
+for dotted, value in [
+    ("codec.frame_rate", 0),
+    ("codec.sample_rate", 0),
+    ("codec.alphabet_size", 0),
+    ("codec.codebook_size", 0),
+    ("codec.num_codebooks", 0),
+    ("model.num_layers", -1),
+    ("model.hidden_dim", 0),
+    ("model.ffn_dim", 0),
+    ("model.num_heads", 0),
+    ("model.max_positions", 0),
+    ("model.text_vocab_size", 0),
+    ("train.checkpoint_every", 0),
+    ("scheduler.steps_per_pseudo_epoch", 0),
+    ("edit.tts_num_samples", 0),
+]:
+    count_below_one(dotted, value)
 
 
 class TestMalformedInputs:

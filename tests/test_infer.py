@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from codec_infill import infer
 from codec_infill.errors import InvalidInputError
 from codec_infill.infer import (
-    Alignment,
     EditConfig,
     RunState,
     SamplingConfig,
@@ -29,7 +28,7 @@ from codec_infill.infer import (
 )
 from codec_infill.model import ModelConfig, TransformerDecoder, new_model
 from codec_infill.rearrange import causal_mask, delay_stack, place_spans, stack_span
-from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, SpecialToken, mask_marker
+from codec_infill.tokens import EMPTY, EOS, EOU, Alignment, CodecMatrix, Span, SpecialToken, mask_marker
 
 from helpers import (
     PlannedDecoder,

@@ -215,7 +215,7 @@ class TestF0:
     def test_rendered_codebook_1_tone_within_3_percent_at_the_codec_rate(self, sample_rate):
         """Frames of one repeated token render the codebook-1 tone alone; the rate comes from the codec."""
         codec = ToyCodecConfig(sample_rate=sample_rate, render_gains=(1.0, 0.0, 0.0, 0.0))
-        tokens, _ = encode_transcript([0, 7, 29], codec)
+        tokens = encode_transcript([0, 7, 29], codec)
         for frame in tokens.frames:
             matrix = CodecMatrix(np.tile(frame, (12, 1)), codec.frame_rate, codec.codebook_sizes)
             tone = frequency_tables(codec)[0][frame[0]]
@@ -254,7 +254,7 @@ def _segment(draw, sample_rate, length):
         else:
             codec = ToyCodecConfig(sample_rate=sample_rate)
             symbols = draw(st.lists(st.integers(0, codec.alphabet_size - 1), min_size=1, max_size=8))
-            tokens, _ = encode_transcript(symbols, codec)
+            tokens = encode_transcript(symbols, codec)
             rendering = render_waveform(tokens, codec)
             wav += np.resize(rendering, length)
     return wav
@@ -294,7 +294,7 @@ class TestF0AllFrames:
     def test_four_codebook_rendering_reads_the_codebook_1_tone(self):
         """Constant-token renderings of all 120 (symbol, phase) frames of symbols 0-29 at 16 kHz."""
         codec = ToyCodecConfig(sample_rate=SR)
-        tokens, _ = encode_transcript(list(range(codec.alphabet_size)), codec)
+        tokens = encode_transcript(list(range(codec.alphabet_size)), codec)
         misses = []
         for frame in tokens.frames:
             matrix = CodecMatrix(np.tile(frame, (12, 1)), codec.frame_rate, codec.codebook_sizes)

@@ -404,7 +404,7 @@ class TestPackedPositions:
     def loss_and_grads(self, params, cfg, batch, targets, mask, heads_at):
         logits, cache = forward(params, cfg, batch, heads_at, want_cache=True)
         targets, mask = targets[heads_at], mask[heads_at]
-        total, _, _, probs = weighted_loss(logits, targets, mask, cfg.loss_weights)
+        total, _, probs = weighted_loss(logits, targets, mask, cfg.loss_weights)
         d_logits = loss_gradient(logits, targets, mask, cfg.loss_weights, probs)
         return total, backward(params, cfg, cache, d_logits)
 
@@ -450,8 +450,7 @@ class TestLoss:
         logits = [np.zeros((n, 256)) for _ in range(4)]
         targets = rng.integers(0, 256, size=(n, 4))
         mask = np.ones((n, 4), dtype=bool)
-        total, per_k, warning, _ = weighted_loss(logits, targets, mask, (5.0, 1.0, 0.5, 0.1))
-        assert not warning
+        total, per_k, _ = weighted_loss(logits, targets, mask, (5.0, 1.0, 0.5, 0.1))
         expected = 6.6 * np.log(256.0)
         assert total == pytest.approx(expected, rel=1e-12)
         for lk in per_k:
@@ -463,7 +462,7 @@ class TestLoss:
         logits = [np.zeros((n, 5))]
         for i in range(n):
             logits[0][i, targets[i, 0]] = 1000.0
-        total, _, _, _ = weighted_loss(logits, targets, np.ones((n, 1), bool), (1.0,))
+        total, _, _ = weighted_loss(logits, targets, np.ones((n, 1), bool), (1.0,))
         assert total == pytest.approx(0.0, abs=1e-12)
 
     def test_masked_positions_contribute_nothing(self):
@@ -472,19 +471,19 @@ class TestLoss:
         logits = [rng.standard_normal((n, 9)) for _ in range(2)]
         targets = rng.integers(0, 9, size=(n, 2))
         mask = rng.random((n, 2)) < 0.5
-        base, _, _, _ = weighted_loss(logits, targets, mask, (2.0, 1.0))
+        base, _, _ = weighted_loss(logits, targets, mask, (2.0, 1.0))
         poked = [l.copy() for l in logits]
         for k in range(2):
             poked[k][~mask[:, k]] = rng.standard_normal(((~mask[:, k]).sum(), 9)) * 50
-        after, _, _, _ = weighted_loss(poked, targets, mask, (2.0, 1.0))
+        after, _, _ = weighted_loss(poked, targets, mask, (2.0, 1.0))
         assert after == base  # exactly zero change
 
-    def test_all_masked_batch_is_zero_with_warning(self):
+    def test_all_masked_batch_is_zero(self):
         logits = [np.ones((4, 6))]
         targets = np.zeros((4, 1), dtype=np.int64)
         mask = np.zeros((4, 1), dtype=bool)
-        total, per_k, warning, _ = weighted_loss(logits, targets, mask, (1.0,))
-        assert total == 0.0 and per_k == [0.0] and warning
+        total, per_k, probs = weighted_loss(logits, targets, mask, (1.0,))
+        assert total == 0.0 and per_k == [0.0] and len(probs[0]) == 0
 
 
 class TestSoftmaxHandOver:
@@ -504,8 +503,7 @@ class TestSoftmaxHandOver:
     def test_gradient_equals_the_oracle(self, dtype, masked_heads):
         for seed in range(5):
             logits, targets, mask, weights = self.case(seed, dtype, masked_heads)
-            total, per_k, all_masked, probs = weighted_loss(logits, targets, mask, weights)
-            assert all_masked == (len(masked_heads) == 4)
+            total, per_k, probs = weighted_loss(logits, targets, mask, weights)
             assert [len(p) for p in probs] == list(mask.sum(axis=0))
             got = loss_gradient(logits, targets, mask, weights, probs)
             want = loss_gradient_oracle(logits, targets, mask, weights)
@@ -518,7 +516,7 @@ class TestSoftmaxHandOver:
 
     def test_softmax_rows_are_the_loss_rows(self):
         logits, targets, mask, weights = self.case(9, np.float64)
-        total, per_k, _, probs = weighted_loss(logits, targets, mask, weights)
+        total, per_k, probs = weighted_loss(logits, targets, mask, weights)
         for k, p in enumerate(probs):
             np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
             picked = p[np.arange(len(p)), targets[mask[:, k], k]]
@@ -530,14 +528,14 @@ class TestGradients:
     def loss_fn(self, params, cfg, batch, targets, mask, weights):
         heads = mask.any(axis=-1)
         logits, _ = forward(params, cfg, batch, heads)
-        total, _, _, _ = weighted_loss(logits, targets[heads], mask[heads], weights)
+        total, _, _ = weighted_loss(logits, targets[heads], mask[heads], weights)
         return total
 
     def analytic_grads(self, params, cfg, batch, targets, mask, weights):
         heads = mask.any(axis=-1)
         logits, cache = forward(params, cfg, batch, heads, want_cache=True)
         targets, mask = targets[heads], mask[heads]
-        _, _, _, probs = weighted_loss(logits, targets, mask, weights)
+        _, _, probs = weighted_loss(logits, targets, mask, weights)
         d_logits = loss_gradient(logits, targets, mask, weights, probs)
         return backward(params, cfg, cache, d_logits)
 

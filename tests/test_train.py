@@ -460,7 +460,7 @@ class TestCheckpoint:
         "damage",
         [
             "magic", "version", "header_length", "header", "header_json", "first_tensor", "last_tensor", "extra",
-            "config_num_layers_a_string", "config_dtype_unknown", "config_heads_of_three_layers",
+            "config_num_layers_a_string", "config_dtype_unknown", "config_heads_of_three_layers", "tensor_object_dtype",
         ],
     )
     def test_malformed_file_raises_invalid_input(self, tmp_path, damage):
@@ -471,12 +471,15 @@ class TestCheckpoint:
         first = state.params["text_emb"].nbytes
         last = state.params[list(state.params)[-1]].nbytes
 
-        def with_config(**changes):
-            """The file with valid-JSON header whose model config has ``changes``."""
+        def with_header(change):
+            """The file with valid-JSON header that ``change`` edited in place."""
             header = json.loads(data[16:header_end])
-            header["config"].update(changes)
+            change(header)
             head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
             return data[:8] + len(head).to_bytes(8, "little") + head + data[header_end:]
+
+        def with_config(**changes):
+            return with_header(lambda header: header["config"].update(changes))
 
         damaged = {
             "magic": data[:2],
@@ -490,6 +493,7 @@ class TestCheckpoint:
             "config_num_layers_a_string": with_config(num_layers="1"),
             "config_dtype_unknown": with_config(dtype="float99"),
             "config_heads_of_three_layers": with_config(head_mlp_layers=3),
+            "tensor_object_dtype": with_header(lambda header: header["tensors"][-1].update(dtype="|O")),
         }[damage]
         (tmp_path / "bad.bin").write_bytes(damaged)
         with pytest.raises(InvalidInputError):
