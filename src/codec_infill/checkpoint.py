@@ -7,7 +7,9 @@ bytes concatenated in the documented parameter order.  Writing the same
 state twice produces identical bytes.  Loading checks the length of every
 read, rejects bytes after the last tensor and checks every tensor's
 name, shape and dtype against the config before reading its bytes, so
-a truncated, corrupt or mis-shaped file raises :class:`InvalidInputError`.
+a truncated, corrupt or mis-shaped file raises :class:`InvalidInputError`,
+as does a header whose step is not an integer >= 0 or whose rng state is
+neither null nor a state ``np.random.PCG64`` takes.
 Files written while the model still had an attention key bias carry ``layer<i>.attn.bk``
 tensors; loading drops them, since the softmax cancels a key bias.
 Every head is a two-layer FFN block; headers written while the head
@@ -26,17 +28,16 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .jsonio import config_from_json, config_to_json
-from .model import ModelConfig, ModelState, parameter_names, parameter_shapes
+from .model import ModelConfig, ModelState, parameter_shapes
 
 MAGIC = b"CILM"
 FORMAT_VERSION = 1
 
 
 def save_checkpoint(path, state: ModelState, rng_state: dict | None = None) -> None:
-    names = parameter_names(state.config)
     tensors = []
     blobs = []
-    for name in names:
+    for name in parameter_shapes(state.config):
         arr = np.ascontiguousarray(state.params[name])
         tensors.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
         blobs.append(arr.tobytes())
@@ -83,7 +84,15 @@ def load_checkpoint(path) -> tuple[ModelState, dict | None]:
         if depth != 2:
             raise InvalidInputError(f"checkpoint {path} has heads of {depth!r} layers; every head has 2")
         cfg = config_from_json(ModelConfig, config, "config")
-        step = int(header["step"])
+        step = header["step"]
+        if type(step) is not int or step < 0:
+            raise InvalidInputError(f"checkpoint {path} has step {step!r}; a step is an integer >= 0")
+        rng_state = header.get("rng_state")
+        if rng_state is not None:
+            try:  # the generator training resumes takes the state, or rejects it
+                np.random.PCG64().state = rng_state
+            except (KeyError, TypeError, ValueError) as err:
+                raise InvalidInputError(f"checkpoint {path} has an rng_state PCG64 rejects: {err!r}") from err
         specs = [
             (spec["name"], np.dtype(spec["dtype"]), tuple(int(n) for n in spec["shape"]))
             for spec in header["tensors"]
@@ -104,4 +113,4 @@ def load_checkpoint(path) -> tuple[ModelState, dict | None]:
             params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(data):
         raise InvalidInputError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
-    return ModelState(params, cfg, step=step), header.get("rng_state")
+    return ModelState(params, cfg, step=step), rng_state

@@ -215,13 +215,12 @@ def cmd_train(args) -> int:
 def _edit_request(request: dict) -> tuple:
     """(request, id, corpus_dir, original or None, target, sampling, edit config) of an edit request."""
     check_keys(request, {"id", "corpus_dir", "original", "target", "sampling", "edit"})
-    ids = lambda values: [int(v) for v in values]
     return (
         request,
         get_field(request, "id", str),
         get_field(request, "corpus_dir", str),
-        get_field(request, "original", ids, None),
-        get_field(request, "target", ids),
+        get_field(request, "original", [int], None),
+        get_field(request, "target", [int]),
         config_from_json(SamplingConfig, request.get("sampling", {}), "sampling"),
         config_from_json(EditConfig, request.get("edit", {}), "edit"),
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .infer import EditConfig, SamplingConfig, build_infill_context, diff_transcripts, edit_speech, generate_infill
-from .jsonio import get_field, read_json_lines, write_json_lines
+from .jsonio import check_keys, get_field, read_json_lines, write_json_lines
 from .metrics import WINDOW_LENGTH, energy_distance, f0_distance, levenshtein, mcd_distance, symbol_error_rate
 from .model import ModelConfig
 from .rearrange import splice
@@ -101,12 +101,12 @@ def save_manifest(path, records: list[EvalRecord]) -> None:
 
 
 def _record_from_payload(payload: dict) -> EvalRecord:
-    ids = lambda values: [int(v) for v in values]
+    check_keys(payload, {"id", "original", "edited", "edit_types", "num_spans", "bucket", "utterance"})
     record = EvalRecord(
         id=get_field(payload, "id", str),
-        original=get_field(payload, "original", ids),
-        edited=get_field(payload, "edited", ids),
-        edit_types=get_field(payload, "edit_types", lambda values: [str(v) for v in values], []),
+        original=get_field(payload, "original", [int]),
+        edited=get_field(payload, "edited", [int]),
+        edit_types=get_field(payload, "edit_types", [str], []),
         num_spans=get_field(payload, "num_spans", int, 0),
         bucket=payload.get("bucket"),
         utterance=get_field(payload, "utterance", str, None),

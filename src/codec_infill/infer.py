@@ -200,6 +200,7 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_positive(self, "max_generated_steps")
         if not (0.0 < self.top_p <= 1.0):
             raise InvalidInputError("top_p must be in (0, 1]")
         if self.temperature <= 0:

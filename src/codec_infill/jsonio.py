@@ -8,6 +8,7 @@ naming the file (and for JSONL the line).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import types
 import typing
@@ -42,14 +43,39 @@ def read_json_lines(path, parse) -> list:
         return [_decode(raw, parse, f"{path} line {n}") for n, raw in enumerate(fh, start=1) if raw.strip()]
 
 
-def get_field(payload: dict, name: str, convert, default=REQUIRED):
-    """``convert(payload[name])``, or ``default`` when absent; a missing or malformed field raises ConfigError."""
+def get_field(payload: dict, name: str, kind, default=REQUIRED, convert=None):
+    """``payload[name]``, or ``default`` when absent; a missing or malformed field raises ConfigError.
+
+    ``kind`` is ``int``, ``str``, ``[int]``, ``[str]`` or ``[[int]]``,
+    checked, not converted: 1.7, "5" and true are no int, and 7 and null
+    no str.  The items of a ``[[int]]`` may be ints, for ``convert`` to
+    report the shape.  One pass of ``type`` per level keeps a corpus's
+    frames cheap.  ``convert`` maps the checked value; its errors also
+    name the field.
+    """
     if name not in payload:
         if default is REQUIRED:
             raise ConfigError(f"missing field '{name}'")
         return default
+    value = payload[name]
+    leaves = lambda: (value,)
+    if isinstance(kind, list):
+        if type(value) is not list:
+            kind = list  # the value itself is the bad item
+        else:
+            (kind,), leaves = kind, lambda: value
+            if isinstance(kind, list):  # a list of lists, whose items may stop a level early
+                (kind,) = kind
+                if set(map(type, value)) <= {list}:
+                    leaves = lambda: itertools.chain.from_iterable(value)
+    if not set(map(type, leaves())) <= {kind}:
+        bad = next(item for item in leaves() if type(item) is not kind)
+        got = f"{type(bad).__name__} {bad!r}"
+        raise ConfigError(f"field '{name}' is malformed: {got} where {kind.__name__} is needed")
+    if convert is None:
+        return value
     try:
-        return convert(payload[name])
+        return convert(value)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"field '{name}' is malformed: {err}") from err
 

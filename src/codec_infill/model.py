@@ -14,8 +14,10 @@ over the whole concatenation.  The final hidden state feeds K separate
 heads, one per codebook, at the positions the caller asks for (training:
 those that carry loss; decoding: each row's last).  Each head is a
 two-layer FFN block, Linear -> GELU -> Linear, the same block as a
-layer's FFN but ending in head k's vocabulary; the K first layers run
-stacked, as one product and one GELU.
+layer's FFN but ending in head k's vocabulary.  One FFN implementation
+runs both: it runs K blocks over the same rows, their first layers
+stacked as one product and one GELU, and a layer's FFN is the one-block
+case.
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
 one-row batch.  Each position's training targets are the ids of the
@@ -25,8 +27,10 @@ masked cross-entropy of head k; positions whose target is a mask marker
 or the EMPTY filler carry no loss.
 
 Everything is plain numpy with hand-written reverse-mode gradients; the
-forward pass records the intermediates the backward pass needs.  All
-functions are deterministic given their inputs.
+forward pass records the intermediates the backward pass needs, and each
+block's backward adds its own parameters' gradients and returns the
+gradient of its input.  All functions are deterministic given their
+inputs.
 
 ``forward`` is the only implementation of the network.  It keeps the
 real positions of a batch packed as one (N, d) array, so padding costs
@@ -144,14 +148,16 @@ class ModelState:
     step: int = 0
 
 
+@functools.lru_cache(maxsize=16)
 def _layer_ffn(i: int) -> tuple[str, ...]:
-    """The parameters of layer i's FFN block: (w1, b1, w2, b2)."""
+    """The parameters of layer i's FFN block: (w1, b1, w2, b2).  Cached: a decode step reads it per layer."""
     return tuple(f"layer{i}.ffn.{n}" for n in ("w1", "b1", "w2", "b2"))
 
 
-def _head_ffn(k: int) -> tuple[str, ...]:
-    """The parameters of head k's FFN block, in the same roles."""
-    return tuple(f"head{k}.{n}" for n in ("w0", "b0", "w1", "b1"))
+@functools.lru_cache(maxsize=16)
+def _head_ffns(num_codebooks: int) -> tuple[tuple[str, ...], ...]:
+    """The parameters of each head's FFN block, in the same roles.  Cached like :func:`_layer_ffn`."""
+    return tuple(tuple(f"head{k}.{n}" for n in ("w0", "b0", "w1", "b1")) for k in range(num_codebooks))
 
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -172,15 +178,10 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{p}.ln2.gain"] = shapes[f"{p}.ln2.bias"] = (d,)
         shapes.update(zip(_layer_ffn(i), [(d, f), (f,), (f, d), (d,)]))
     shapes["final_ln.gain"] = shapes["final_ln.bias"] = (d,)
-    for k in range(cfg.num_codebooks):
+    for k, names in enumerate(_head_ffns(cfg.num_codebooks)):
         v = cfg.head_vocab_size(k)
-        shapes.update(zip(_head_ffn(k), [(d, d), (d,), (d, v), (v,)]))
+        shapes.update(zip(names, [(d, d), (d,), (d, v), (v,)]))
     return shapes
-
-
-def parameter_names(cfg: ModelConfig) -> list[str]:
-    """Canonical parameter order; checkpoints serialize tensors this way."""
-    return list(parameter_shapes(cfg))
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
@@ -453,28 +454,28 @@ def _mean_last(x):
     return total
 
 
-def _layer_norm(x, gain, bias):
+def _layer_norm(params, prefix, x):
+    """LayerNorm of the rows ``x`` with the gain and bias named ``prefix``; returns (out, cache)."""
     mean = _mean_last(x)
     centered = x - mean
     var = _mean_last(centered * centered)
     inv_std = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=x.dtype))
     normed = centered * inv_std
-    return normed * gain + bias, (normed, inv_std)
+    return normed * params[f"{prefix}.gain"] + params[f"{prefix}.bias"], (normed, inv_std)
 
 
-def _layer_norm_backward(d_out, gain, cache):
+def _layer_norm_backward(params, prefix, d_out, cache, grads):
+    """Add the gain and bias gradients to ``grads``; returns d_x."""
     normed, inv_std = cache
-    d_gain = (d_out * normed).sum(axis=tuple(range(d_out.ndim - 1)))
-    d_bias = d_out.sum(axis=tuple(range(d_out.ndim - 1)))
-    d_normed = d_out * gain
-    n = normed.shape[-1]
+    grads[f"{prefix}.gain"] += (d_out * normed).sum(axis=0)
+    grads[f"{prefix}.bias"] += d_out.sum(axis=0)
+    d_normed = d_out * params[f"{prefix}.gain"]
     # d_x for y = (x - mean) / std: project out the mean and the normed direction
-    d_x = inv_std * (
+    return inv_std * (
         d_normed
         - d_normed.mean(axis=-1, keepdims=True)
         - normed * (d_normed * normed).mean(axis=-1, keepdims=True)
     )
-    return d_x, d_gain, d_bias
 
 
 def _causal_bias(key_ok: np.ndarray, length: int, dtype) -> np.ndarray:
@@ -566,53 +567,34 @@ def _attention_backward(params, prefix, d_out, cache, cfg, grads):
     return d_x
 
 
-def _ffn_forward(params, names, x):
-    """Linear -> GELU -> Linear over the rows ``x``; ``names`` are its (w1, b1, w2, b2)."""
-    w1, b1, w2, b2 = names
-    pre = x @ params[w1] + params[b1]
-    act, phi = _gelu_forward(pre)
-    out = act @ params[w2] + params[b2]
-    return out, (x, pre, phi, act)
+def _ffn_forward(params, blocks, x, w1, b1):
+    """K Linear -> GELU -> Linear blocks over the same rows ``x``; returns (K outputs, cache).
 
-
-def _ffn_backward(params, names, d_out, cache, grads):
-    w1, b1, w2, b2 = names
-    x, pre, phi, act = cache
-    grads[w2] += act.T @ d_out
-    grads[b2] += d_out.sum(axis=0)
-    d_act = d_out @ params[w2].T
-    d_pre = _gelu_grad(pre, phi, d_act)
-    grads[w1] += x.T @ d_pre
-    grads[b1] += d_pre.sum(axis=0)
-    return d_pre @ params[w1].T
-
-
-def _heads_forward(params, tables: FixedTables, hidden):
-    """The K heads' FFN blocks over the rows ``hidden``; returns (K logit arrays, cache).
-
-    The first layers run as one (K, N, d) product and one GELU; the second
-    layers run one per head, since the vocabulary sizes V_k may differ.
+    ``blocks`` are the blocks' parameter names, (w1, b1, w2, b2) each.
+    Their first layers run stacked, as one product of ``w1`` (K, d, f)
+    and ``b1`` (K, 1, f) and one GELU; the second layers run one per
+    block, since their widths may differ.  A layer's FFN is the one-block
+    case, ``params[w1][None]``.
     """
-    pre = hidden @ tables.head_w0 + tables.head_b0
+    pre = x @ w1 + b1
     act, phi = _gelu_forward(pre)
-    logits = [act[k] @ params[f"head{k}.w1"] + params[f"head{k}.b1"] for k in range(len(act))]
-    return logits, (hidden, pre, phi, act, tables.head_w0)
+    out = [act[k] @ params[w2] + params[b2] for k, (_, _, w2, b2) in enumerate(blocks)]
+    return out, (x, pre, phi, act, w1)
 
 
-def _heads_backward(params, d_logits, cache, grads):
-    """Mirror of :func:`_heads_forward`; splits the first layers' gradients back per head."""
-    hidden, pre, phi, act, head_w0 = cache
+def _ffn_backward(params, blocks, d_out, cache, grads):
+    """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns d_x."""
+    x, pre, phi, act, w1 = cache
     d_act = np.empty_like(act)
-    for k, d_k in enumerate(d_logits):
-        grads[f"head{k}.w1"] += act[k].T @ d_k
-        grads[f"head{k}.b1"] += d_k.sum(axis=0)
-        d_act[k] = d_k @ params[f"head{k}.w1"].T
+    for k, ((_, _, w2, b2), d_k) in enumerate(zip(blocks, d_out)):
+        grads[w2] += act[k].T @ d_k
+        grads[b2] += d_k.sum(axis=0)
+        np.matmul(d_k, params[w2].T, out=d_act[k])
     d_pre = _gelu_grad(pre, phi, d_act)
-    d_w0, d_b0 = hidden.T @ d_pre, d_pre.sum(axis=1)
-    for k in range(len(d_pre)):
-        grads[f"head{k}.w0"] += d_w0[k]
-        grads[f"head{k}.b0"] += d_b0[k]
-    return sum(d_pre[k] @ head_w0[k].T for k in range(len(d_pre)))
+    for k, (w1_name, b1_name, _, _) in enumerate(blocks):
+        grads[w1_name] += x.T @ d_pre[k]  # one 2-D product per block: broadcast over K it is slower
+        grads[b1_name] += d_pre[k].sum(axis=0)
+    return sum(d_pre[k] @ w1[k].T for k in range(len(blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -668,19 +650,19 @@ def forward(
     layer_caches = []
     for i in range(cfg.num_layers):
         p = f"layer{i}"
-        normed1, ln1_cache = _layer_norm(x, params[f"{p}.ln1.gain"], params[f"{p}.ln1.bias"])
+        normed1, ln1_cache = _layer_norm(params, f"{p}.ln1", x)
         kv = None if kv_cache is None else (kv_cache.keys[i], kv_cache.values[i], past)
         attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, real, bias, cfg, kv)
         x = x + attn_out
-        normed2, ln2_cache = _layer_norm(x, params[f"{p}.ln2.gain"], params[f"{p}.ln2.bias"])
-        ffn_out, ffn_cache = _ffn_forward(params, _layer_ffn(i), normed2)
+        normed2, ln2_cache = _layer_norm(params, f"{p}.ln2", x)
+        ffn = _layer_ffn(i)
+        (ffn_out,), ffn_cache = _ffn_forward(params, [ffn], normed2, params[ffn[0]][None], params[ffn[1]])
         x = x + ffn_out
         if want_cache:  # otherwise each layer's intermediates are freed as it ends
             layer_caches.append((ln1_cache, attn_cache, ln2_cache, ffn_cache))
     heads = heads_at[real]  # (N,) packed rows the heads run at
-    hidden, final_cache = _layer_norm(x[heads], params["final_ln.gain"], params["final_ln.bias"])
-
-    logits, head_cache = _heads_forward(params, tables, hidden)
+    hidden, final_cache = _layer_norm(params, "final_ln", x[heads])
+    logits, head_cache = _ffn_forward(params, _head_ffns(cfg.num_codebooks), hidden, tables.head_w0, tables.head_b0)
 
     cache = None
     if want_cache:
@@ -697,14 +679,9 @@ def forward(
 def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dict:
     """Gradients of a scalar whose logit-gradients are ``d_logits`` (rows as ``forward``'s logits)."""
     grads = {name: np.zeros_like(p) for name, p in params.items()}
-
-    d_hidden = _heads_backward(
-        params, [np.asarray(d_k, dtype=cfg.np_dtype) for d_k in d_logits], cache["head_cache"], grads
-    )
-
-    d_heads, d_gain, d_bias = _layer_norm_backward(d_hidden, params["final_ln.gain"], cache["final_cache"])
-    grads["final_ln.gain"] += d_gain
-    grads["final_ln.bias"] += d_bias
+    d_logits = [np.asarray(d_k, dtype=cfg.np_dtype) for d_k in d_logits]
+    d_hidden = _ffn_backward(params, _head_ffns(cfg.num_codebooks), d_logits, cache["head_cache"], grads)
+    d_heads = _layer_norm_backward(params, "final_ln", d_hidden, cache["final_cache"], grads)
     heads = cache["heads"]
     d_x = np.zeros((heads.size, cfg.hidden_dim), dtype=d_heads.dtype)
     d_x[heads] = d_heads
@@ -712,18 +689,10 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     for i in reversed(range(cfg.num_layers)):
         p = f"layer{i}"
         ln1_cache, attn_cache, ln2_cache, ffn_cache = cache["layer_caches"][i]
-        d_ffn_out = d_x
-        d_normed2 = _ffn_backward(params, _layer_ffn(i), d_ffn_out, ffn_cache, grads)
-        d_mid, d_gain, d_bias = _layer_norm_backward(d_normed2, params[f"{p}.ln2.gain"], ln2_cache)
-        grads[f"{p}.ln2.gain"] += d_gain
-        grads[f"{p}.ln2.bias"] += d_bias
-        d_x = d_x + d_mid
-        d_attn_out = d_x
-        d_normed1 = _attention_backward(params, f"{p}.attn", d_attn_out, attn_cache, cfg, grads)
-        d_in, d_gain, d_bias = _layer_norm_backward(d_normed1, params[f"{p}.ln1.gain"], ln1_cache)
-        grads[f"{p}.ln1.gain"] += d_gain
-        grads[f"{p}.ln1.bias"] += d_bias
-        d_x = d_x + d_in
+        d_normed2 = _ffn_backward(params, [_layer_ffn(i)], [d_x], ffn_cache, grads)
+        d_x = d_x + _layer_norm_backward(params, f"{p}.ln2", d_normed2, ln2_cache, grads)
+        d_normed1 = _attention_backward(params, f"{p}.attn", d_x, attn_cache, cfg, grads)
+        d_x = d_x + _layer_norm_backward(params, f"{p}.ln1", d_normed1, ln1_cache, grads)
 
     _embed_backward(params, cfg, cache["batch"], d_x, grads)
     return grads

@@ -169,21 +169,9 @@ def causal_mask(matrix: CodecMatrix, spans: list[Span]) -> RearrangedSequence:
     """Relocate the masked spans of X to the tail of the sequence."""
     validate_spans(spans, matrix.num_frames)
     frames = _frame_tuples(matrix)
-    items: list = []
-
-    cursor = 0
-    for i, span in enumerate(spans, start=1):
-        items.extend(frames[cursor:span.start])
-        items.append(mask_marker(i))
-        cursor = span.end
-    items.extend(frames[cursor:])
-    items.append(EOU)
-
-    for i, span in enumerate(spans, start=1):
-        items.append(mask_marker(i))
-        items.extend(frames[span.start:span.end])
-        items.append(EOS)
-
+    edges = [0, *(edge for span in spans for edge in (span.start, span.end)), matrix.num_frames]
+    unmasked = [frames[start:end] for start, end in zip(edges[::2], edges[1::2])]
+    items = _join_runs(unmasked, [frames[span.start:span.end] for span in spans])
     return RearrangedSequence(items, matrix.frame_rate, matrix.codebook_sizes)
 
 

@@ -27,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, VocabularyError, require_positive
-from .jsonio import config_from_json, config_to_json, get_field, read_json, read_json_lines, write_json, write_json_lines
+from .jsonio import (
+    check_keys, config_from_json, config_to_json, get_field, read_json, read_json_lines, write_json, write_json_lines,
+)
 from .tokens import Alignment, CodecMatrix, Span, TokenDumpRecord, read_token_dump, write_token_dump
 
 # per-codebook sinusoid bands: (base Hz, top Hz, step Hz per token id)
@@ -286,9 +288,10 @@ def load_codec_config(path) -> ToyCodecConfig:
 
 
 def _manifest_entry(payload: dict) -> tuple[str, list[int], str, str]:
+    check_keys(payload, {"id", "transcript", "dump", "split"})
     return (
         get_field(payload, "id", str),
-        get_field(payload, "transcript", lambda v: [int(s) for s in v]),
+        get_field(payload, "transcript", [int]),
         get_field(payload, "dump", str),
         get_field(payload, "split", str),
     )

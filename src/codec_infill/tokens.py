@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpanError
-from .jsonio import get_field, read_json_lines, write_json_lines
+from .jsonio import check_keys, get_field, read_json_lines, write_json_lines
 
 # Filler id occupying stacked slots that the delay pattern leaves without a
 # real token.  Never appears inside a CodecMatrix or a rearranged sequence.
@@ -170,10 +170,11 @@ def _record_payload(record: TokenDumpRecord) -> dict:
 
 
 def _record_from_payload(payload: dict) -> TokenDumpRecord:
-    sizes = get_field(payload, "codebook_sizes", lambda v: tuple(int(n) for n in v))
-    frames = get_field(payload, "frames", lambda v: np.asarray(v, dtype=np.int64))
+    check_keys(payload, {"id", "frame_rate", "codebook_sizes", "frames", "spans"})
+    sizes = get_field(payload, "codebook_sizes", [int], convert=tuple)
+    frames = get_field(payload, "frames", [[int]], convert=lambda v: np.asarray(v, dtype=np.int64))
     matrix = CodecMatrix(frames, frame_rate=get_field(payload, "frame_rate", int), codebook_sizes=sizes)
-    spans = get_field(payload, "spans", lambda v: [Span(int(a), int(b)) for a, b in v], [])
+    spans = get_field(payload, "spans", [[int]], [], convert=lambda v: [Span(a, b) for a, b in v])
     return TokenDumpRecord(get_field(payload, "id", str), matrix, spans)
 
 

@@ -129,6 +129,24 @@ class TestTrainCommand:
         resumed, _ = load_checkpoint(tmp_path / "run2" / "ckpt_final.bin")
         assert resumed.step == 7
 
+    def test_resume_from_a_checkpoint_with_a_foreign_rng_state_exits_1(self, tmp_path, corpus_dir, capsys):
+        payload = self.train_config(corpus_dir, steps=2)
+        cfg = write_json(tmp_path / "train.json", payload)
+        model_cfg = ModelConfig(
+            **payload["model"], num_codebooks=CODEC.num_codebooks, codebook_sizes=CODEC.codebook_sizes,
+            text_vocab_size=CODEC.alphabet_size,
+        )
+        rng_state = np.random.MT19937(0).state
+        rng_state["state"]["key"] = rng_state["state"]["key"].tolist()
+        save_checkpoint(tmp_path / "mt.bin", new_model(model_cfg, seed=0), rng_state)
+        code = main(
+            ["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--resume", str(tmp_path / "mt.bin")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert "rng_state" in err
+
     @pytest.mark.xfail(
         strict=True,
         reason="resume starts fresh AdamW moments and draws a fresh data permutation (ROADMAP item 4)",
@@ -617,14 +635,118 @@ def dump_frames_ragged(tmp_path, corpus_dir, checkpoint):
     return argv, names + ["'frames'"]
 
 
+def dump_with_fields(tmp_path, named, **fields):
+    """A dump whose line 2 is a valid record with ``fields`` set; stderr must also name ``named``."""
+    record = {"codebook_sizes": [8], "frame_rate": 50, "frames": [[1], [2]], "id": "x", **fields}
+    argv, names = dump_with_line(tmp_path, json.dumps(record).encode())
+    return argv, names + [named]
+
+
 @malformed
-def corpus_manifest_line_without_dump(tmp_path, corpus_dir, checkpoint):
+def dump_frames_floats(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "'frames'", frames=[[1.7], [2.2]])
+
+
+@malformed
+def dump_frames_strings(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "'frames'", frames=[["1"], ["2"]])
+
+
+@malformed
+def dump_frames_bools(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "'frames'", frames=[[1], [True]])
+
+
+@malformed
+def dump_frame_rate_a_float(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "'frame_rate'", frame_rate=50.9)
+
+
+@malformed
+def dump_frame_rate_a_string(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "'frame_rate'", frame_rate="50")
+
+
+@malformed
+def dump_codebook_sizes_floats(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "'codebook_sizes'", codebook_sizes=[8.5])
+
+
+@malformed
+def dump_line_unknown_key(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "'frame_rates'", frame_rates=50)
+
+
+def corpus_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, change):
+    """edit over a copy of the corpus whose manifest line 2 ``change`` edited in place."""
     lines = (corpus_dir / "manifest.jsonl").read_text().splitlines()
     entry = json.loads(lines[1])
-    del entry["dump"]
+    change(entry)
     corpus = corpus_with(tmp_path, corpus_dir, "manifest.jsonl", "\n".join([lines[0], json.dumps(entry), *lines[2:]]))
     argv, _ = edit_with_request(tmp_path, corpus, checkpoint, target=[1])
-    return argv, [str(corpus / "manifest.jsonl"), "line 2", "'dump'"]
+    return argv, [str(corpus / "manifest.jsonl"), "line 2"]
+
+
+@malformed
+def corpus_manifest_line_without_dump(tmp_path, corpus_dir, checkpoint):
+    argv, names = corpus_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, lambda entry: entry.pop("dump"))
+    return argv, names + ["'dump'"]
+
+
+@malformed
+def corpus_manifest_transcript_floats(tmp_path, corpus_dir, checkpoint):
+    argv, names = corpus_manifest_with_line_2(
+        tmp_path, corpus_dir, checkpoint, lambda entry: entry.update(transcript=[1.5, 2])
+    )
+    return argv, names + ["'transcript'"]
+
+
+@malformed
+def corpus_manifest_transcript_strings(tmp_path, corpus_dir, checkpoint):
+    argv, names = corpus_manifest_with_line_2(
+        tmp_path, corpus_dir, checkpoint, lambda entry: entry.update(transcript=[1, "2"])
+    )
+    return argv, names + ["'transcript'"]
+
+
+@malformed
+def corpus_manifest_unknown_key(tmp_path, corpus_dir, checkpoint):
+    argv, names = corpus_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, lambda entry: entry.update(splits="x"))
+    return argv, names + ["'splits'"]
+
+
+def eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, named, **fields):
+    """eval of a manifest whose line 2 is a valid identity record with ``fields`` set."""
+    manifest = tmp_path / "manifest.jsonl"
+    record = {"id": "utt00001", "original": [1], "edited": [1], **fields}
+    manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n' + json.dumps(record) + "\n")
+    argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--out", str(tmp_path / "ev")]
+    return argv, [str(manifest), "line 2", named]
+
+
+@malformed
+def eval_manifest_original_a_float(tmp_path, corpus_dir, checkpoint):
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'original'", original=[1.9], edited=[1])
+
+
+@malformed
+def eval_manifest_original_a_string(tmp_path, corpus_dir, checkpoint):
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'original'", original=["2"], edited=[2])
+
+
+@malformed
+def eval_manifest_original_a_bool(tmp_path, corpus_dir, checkpoint):
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'original'", original=[True], edited=[1])
+
+
+@malformed
+def eval_manifest_utterance_null(tmp_path, corpus_dir, checkpoint):
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'utterance'", utterance=None)
+
+
+@malformed
+def eval_manifest_unknown_key(tmp_path, corpus_dir, checkpoint):
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'utterence'", utterence="utt00002")
 
 
 @malformed
@@ -643,6 +765,30 @@ def codec_config_not_an_object(tmp_path, corpus_dir, checkpoint):
 def edit_target_not_ids(tmp_path, corpus_dir, checkpoint):
     argv, names = edit_with_request(tmp_path, corpus_dir, checkpoint, target=[1, "a"])
     return argv, names + ["'target'"]
+
+
+@malformed
+def edit_target_a_float(tmp_path, corpus_dir, checkpoint):
+    argv, names = edit_with_request(tmp_path, corpus_dir, checkpoint, target=[3.7])
+    return argv, names + ["'target'"]
+
+
+@malformed
+def edit_target_a_string(tmp_path, corpus_dir, checkpoint):
+    argv, names = edit_with_request(tmp_path, corpus_dir, checkpoint, target=["4"])
+    return argv, names + ["'target'"]
+
+
+@malformed
+def edit_target_a_bool(tmp_path, corpus_dir, checkpoint):
+    argv, names = edit_with_request(tmp_path, corpus_dir, checkpoint, target=[False])
+    return argv, names + ["'target'"]
+
+
+@malformed
+def edit_id_an_int(tmp_path, corpus_dir, checkpoint):
+    request = write_json(tmp_path / "request.json", {"id": 7, "corpus_dir": str(corpus_dir), "target": [1]})
+    return ["edit", str(checkpoint), str(request), "--out", str(tmp_path / "edit")], [str(request), "'id'"]
 
 
 @malformed
@@ -774,7 +920,7 @@ def count_below_one(dotted: str, value: int):
         item = f"{dotted}={value}"
         if section == "codec":
             argv, names = gen_data_with_config(tmp_path, {}, item)
-        elif section == "edit":
+        elif section in ("sampling", "edit"):
             argv, names = eval_with_set(tmp_path, corpus_dir, checkpoint, item)
         else:
             argv, names = train_with_config(tmp_path, corpus_dir, item)
@@ -798,6 +944,8 @@ for dotted, value in [
     ("model.text_vocab_size", 0),
     ("train.checkpoint_every", 0),
     ("scheduler.steps_per_pseudo_epoch", 0),
+    ("sampling.max_generated_steps", 0),
+    ("sampling.max_generated_steps", -3),
     ("edit.tts_num_samples", 0),
 ]:
     count_below_one(dotted, value)

@@ -19,7 +19,7 @@ from codec_infill.model import (
     new_model,
     next_item_targets,
     pad_sequences,
-    parameter_names,
+    parameter_shapes,
     score_sequence,
 )
 from codec_infill.rearrange import MaskSamplingConfig, causal_mask, delay_stack
@@ -428,6 +428,13 @@ class TestOptimizerStep:
         np.testing.assert_allclose(params["w"], np.array([1.5, -2.0, 0.25]) * (1 - 0.05) * (1 - 0.02), rtol=1e-15)
 
 
+def mt19937_state() -> dict:
+    """A JSON form of an MT19937 state: valid for that generator, not for the PCG64 training draws from."""
+    state = np.random.MT19937(0).state
+    state["state"]["key"] = state["state"]["key"].tolist()
+    return state
+
+
 class TestCheckpoint:
     def test_save_twice_byte_identical(self, tmp_path):
         state = new_model(small_model_config(CODEC), seed=5)
@@ -461,6 +468,8 @@ class TestCheckpoint:
         [
             "magic", "version", "header_length", "header", "header_json", "first_tensor", "last_tensor", "extra",
             "config_num_layers_a_string", "config_dtype_unknown", "config_heads_of_three_layers", "tensor_object_dtype",
+            "step_a_string", "step_a_float", "step_negative", "rng_state_an_int", "rng_state_pcg64_state_a_string",
+            "rng_state_mt19937",
         ],
     )
     def test_malformed_file_raises_invalid_input(self, tmp_path, damage):
@@ -494,6 +503,14 @@ class TestCheckpoint:
             "config_dtype_unknown": with_config(dtype="float99"),
             "config_heads_of_three_layers": with_config(head_mlp_layers=3),
             "tensor_object_dtype": with_header(lambda header: header["tensors"][-1].update(dtype="|O")),
+            "step_a_string": with_header(lambda header: header.update(step="5")),
+            "step_a_float": with_header(lambda header: header.update(step=3.7)),
+            "step_negative": with_header(lambda header: header.update(step=-1)),
+            "rng_state_an_int": with_header(lambda header: header.update(rng_state=5)),
+            "rng_state_pcg64_state_a_string": with_header(lambda header: header.update(rng_state={
+                "bit_generator": "PCG64", "state": "x", "has_uint32": 0, "uinteger": 0,
+            })),
+            "rng_state_mt19937": with_header(lambda header: header.update(rng_state=mt19937_state())),
         }[damage]
         (tmp_path / "bad.bin").write_bytes(damaged)
         with pytest.raises(InvalidInputError):
@@ -512,7 +529,7 @@ class TestCheckpoint:
         state, rng_state = load_checkpoint(fixtures / "checkpoint_with_key_bias.bin")
         assert rng_state is None and state.step == 6
         assert not any(name.endswith(".attn.bk") for name in state.params)
-        assert list(state.params) == parameter_names(state.config)
+        assert list(state.params) == list(parameter_shapes(state.config))
         frames = np.array([[0, 1], [2, 3], [4, 0], [1, 2], [3, 4], [0, 0], [2, 1]])
         matrix = CodecMatrix(frames, codebook_sizes=(5, 5))
         items = delay_stack(causal_mask(matrix, [Span(2, 4), Span(5, 6)])).items
