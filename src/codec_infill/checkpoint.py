@@ -4,9 +4,13 @@ Layout: magic ``CILM``, u32 format version, u64 header length, a
 canonical JSON header (sorted keys, no whitespace) describing the model
 config, training step, rng state and tensor table, then the raw tensor
 bytes concatenated in the documented parameter order.  Writing the same
-state twice produces identical bytes.  Loading checks the length of every
-read, rejects bytes after the last tensor and checks every tensor's
-name, shape and dtype against the config before reading its bytes, so
+state twice produces identical bytes.  A save writes a temporary file
+beside the target and renames it over the target, so a save whose
+process fails or is stopped partway leaves the previous checkpoint
+whole (the file is not synced to disk, so a power loss may not).
+Loading checks the length of every read, rejects bytes after the last
+tensor and checks every tensor's name, shape and dtype against the
+config before reading its bytes, so
 a truncated, corrupt or mis-shaped file raises :class:`InvalidInputError`,
 as does a header whose step is not an integer >= 0 or whose rng state is
 neither null nor a state ``np.random.PCG64`` takes.
@@ -22,7 +26,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -48,13 +54,20 @@ def save_checkpoint(path, state: ModelState, rng_state: dict | None = None) -> N
         "tensors": tensors,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(head)))
-        fh.write(head)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")  # never matches the ``ckpt_*.bin`` of a run
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(head)))
+            fh.write(head)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelState, dict | None]:

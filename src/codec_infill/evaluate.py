@@ -79,6 +79,8 @@ def validate_record(record: EvalRecord) -> None:
     if not script:
         if record.num_spans != 0:
             raise ConfigError(f"record {record.id}: num_spans must be 0 for identity edits")
+        if record.bucket is not None:
+            raise ConfigError(f"record {record.id}: bucket must be null for identity edits")
         return
     kinds = [op.kind for op in script]
     if sorted(kinds) != sorted(record.edit_types):
@@ -108,7 +110,7 @@ def _record_from_payload(payload: dict) -> EvalRecord:
         edited=get_field(payload, "edited", [int]),
         edit_types=get_field(payload, "edit_types", [str], []),
         num_spans=get_field(payload, "num_spans", int, 0),
-        bucket=payload.get("bucket"),
+        bucket=None if payload.get("bucket") is None else get_field(payload, "bucket", str),
         utterance=get_field(payload, "utterance", str, None),
     )
     validate_record(record)

@@ -26,11 +26,15 @@ Training minimizes sum_k alpha_k * L_k where L_k is the mean
 masked cross-entropy of head k; positions whose target is a mask marker
 or the EMPTY filler carry no loss.
 
-Everything is plain numpy with hand-written reverse-mode gradients; the
-forward pass records the intermediates the backward pass needs, and each
-block's backward adds its own parameters' gradients and returns the
-gradient of its input.  All functions are deterministic given their
-inputs.
+Everything is plain numpy with hand-written reverse-mode gradients.  A
+training forward saves, block by block, only the arrays its backward
+reads (an FFN keeps the GELU's input and CDF, and backward recomputes
+its output as their product).  ``backward`` consumes that cache: each
+block's backward adds its own parameters' gradients, returns the
+gradient of its input, and its saved arrays are dropped as soon as it
+returns.  The large elementwise stages write their results in place, in
+the same order of operations, so a step holds few temporaries.  All
+functions are deterministic given their inputs.
 
 ``forward`` is the only implementation of the network.  It keeps the
 real positions of a batch packed as one (N, d) array, so padding costs
@@ -432,19 +436,36 @@ def _embed_backward(params: dict, cfg: ModelConfig, batch: EncodedBatch, d_emb, 
 
 
 # ---------------------------------------------------------------------------
-# Primitive layers (forward saves what backward needs)
+# Primitive layers (forward saves what backward reads)
 # ---------------------------------------------------------------------------
 
 
-def _gelu_forward(x):
-    """Exact GELU x * Phi(x); returns the CDF so backward can reuse it."""
-    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0).astype(x.dtype)))
-    return x * phi, phi
+def _gelu_cdf(x):
+    """Phi(x), the standard normal CDF: exact GELU is x * Phi(x)."""
+    phi = x / np.sqrt(2.0).astype(x.dtype)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    return phi
 
 
 def _gelu_grad(x, phi, d_out):
-    pdf = np.exp(-0.5 * x * x) / x.dtype.type(_SQRT_2PI)
-    return d_out * (phi + x * pdf)
+    """d_out * GELU'(x) for ``phi`` = Phi(x), written over ``d_out``."""
+    pdf = -0.5 * x
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf /= x.dtype.type(_SQRT_2PI)
+    pdf *= x
+    pdf += phi
+    d_out *= pdf
+    return d_out
+
+
+def _affine(x, w, b):
+    """x @ w + b, the bias added in place."""
+    out = x @ w
+    out += b
+    return out
 
 
 def _mean_last(x):
@@ -456,26 +477,28 @@ def _mean_last(x):
 
 def _layer_norm(params, prefix, x):
     """LayerNorm of the rows ``x`` with the gain and bias named ``prefix``; returns (out, cache)."""
-    mean = _mean_last(x)
-    centered = x - mean
-    var = _mean_last(centered * centered)
+    normed = x - _mean_last(x)
+    var = _mean_last(normed * normed)
     inv_std = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=x.dtype))
-    normed = centered * inv_std
-    return normed * params[f"{prefix}.gain"] + params[f"{prefix}.bias"], (normed, inv_std)
+    normed *= inv_std
+    out = normed * params[f"{prefix}.gain"]
+    out += params[f"{prefix}.bias"]
+    return out, (normed, inv_std)
 
 
 def _layer_norm_backward(params, prefix, d_out, cache, grads):
-    """Add the gain and bias gradients to ``grads``; returns d_x."""
+    """Add the gain and bias gradients to ``grads``; returns d_x.  Overwrites the cached ``normed``."""
     normed, inv_std = cache
     grads[f"{prefix}.gain"] += (d_out * normed).sum(axis=0)
     grads[f"{prefix}.bias"] += d_out.sum(axis=0)
-    d_normed = d_out * params[f"{prefix}.gain"]
+    d_x = d_out * params[f"{prefix}.gain"]
     # d_x for y = (x - mean) / std: project out the mean and the normed direction
-    return inv_std * (
-        d_normed
-        - d_normed.mean(axis=-1, keepdims=True)
-        - normed * (d_normed * normed).mean(axis=-1, keepdims=True)
-    )
+    mean = d_x.mean(axis=-1, keepdims=True)
+    normed *= (d_x * normed).mean(axis=-1, keepdims=True)
+    d_x -= mean
+    d_x -= normed
+    d_x *= inv_std
+    return d_x
 
 
 def _causal_bias(key_ok: np.ndarray, length: int, dtype) -> np.ndarray:
@@ -522,22 +545,23 @@ def _attention_forward(params, prefix, x, real, bias, cfg, kv=None):
     next call sees every position.
     """
     dh = cfg.hidden_dim // cfg.num_heads
-    q = _split_heads(x @ params[f"{prefix}.wq"] + params[f"{prefix}.bq"], real, cfg)
+    q = _split_heads(_affine(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), real, cfg)
     k = _split_heads(x @ params[f"{prefix}.wk"], real, cfg)
-    v = _split_heads(x @ params[f"{prefix}.wv"] + params[f"{prefix}.bv"], real, cfg)
+    v = _split_heads(_affine(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), real, cfg)
     if kv is not None:
         keys, values, past = kv
         end = past + real.shape[1]
         keys[:, :, past:end] = k
         values[:, :, past:end] = v
         k, v = keys[:, :, :end], values[:, :, :end]
-    scores = (q @ k.transpose(0, 1, 3, 2)) / np.asarray(np.sqrt(dh), dtype=x.dtype)
-    scores += bias
-    scores -= scores.max(axis=-1, keepdims=True)
-    weights = np.exp(scores)
+    weights = q @ k.transpose(0, 1, 3, 2)
+    weights /= np.asarray(np.sqrt(dh), dtype=x.dtype)
+    weights += bias
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     merged = _merge_heads(weights @ v, real)
-    out = merged @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
+    out = _affine(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
     return out, (x, real, q, k, v, weights, merged)
 
 
@@ -551,8 +575,10 @@ def _attention_backward(params, prefix, d_out, cache, cfg, grads):
 
     d_weights = d_context @ v.transpose(0, 1, 3, 2)
     d_v = weights.transpose(0, 1, 3, 2) @ d_context
-    # softmax jacobian: dS = W * (dW - sum(dW * W))
-    d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+    # softmax jacobian: dS = W * (dW - sum(dW * W)), written over dW
+    d_scores = d_weights
+    d_scores -= (d_weights * weights).sum(axis=-1, keepdims=True)
+    d_scores *= weights
     d_scores /= np.asarray(np.sqrt(dh), dtype=x.dtype)
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 1, 3, 2) @ q
@@ -574,23 +600,25 @@ def _ffn_forward(params, blocks, x, w1, b1):
     Their first layers run stacked, as one product of ``w1`` (K, d, f)
     and ``b1`` (K, 1, f) and one GELU; the second layers run one per
     block, since their widths may differ.  A layer's FFN is the one-block
-    case, ``params[w1][None]``.
+    case, ``params[w1][None]``.  The cache keeps the GELU's input and CDF,
+    not its output: backward recomputes that as their product.
     """
-    pre = x @ w1 + b1
-    act, phi = _gelu_forward(pre)
-    out = [act[k] @ params[w2] + params[b2] for k, (_, _, w2, b2) in enumerate(blocks)]
-    return out, (x, pre, phi, act, w1)
+    pre = _affine(x, w1, b1)
+    phi = _gelu_cdf(pre)
+    act = pre * phi
+    out = [_affine(act[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
+    return out, (x, pre, phi, w1)
 
 
 def _ffn_backward(params, blocks, d_out, cache, grads):
     """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns d_x."""
-    x, pre, phi, act, w1 = cache
-    d_act = np.empty_like(act)
+    x, pre, phi, w1 = cache
+    act = pre * phi  # the GELU output; block k's rows are overwritten by their gradient once read
     for k, ((_, _, w2, b2), d_k) in enumerate(zip(blocks, d_out)):
         grads[w2] += act[k].T @ d_k
         grads[b2] += d_k.sum(axis=0)
-        np.matmul(d_k, params[w2].T, out=d_act[k])
-    d_pre = _gelu_grad(pre, phi, d_act)
+        np.matmul(d_k, params[w2].T, out=act[k])
+    d_pre = _gelu_grad(pre, phi, act)
     for k, (w1_name, b1_name, _, _) in enumerate(blocks):
         grads[w1_name] += x.T @ d_pre[k]  # one 2-D product per block: broadcast over K it is slower
         grads[b1_name] += d_pre[k].sum(axis=0)
@@ -631,7 +659,11 @@ def forward(
     and its own keys/values are written into it.  The cache knows which
     columns hold keys from its pads alone, so the first call's padding
     must be its left pads and every later batch must hold no padding.
-    The gradient cache (``want_cache``) covers no cached keys.
+
+    With ``want_cache`` the second value is the cache :func:`backward`
+    takes: the batch, the rows the heads ran at and, for each block in
+    the order it ran, the arrays its backward reads.  It covers no keys
+    of a ``kv_cache``, and one ``backward`` consumes it.
 
     ``tables`` are :func:`_fixed_tables` of ``params``, built here when not
     given; a decode session passes the ones it built once.
@@ -647,54 +679,53 @@ def forward(
         key_ok = np.arange(past + batch.max_length) >= kv_cache.pad[:, None]
     x = _embed_batch(params, cfg, batch, start=start, slots=tables.slots)
     bias = _causal_bias(key_ok, batch.max_length, x.dtype)
-    layer_caches = []
+    saved = []  # each block's backward cache, in the order the blocks ran
     for i in range(cfg.num_layers):
         p = f"layer{i}"
         normed1, ln1_cache = _layer_norm(params, f"{p}.ln1", x)
         kv = None if kv_cache is None else (kv_cache.keys[i], kv_cache.values[i], past)
         attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, real, bias, cfg, kv)
-        x = x + attn_out
+        x += attn_out
         normed2, ln2_cache = _layer_norm(params, f"{p}.ln2", x)
         ffn = _layer_ffn(i)
         (ffn_out,), ffn_cache = _ffn_forward(params, [ffn], normed2, params[ffn[0]][None], params[ffn[1]])
-        x = x + ffn_out
+        x += ffn_out
         if want_cache:  # otherwise each layer's intermediates are freed as it ends
-            layer_caches.append((ln1_cache, attn_cache, ln2_cache, ffn_cache))
+            saved += [ln1_cache, attn_cache, ln2_cache, ffn_cache]
     heads = heads_at[real]  # (N,) packed rows the heads run at
     hidden, final_cache = _layer_norm(params, "final_ln", x[heads])
     logits, head_cache = _ffn_forward(params, _head_ffns(cfg.num_codebooks), hidden, tables.head_w0, tables.head_b0)
 
     cache = None
     if want_cache:
-        cache = {
-            "batch": batch,
-            "heads": heads,
-            "layer_caches": layer_caches,
-            "final_cache": final_cache,
-            "head_cache": head_cache,
-        }
+        cache = {"batch": batch, "heads": heads, "saved": saved + [final_cache, head_cache]}
     return logits, cache
 
 
 def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dict:
-    """Gradients of a scalar whose logit-gradients are ``d_logits`` (rows as ``forward``'s logits)."""
+    """Gradients of a scalar whose logit-gradients are ``d_logits`` (rows as ``forward``'s logits).
+
+    Consumes ``cache``: each block's saved arrays are dropped, some
+    overwritten first, as soon as its gradients are taken, so the memory
+    a step holds shrinks as backward goes, and ``cache`` ends empty.  A
+    cache serves one backward.
+    """
     grads = {name: np.zeros_like(p) for name, p in params.items()}
+    saved = cache.pop("saved")
     d_logits = [np.asarray(d_k, dtype=cfg.np_dtype) for d_k in d_logits]
-    d_hidden = _ffn_backward(params, _head_ffns(cfg.num_codebooks), d_logits, cache["head_cache"], grads)
-    d_heads = _layer_norm_backward(params, "final_ln", d_hidden, cache["final_cache"], grads)
-    heads = cache["heads"]
-    d_x = np.zeros((heads.size, cfg.hidden_dim), dtype=d_heads.dtype)
-    d_x[heads] = d_heads
+    d_hidden = _ffn_backward(params, _head_ffns(cfg.num_codebooks), d_logits, saved.pop(), grads)
+    heads = cache.pop("heads")
+    d_x = np.zeros((heads.size, cfg.hidden_dim), dtype=d_hidden.dtype)
+    d_x[heads] = _layer_norm_backward(params, "final_ln", d_hidden, saved.pop(), grads)
 
     for i in reversed(range(cfg.num_layers)):
         p = f"layer{i}"
-        ln1_cache, attn_cache, ln2_cache, ffn_cache = cache["layer_caches"][i]
-        d_normed2 = _ffn_backward(params, [_layer_ffn(i)], [d_x], ffn_cache, grads)
-        d_x = d_x + _layer_norm_backward(params, f"{p}.ln2", d_normed2, ln2_cache, grads)
-        d_normed1 = _attention_backward(params, f"{p}.attn", d_x, attn_cache, cfg, grads)
-        d_x = d_x + _layer_norm_backward(params, f"{p}.ln1", d_normed1, ln1_cache, grads)
+        d_normed2 = _ffn_backward(params, [_layer_ffn(i)], [d_x], saved.pop(), grads)
+        d_x += _layer_norm_backward(params, f"{p}.ln2", d_normed2, saved.pop(), grads)
+        d_normed1 = _attention_backward(params, f"{p}.attn", d_x, saved.pop(), cfg, grads)
+        d_x += _layer_norm_backward(params, f"{p}.ln1", d_normed1, saved.pop(), grads)
 
-    _embed_backward(params, cfg, cache["batch"], d_x, grads)
+    _embed_backward(params, cfg, cache.pop("batch"), d_x, grads)
     return grads
 
 
@@ -722,11 +753,12 @@ def weighted_loss(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
             per_k.append(0.0)
             probs.append(lk)
             continue
-        tk = targets[..., k][mask]
+        picked = lk[np.arange(n), targets[..., k][mask]]
         m = lk.max(axis=-1, keepdims=True)
-        p = np.exp(lk - m)
+        lk -= m
+        p = np.exp(lk, out=lk)
         sums = p.sum(axis=-1)
-        ce = np.log(sums) + m[:, 0] - lk[np.arange(n), tk]
+        ce = np.log(sums) + m[:, 0] - picked
         per_k.append(float(ce.mean()))
         p /= sums[:, None]
         probs.append(p)

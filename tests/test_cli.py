@@ -745,6 +745,22 @@ def eval_manifest_utterance_null(tmp_path, corpus_dir, checkpoint):
 
 
 @malformed
+def eval_manifest_identity_bucket_an_int(tmp_path, corpus_dir, checkpoint):
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'bucket'", bucket=5)
+
+
+@malformed
+def eval_manifest_identity_bucket_a_string(tmp_path, corpus_dir, checkpoint):
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "bucket must be null", bucket="1-2")
+
+
+@malformed
+def eval_manifest_edit_bucket_a_list(tmp_path, corpus_dir, checkpoint):
+    edit = dict(edited=[2], edit_types=["substitution"], num_spans=1, bucket=["1-2"])
+    return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'bucket'", **edit)
+
+
+@malformed
 def eval_manifest_unknown_key(tmp_path, corpus_dir, checkpoint):
     return eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'utterence'", utterence="utt00002")
 

@@ -64,8 +64,10 @@ class TestManifestSchema:
         corpus = gen_corpus(10, (6, 12), CODEC, seed=0)
         rng = np.random.default_rng(1)
         records = synthesize_manifest(corpus, CODEC, rng, 8)
+        records += synthesize_manifest(corpus, CODEC, rng, 2, identity=True)
         path = tmp_path / "manifest.jsonl"
         save_manifest(path, records)
+        assert '"bucket":null' in path.read_text()  # an identity record's bucket is written as null
         loaded = load_manifest(path)
         assert loaded == records
 

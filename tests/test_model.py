@@ -1,6 +1,7 @@
 """Model tests: embeddings, causality, loss masking, gradients."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -666,3 +667,55 @@ class TestGradients:
         assert np.all(grads["head1.w0"] == 0.0)
         assert np.all(grads["head1.w1"] == 0.0)
         assert np.any(grads["head0.w1"] != 0.0)
+
+
+class TestStepMemory:
+    """A training step saves only what backward reads, and backward frees it as it goes."""
+
+    def case(self):
+        """A float32 FOUR_HEADS model at d=32, f=128 and eight padded rows of 53 columns."""
+        cfg = tiny_config(**FOUR_HEADS, hidden_dim=32, ffn_dim=128, num_heads=4, dtype="float32", max_positions=256)
+        params = init_params(cfg, np.random.default_rng(41))
+        rng = np.random.default_rng(42)
+        rows = [encode_sequence(*random_context(rng, cfg, num_frames=int(n)), cfg) for n in rng.integers(20, 40, 8)]
+        batch = pad_sequences(rows, cfg)
+        targets, mask = next_item_targets(batch, cfg)
+        return cfg, params, batch, targets, mask
+
+    def step(self, cfg, params, batch, targets, mask):
+        """forward, loss and backward as ``train_loop`` runs them; returns the cache after backward."""
+        heads = mask.any(axis=-1)
+        logits, cache = forward(params, cfg, batch, heads, want_cache=True)
+        targets, mask = targets[heads], mask[heads]
+        _, _, probs = weighted_loss(logits, targets, mask, cfg.loss_weights)
+        d_logits = loss_gradient(logits, targets, mask, cfg.loss_weights, probs)
+        del logits, probs
+        backward(params, cfg, cache, d_logits)
+        return cache
+
+    def test_backward_consumes_the_cache(self):
+        assert self.step(*self.case()) == {}
+
+    def test_peak_allocation_of_a_step(self):
+        """numpy reports its allocations to tracemalloc, so the peak repeats exactly.
+
+        This implementation measured 3,244,642 bytes above the step's
+        inputs (numpy 2.4, Python 3.11); the one that kept every
+        intermediate, and the GELU output, until backward returned
+        measured 4,753,072.
+        """
+        case = self.case()
+        self.step(*case)  # fill the cached name and position tables
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            self.step(*case)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3_500_000
+

@@ -456,6 +456,42 @@ class TestCheckpoint:
         after = evaluation_loss(loaded, batch)
         assert after == before  # bit-identical
 
+    def test_interrupted_save_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A save that raises partway through its writes keeps the old file's bytes and leaves no other file."""
+        state = new_model(small_model_config(CODEC), seed=5)
+        path = tmp_path / "ckpt_000001.bin"
+        save_checkpoint(path, state, None)
+        before = path.read_bytes()
+        state.step = 2
+
+        class FullDisk:
+            """A file whose third write raises, as on a full disk."""
+
+            def __init__(self, *args):
+                self.file, self.writes = open(*args), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("No space left on device")
+                return self.file.write(data)
+
+        monkeypatch.setattr("codec_infill.checkpoint.open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, state, None)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        monkeypatch.undo()
+        save_checkpoint(path, state, None)
+        assert load_checkpoint(path)[0].step == 2
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_step_counter_round_trip(self, tmp_path):
         state = new_model(small_model_config(CODEC), seed=8)
         state.step = 137
