@@ -197,16 +197,19 @@ def cmd_train(args) -> int:
         init_seed = get_field(payload, "init_seed", int, 0)
     out = _out_dir(args, "run")
 
-    rng_state = None
+    training = None
     if args.resume:
-        state, rng_state = load_checkpoint(args.resume)
+        state, training = load_checkpoint(args.resume)
         if state.config != model_cfg:
             raise ConfigError("resume checkpoint config differs from the requested model")
         print(f"resumed from {args.resume} at step {state.step}")
+        if training is None:
+            print(f"{args.resume} holds no data cursor or AdamW moments (a model-only or format 1 file); "
+                  "training starts fresh moments at cursor (0, 0)")
     else:
         state = new_model(model_cfg, seed=init_seed)
     write_json(out / "train_header.json", _report_header(payload, train_cfg.seed))
-    state, metrics = train_loop(train_utts, state, train_cfg, sched_cfg, run_dir=out, rng_state=rng_state)
+    state, metrics = train_loop(train_utts, state, train_cfg, sched_cfg, run_dir=out, training=training)
     print(f"trained to step {state.step}; final loss {metrics[-1]['loss']:.4f}" if metrics else "no steps run")
     print(f"checkpoints and metrics under {out}")
     return EXIT_OK

@@ -3,6 +3,8 @@
 Each utterance is rearranged fresh every epoch (spans resampled), stacked,
 and packed with others until the batch budget is reached.  The budget
 counts transformer positions, i.e. transcript tokens plus stacked items.
+No random generator lives across batches: a batch is a function of the
+seed and its data cursor (epoch, offset), see :func:`batch_stream`.
 
 The learning rate follows the Eden rule
 
@@ -16,7 +18,10 @@ The optimizer is AdamW (decoupled weight decay) with a single global
 gradient-norm clip.
 
 Training is deterministic given the seed: same seed, same batches, same
-parameter trajectory.
+parameter trajectory.  The parameters, the step, the cursor and AdamW's
+moments are the whole state of a run, and every checkpoint a run writes
+holds all of them, so resuming from one gives the parameters training
+without a break would have, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import TrainingState, save_checkpoint
 from .errors import ConfigError, InvalidInputError, NonFiniteLossError, require_positive
 from .jsonio import append_json_line, write_json
 from .model import (
@@ -111,7 +116,8 @@ class Batch:
     False at padding, where the next item is text, and wherever the target
     is a mask marker or EMPTY (true elsewhere, including EOS, EOU, and
     unmasked-span frames).  ``consumed`` counts how many input utterances
-    were examined (packed or skipped as overlong).
+    were examined (packed or skipped as overlong).  ``cursor`` is the
+    (epoch, offset) a :func:`batch_stream` batch starts at.
     """
 
     inputs: EncodedBatch
@@ -119,6 +125,7 @@ class Batch:
     loss_mask: np.ndarray  # (B, L, K) bool
     utterance_ids: list[str]
     consumed: int = 0
+    cursor: tuple[int, int] | None = None
 
 
 def build_training_example(transcript, matrix, model_cfg: ModelConfig, spans) -> EncodedBatch:
@@ -163,11 +170,12 @@ def make_batch(utterances, model_cfg: ModelConfig, train_cfg: TrainConfig, rng) 
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer."""
 
-    def __init__(self, params: dict, cfg: TrainConfig):
+    def __init__(self, params: dict, cfg: TrainConfig, t: int = 0):
+        """Zero moments after ``t`` steps; the bias correction counts on from ``t``."""
         self.cfg = cfg
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.t = 0
+        self.t = t
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         c = self.cfg
@@ -201,21 +209,35 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def batch_stream(utterances, model_cfg, train_cfg, rng):
-    """Endless deterministic batch iterator; reshuffles every epoch.
+WINDOW = 256  # utterances of an epoch's order sorted by frame count together
 
-    Each shuffle window is ordered by frame count before packing so the
-    padded batches are nearly rectangular.
+
+def batch_stream(utterances, model_cfg, train_cfg, cursor=(0, 0)):
+    """Endless batch iterator starting at the data cursor ``(epoch, offset)``.
+
+    Epoch e orders the utterances by a permutation drawn from
+    ``default_rng([seed, e])``, then sorts each window of 256 by frame
+    count so the padded batches are nearly rectangular.  The batch at
+    offset o of that order packs utterances from o to the end of o's
+    window, draws their spans from ``default_rng([seed, e, o])`` and
+    carries ``cursor == (e, o)``, so every batch is a function of the seed
+    and its cursor.  An offset at or past the end of an epoch starts the
+    next one.
     """
+    epoch, offset = cursor
     while True:
-        order = rng.permutation(len(utterances))
-        for start in range(0, len(order), 256):
-            window = [utterances[i] for i in order[start : start + 256]]
-            window.sort(key=lambda u: (u.tokens.num_frames, u.id))
-            while window:
-                batch = make_batch(window, model_cfg, train_cfg, rng)
-                window = window[batch.consumed :]
-                yield batch
+        permutation = np.random.default_rng([train_cfg.seed, epoch]).permutation(len(utterances))
+        order = []
+        for start in range(0, len(permutation), WINDOW):
+            window = [utterances[i] for i in permutation[start : start + WINDOW]]
+            order += sorted(window, key=lambda u: (u.tokens.num_frames, u.id))
+        while offset < len(order):
+            rng = np.random.default_rng([train_cfg.seed, epoch, offset])
+            batch = make_batch(order[offset : (offset // WINDOW + 1) * WINDOW], model_cfg, train_cfg, rng)
+            batch.cursor = (epoch, offset)
+            offset += batch.consumed
+            yield batch
+        epoch, offset = epoch + 1, 0
 
 
 def evaluation_loss(state: ModelState, batch: Batch) -> float:
@@ -233,7 +255,7 @@ def train_loop(
     train_cfg: TrainConfig,
     sched_cfg: SchedulerConfig,
     run_dir=None,
-    rng_state: dict | None = None,
+    training: TrainingState | None = None,
 ) -> tuple[ModelState, list[dict]]:
     """Optimize until total_steps; returns the state and per-step metrics.
 
@@ -243,11 +265,15 @@ def train_loop(
     ``positions`` of its batches, the ``head_positions`` the heads ran at
     (those with any loss), their ``pad_fraction``, ``batch_size`` (rows)
     and the step's wall time ``step_ms``.  Writes ``metrics.jsonl`` and
-    periodic checkpoints under ``run_dir`` when given.  Aborts on a
-    non-finite loss, dumping the offending batch id.  Deterministic given
-    the seed (or a restored rng state).  A mask sampler that can draw more
-    spans than the model has mask markers is a ConfigError before the
-    first step.
+    periodic checkpoints, each with the run's training state, under
+    ``run_dir`` when given.  Aborts on a non-finite loss, dumping the
+    offending batch's step, cursor and utterance ids to
+    ``nonfinite_batch.json``.  ``training`` continues a run from a
+    checkpoint's cursor and moments, and is advanced in place as
+    ``state`` is; without it the run starts at cursor (0, 0) with zero
+    moments.  AdamW's bias correction counts from ``state.step`` either
+    way.  A mask sampler that can draw more spans than the model has mask
+    markers is a ConfigError before the first step.
     """
     if not utterances:
         raise InvalidInputError("empty corpus")
@@ -256,11 +282,11 @@ def train_loop(
             f"train.mask.max_spans {train_cfg.mask.max_spans} exceeds "
             f"model.max_mask_spans {state.config.max_mask_spans}"
         )
-    rng = np.random.default_rng(train_cfg.seed)
-    if rng_state is not None:
-        rng.bit_generator.state = rng_state
-    optimizer = AdamW(state.params, train_cfg)
-    stream = batch_stream(utterances, state.config, train_cfg, rng)
+    optimizer = AdamW(state.params, train_cfg, t=state.step)
+    if training is None:
+        training = TrainingState((0, 0), optimizer.m, optimizer.v)
+    optimizer.m, optimizer.v = training.m, training.v
+    stream = batch_stream(utterances, state.config, train_cfg, training.cursor)
     metrics: list[dict] = []
     run_path = Path(run_dir) if run_dir is not None else None
     if run_path is not None:
@@ -283,7 +309,8 @@ def train_loop(
             if not np.isfinite(loss_value):
                 batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
                 if run_path is not None:
-                    write_json(run_path / "nonfinite_batch.json", {"step": t, "utterances": batch.utterance_ids})
+                    dump = {"step": t, "cursor": list(batch.cursor), "utterances": batch.utterance_ids}
+                    write_json(run_path / "nonfinite_batch.json", dump)
                 raise NonFiniteLossError(f"non-finite loss {loss_value} at step {t}", batch_id)
             d_logits = loss_gradient(logits, targets, loss_mask, state.config.loss_weights, probs)
             del logits, probs  # neither is needed through backward
@@ -299,6 +326,7 @@ def train_loop(
             head_positions += int(heads.sum())
             padded += batch.inputs.kind.size
             rows += batch.inputs.batch_size
+            training.cursor = (batch.cursor[0], batch.cursor[1] + batch.consumed)
         if train_cfg.grad_accum > 1:
             for name in grads_sum:
                 grads_sum[name] /= train_cfg.grad_accum
@@ -318,7 +346,7 @@ def train_loop(
         if run_path is not None:
             append_json_line(run_path / "metrics.jsonl", entry)
             if state.step % train_cfg.checkpoint_every == 0:
-                save_checkpoint(run_path / f"ckpt_{state.step:06d}.bin", state, rng.bit_generator.state)
+                save_checkpoint(run_path / f"ckpt_{state.step:06d}.bin", state, training)
     if run_path is not None:
-        save_checkpoint(run_path / "ckpt_final.bin", state, rng.bit_generator.state)
+        save_checkpoint(run_path / "ckpt_final.bin", state, training)
     return state, metrics

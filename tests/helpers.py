@@ -1,6 +1,12 @@
 """Shared test utilities: randomized-case generators and stub decoders."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
+
+from codec_infill.checkpoint import TrainingState
 
 from codec_infill.metrics import (
     F0_RANGE_HZ,
@@ -478,3 +484,29 @@ class TeacherDecoder:
             assert found, "the context starts no known stream"
             rows.append((found[0], len(text) + len(items)))
         return TeacherSession(self.cfg, *zip(*rows))
+
+
+def random_training_state(state, rng, cursor=(2, 7)) -> TrainingState:
+    """A training state for ``state``: ``cursor``, normal first moments and non-negative second moments."""
+    m = {name: rng.standard_normal(p.shape).astype(p.dtype) for name, p in state.params.items()}
+    v = {name: rng.random(p.shape).astype(p.dtype) for name, p in state.params.items()}
+    return TrainingState(cursor, m, v)
+
+
+def checkpoint_header(data: bytes) -> tuple[dict, int]:
+    """A format 2 checkpoint's parsed header and the offset of its first tensor byte."""
+    end = 20 + int.from_bytes(data[8:16], "little")
+    return json.loads(data[20:end]), end
+
+
+def with_checkpoint_header(data: bytes, change) -> bytes:
+    """The format 2 checkpoint ``data`` with its header edited in place by ``change``, under a matching header CRC."""
+    header, end = checkpoint_header(data)
+    change(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return data[:8] + struct.pack("<QI", len(head), zlib.crc32(head)) + head + data[end:]
+
+
+def flip_byte(data: bytes, index: int, mask: int = 0x01) -> bytes:
+    """``data`` with the byte at ``index`` xor-ed with ``mask``."""
+    return data[:index] + bytes([data[index] ^ mask]) + data[index + 1:]

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (driven in-process through main())."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from codec_infill import metrics
 from codec_infill.cli import _report_header, main
 from codec_infill.evaluate import EvalRecord, load_manifest, save_manifest, synthesize_manifest
 from codec_infill.model import ModelConfig, new_model
-from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_corpus, write_corpus
+from codec_infill.synthcodec import ToyCodecConfig, ToyUtterance, gen_corpus, load_corpus, write_corpus
 from codec_infill.tokens import (
     CodecMatrix,
     TokenDumpRecord,
     read_token_dump,
     write_token_dump,
 )
+
+from helpers import checkpoint_header, flip_byte, random_training_state, with_checkpoint_header
 
 CODEC = ToyCodecConfig()
 
@@ -129,28 +132,74 @@ class TestTrainCommand:
         resumed, _ = load_checkpoint(tmp_path / "run2" / "ckpt_final.bin")
         assert resumed.step == 7
 
-    def test_resume_from_a_checkpoint_with_a_foreign_rng_state_exits_1(self, tmp_path, corpus_dir, capsys):
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda header: header.update(cursor=[3]), "cursor [3]"),
+            (lambda header: header.update(cursor=[0, "7"]), "cursor [0, '7']"),
+            (lambda header: header["tensors"][-1].update(shape=[2, 2]), "adamw.v.head3.b1"),
+            (lambda header: header["tensors"].pop(), "adamw.v.head3.b1"),
+        ],
+        ids=["cursor_one_number", "cursor_a_string_offset", "moment_of_another_shape", "moment_missing"],
+    )
+    def test_resume_from_a_malformed_training_state_exits_1(self, tmp_path, corpus_dir, capsys, change, named):
         payload = self.train_config(corpus_dir, steps=2)
         cfg = write_json(tmp_path / "train.json", payload)
         model_cfg = ModelConfig(
             **payload["model"], num_codebooks=CODEC.num_codebooks, codebook_sizes=CODEC.codebook_sizes,
             text_vocab_size=CODEC.alphabet_size,
         )
-        rng_state = np.random.MT19937(0).state
-        rng_state["state"]["key"] = rng_state["state"]["key"].tolist()
-        save_checkpoint(tmp_path / "mt.bin", new_model(model_cfg, seed=0), rng_state)
+        state = new_model(model_cfg, seed=0)
+        save_checkpoint(tmp_path / "good.bin", state, random_training_state(state, np.random.default_rng(0)))
+        (tmp_path / "bad.bin").write_bytes(with_checkpoint_header((tmp_path / "good.bin").read_bytes(), change))
         code = main(
-            ["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--resume", str(tmp_path / "mt.bin")]
+            ["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--resume", str(tmp_path / "bad.bin")]
         )
         err = capsys.readouterr().err
         assert code == 1, err
         assert "Traceback" not in err
-        assert "rng_state" in err
+        assert named in err
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="resume starts fresh AdamW moments and draws a fresh data permutation (ROADMAP item 4)",
-    )
+    def test_resume_from_a_flipped_tensor_byte_exits_1(self, tmp_path, corpus_dir, capsys):
+        cfg = write_json(tmp_path / "train.json", self.train_config(corpus_dir, steps=2))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        data = (tmp_path / "run" / "ckpt_final.bin").read_bytes()
+        (tmp_path / "flipped.bin").write_bytes(flip_byte(data, checkpoint_header(data)[1] + 5))
+        code = main(
+            ["train", "--config", str(cfg), "--out", str(tmp_path / "run2"), "--resume", str(tmp_path / "flipped.bin")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "Traceback" not in err
+        assert "tensor text_emb fails its CRC-32 check" in err
+
+    def test_resume_from_a_format_1_checkpoint_starts_fresh_moments(self, tmp_path, capsys):
+        """The key-bias fixture (format 1, 2 codebooks of 5 tokens, 7 symbols) resumes at its step 6 and says so."""
+        rng = np.random.default_rng(5)
+        utterances = [
+            ToyUtterance(f"utt{i}", rng.integers(0, 7, 4).tolist(), CodecMatrix(frames, codebook_sizes=(5, 5)))
+            for i, frames in enumerate(rng.integers(0, 5, (6, 8, 2)))
+        ]
+        codec = ToyCodecConfig(alphabet_size=7, num_codebooks=2, codebook_size=28)  # the smallest injective table
+        write_corpus(tmp_path / "corpus", utterances, codec)
+        payload = {
+            "data_dir": str(tmp_path / "corpus"),
+            "model": {
+                "num_layers": 2, "hidden_dim": 8, "ffn_dim": 16, "num_heads": 2, "codebook_sizes": [5, 5],
+                "max_positions": 64, "loss_weights": [1.0, 1.0], "dtype": "float64",
+            },
+            "train": {"batch_frame_budget": 64, "total_steps": 8},
+        }
+        cfg = write_json(tmp_path / "train.json", payload)
+        fixture = Path(__file__).parent / "fixtures" / "checkpoint_with_key_bias.bin"
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--resume", str(fixture)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "resumed from" in out and "at step 6" in out
+        assert "no data cursor or AdamW moments" in out and "fresh moments at cursor (0, 0)" in out
+        state, training = load_checkpoint(tmp_path / "run" / "ckpt_final.bin")
+        assert state.step == 8 and training is not None
+
     def test_resume_equals_training_without_a_break(self, tmp_path, corpus_dir):
         """6 steps in one run and 3 steps plus 3 resumed steps end in the same parameters, bit for bit."""
         def run(out, steps, *resume):

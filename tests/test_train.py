@@ -30,6 +30,7 @@ from codec_infill.train import (
     Batch,
     SchedulerConfig,
     TrainConfig,
+    batch_stream,
     build_training_example,
     eden_lr,
     evaluation_loss,
@@ -38,7 +39,16 @@ from codec_infill.train import (
     train_loop,
 )
 
-from helpers import adamw_oracle, next_item_targets_oracle, random_matrix, random_spans
+from helpers import (
+    adamw_oracle,
+    checkpoint_header,
+    flip_byte,
+    next_item_targets_oracle,
+    random_matrix,
+    random_spans,
+    random_training_state,
+    with_checkpoint_header,
+)
 
 
 def small_model_config(codec: ToyCodecConfig, **overrides):
@@ -289,15 +299,15 @@ class TestTrainLoop:
 
     def test_pinned_float32_trajectory(self):
         """Eight steps of the float32 small model follow the recorded losses; only float
-        rounding may differ (rtol 1e-6).  Recorded when head 1 first learned EOS at the
-        start of each span's delay tail."""
+        rounding may differ (rtol 1e-6).  Recorded when batches were first drawn from
+        the data cursor (seed, epoch, offset)."""
         corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
         state = new_model(small_model_config(CODEC, dtype="float32"), seed=0)
         tcfg = TrainConfig(batch_frame_budget=512, total_steps=8, seed=0)
         _, metrics = train_loop(corpus, state, tcfg, SchedulerConfig(base_lr=3e-3))
         pinned = [
-            36.76228123128371, 36.71163859319388, 36.60361156540264, 36.54810703141119,
-            36.425406727392065, 36.1579681892603, 36.13735688212185, 35.687337006327844,
+            36.76050691331475, 36.68661201164507, 36.61415748990108, 36.50541234259889,
+            36.420611588171155, 36.115720475087286, 36.115204810621634, 35.605134707724964,
         ]
         np.testing.assert_allclose([e["loss"] for e in metrics], pinned, rtol=1e-6)
 
@@ -352,7 +362,28 @@ class TestTrainLoop:
             )
         assert err.value.batch_id.startswith("utt")
         dump = read_json(tmp_path / "nonfinite_batch.json")
-        assert dump["step"] == 0 and dump["utterances"][0] == err.value.batch_id
+        assert dump["step"] == 0 and dump["cursor"] == [0, 0] and dump["utterances"][0] == err.value.batch_id
+
+    def test_nonfinite_batch_dump_rebuilds_the_aborted_batch(self, tmp_path, monkeypatch):
+        """The dumped cursor restarts a stream at the aborted batch: same utterances, inputs, targets and mask."""
+        corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
+        model_cfg = small_model_config(CODEC)
+        tcfg = TrainConfig(batch_frame_budget=150, total_steps=6, seed=4, grad_accum=2)
+        batches = recording_make_batch(monkeypatch)
+        real_weighted_loss = train.weighted_loss
+
+        def weighted_loss(*args):
+            total, *rest = real_weighted_loss(*args)
+            return (np.nan if len(batches) == 5 else total, *rest)
+
+        monkeypatch.setattr(train, "weighted_loss", weighted_loss)
+        with pytest.raises(NonFiniteLossError):
+            train_loop(corpus, new_model(model_cfg, seed=0), tcfg, SchedulerConfig(), run_dir=tmp_path)
+        dump = read_json(tmp_path / "nonfinite_batch.json")
+        aborted = batches[-1]
+        assert len(batches) == 5 and dump["step"] == 2 and dump["utterances"] == aborted.utterance_ids
+        assert dump["cursor"] != [0, 0]
+        assert_same_batch(next(batch_stream(corpus, model_cfg, tcfg, dump["cursor"])), aborted)
 
 
 class TestOptimizerStep:
@@ -428,20 +459,26 @@ class TestOptimizerStep:
         np.testing.assert_allclose(params["w"], np.array([1.5, -2.0, 0.25]) * (1 - 0.05) * (1 - 0.02), rtol=1e-15)
 
 
-def mt19937_state() -> dict:
-    """A JSON form of an MT19937 state: valid for that generator, not for the PCG64 training draws from."""
-    state = np.random.MT19937(0).state
-    state["state"]["key"] = state["state"]["key"].tolist()
-    return state
-
-
 class TestCheckpoint:
     def test_save_twice_byte_identical(self, tmp_path):
         state = new_model(small_model_config(CODEC), seed=5)
-        rng_state = np.random.default_rng(1).bit_generator.state
-        save_checkpoint(tmp_path / "a.bin", state, rng_state)
-        save_checkpoint(tmp_path / "b.bin", state, rng_state)
+        training = random_training_state(state, np.random.default_rng(1))
+        save_checkpoint(tmp_path / "a.bin", state, training)
+        save_checkpoint(tmp_path / "b.bin", state, training)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_training_state_round_trip(self, tmp_path):
+        """The cursor and every moment load as saved, beside parameters that hold parameters only."""
+        state = new_model(small_model_config(CODEC), seed=5)
+        training = random_training_state(state, np.random.default_rng(1), cursor=(4, 11))
+        save_checkpoint(tmp_path / "t.bin", state, training)
+        loaded, got = load_checkpoint(tmp_path / "t.bin")
+        assert list(loaded.params) == list(parameter_shapes(state.config))
+        assert got.cursor == (4, 11)
+        for kind in ("m", "v"):
+            assert list(getattr(got, kind)) == list(loaded.params)
+            for name, want in getattr(training, kind).items():
+                np.testing.assert_array_equal(getattr(got, kind)[name], want, err_msg=f"{kind} {name}")
 
     def test_round_trip_preserves_evaluation_loss_exactly(self, tmp_path):
         corpus = gen_corpus(4, (5, 7), CODEC, seed=12)
@@ -450,8 +487,8 @@ class TestCheckpoint:
         batch = make_batch(corpus, model_cfg, TrainConfig(batch_frame_budget=512), np.random.default_rng(7))
         before = evaluation_loss(state, batch)
         save_checkpoint(tmp_path / "m.bin", state, None)
-        loaded, rng_state = load_checkpoint(tmp_path / "m.bin")
-        assert rng_state is None
+        loaded, training = load_checkpoint(tmp_path / "m.bin")
+        assert training is None
         assert loaded.config == model_cfg
         after = evaluation_loss(loaded, batch)
         assert after == before  # bit-identical
@@ -504,24 +541,22 @@ class TestCheckpoint:
         [
             "magic", "version", "header_length", "header", "header_json", "first_tensor", "last_tensor", "extra",
             "config_num_layers_a_string", "config_dtype_unknown", "config_heads_of_three_layers", "tensor_object_dtype",
-            "step_a_string", "step_a_float", "step_negative", "rng_state_an_int", "rng_state_pcg64_state_a_string",
-            "rng_state_mt19937",
+            "step_a_string", "step_a_float", "step_negative", "header_crc", "first_tensor_crc", "last_tensor_crc",
+            "cursor_a_string", "cursor_one_number", "cursor_negative", "cursor_a_float", "cursor_null_beside_moments",
+            "moment_missing", "moment_of_another_shape", "moment_of_another_dtype",
         ],
     )
     def test_malformed_file_raises_invalid_input(self, tmp_path, damage):
         state = new_model(small_model_config(CODEC), seed=5)
-        save_checkpoint(tmp_path / "m.bin", state, None)
+        save_checkpoint(tmp_path / "m.bin", state, random_training_state(state, np.random.default_rng(1)))
         data = (tmp_path / "m.bin").read_bytes()
-        header_end = 16 + int.from_bytes(data[8:16], "little")
+        _, header_end = checkpoint_header(data)
         first = state.params["text_emb"].nbytes
         last = state.params[list(state.params)[-1]].nbytes
 
         def with_header(change):
             """The file with valid-JSON header that ``change`` edited in place."""
-            header = json.loads(data[16:header_end])
-            change(header)
-            head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-            return data[:8] + len(head).to_bytes(8, "little") + head + data[header_end:]
+            return with_checkpoint_header(data, change)
 
         def with_config(**changes):
             return with_header(lambda header: header["config"].update(changes))
@@ -531,7 +566,7 @@ class TestCheckpoint:
             "version": data[:6],
             "header_length": data[:12],
             "header": data[:header_end - 5],
-            "header_json": data[:16] + b"x" + data[17:],
+            "header_json": data[:20] + b"x" + data[21:],
             "first_tensor": data[:header_end + first // 2],
             "last_tensor": data[:len(data) - last // 2],
             "extra": data + b"\x00",
@@ -542,14 +577,38 @@ class TestCheckpoint:
             "step_a_string": with_header(lambda header: header.update(step="5")),
             "step_a_float": with_header(lambda header: header.update(step=3.7)),
             "step_negative": with_header(lambda header: header.update(step=-1)),
-            "rng_state_an_int": with_header(lambda header: header.update(rng_state=5)),
-            "rng_state_pcg64_state_a_string": with_header(lambda header: header.update(rng_state={
-                "bit_generator": "PCG64", "state": "x", "has_uint32": 0, "uinteger": 0,
-            })),
-            "rng_state_mt19937": with_header(lambda header: header.update(rng_state=mt19937_state())),
+            "header_crc": flip_byte(data, 16),
+            "first_tensor_crc": flip_byte(data, header_end),
+            "last_tensor_crc": flip_byte(data, len(data) - 1),
+            "cursor_a_string": with_header(lambda header: header.update(cursor="2,7")),
+            "cursor_one_number": with_header(lambda header: header.update(cursor=[2])),
+            "cursor_negative": with_header(lambda header: header.update(cursor=[2, -7])),
+            "cursor_a_float": with_header(lambda header: header.update(cursor=[2.0, 7])),
+            "cursor_null_beside_moments": with_header(lambda header: header.update(cursor=None)),
+            "moment_missing": with_header(lambda header: header["tensors"].pop())[:len(data) - last],
+            "moment_of_another_shape": with_header(lambda header: header["tensors"][-1].update(shape=[1, 1])),
+            "moment_of_another_dtype": with_header(lambda header: header["tensors"][-1].update(dtype="float32")),
         }[damage]
         (tmp_path / "bad.bin").write_bytes(damaged)
         with pytest.raises(InvalidInputError):
+            load_checkpoint(tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("part", ["header", "tensor text_emb", "tensor adamw.m.text_emb", "tensor adamw.v.text_emb"])
+    def test_a_flipped_byte_is_named(self, tmp_path, part):
+        """A byte flipped in the header or in a tensor fails that part's CRC, and the error names the part."""
+        state = new_model(small_model_config(CODEC), seed=5)
+        save_checkpoint(tmp_path / "m.bin", state, random_training_state(state, np.random.default_rng(1)))
+        data = (tmp_path / "m.bin").read_bytes()
+        header, offset = checkpoint_header(data)
+        if part == "header":
+            offset = (20 + offset) // 2  # the middle of the header
+        else:
+            for spec in header["tensors"]:
+                if part == f"tensor {spec['name']}":
+                    break
+                offset += int(np.prod(spec["shape"])) * np.dtype(spec["dtype"]).itemsize
+        (tmp_path / "bad.bin").write_bytes(flip_byte(data, offset + 3, 0x40))
+        with pytest.raises(InvalidInputError, match=f"its {part} fails its CRC-32 check"):
             load_checkpoint(tmp_path / "bad.bin")
 
     def test_file_with_key_bias_loads_and_scores_as_written(self):
@@ -562,8 +621,8 @@ class TestCheckpoint:
         leaves the logits unchanged.
         """
         fixtures = Path(__file__).parent / "fixtures"
-        state, rng_state = load_checkpoint(fixtures / "checkpoint_with_key_bias.bin")
-        assert rng_state is None and state.step == 6
+        state, training = load_checkpoint(fixtures / "checkpoint_with_key_bias.bin")
+        assert training is None and state.step == 6
         assert not any(name.endswith(".attn.bk") for name in state.params)
         assert list(state.params) == list(parameter_shapes(state.config))
         frames = np.array([[0, 1], [2, 3], [4, 0], [1, 2], [3, 4], [0, 0], [2, 1]])
@@ -600,3 +659,132 @@ class TestCheckpoint:
         assert (tmp_path / "ckpt_000005.bin").exists()
         assert (tmp_path / "ckpt_final.bin").exists()
         assert (tmp_path / "metrics.jsonl").exists()
+
+
+@pytest.fixture(scope="class")
+def training_checkpoint(tmp_path_factory):
+    """A small format 2 training checkpoint's bytes, and the path damaged copies are written to."""
+    path = tmp_path_factory.mktemp("fuzz") / "ckpt.bin"
+    state = new_model(small_model_config(CODEC, hidden_dim=8, ffn_dim=16, num_heads=2), seed=3)
+    save_checkpoint(path, state, random_training_state(state, np.random.default_rng(4)))
+    return path.read_bytes(), path.with_name("damaged.bin")
+
+
+class TestCheckpointFuzz:
+    """Any truncation or single-byte flip of a training checkpoint raises InvalidInputError and nothing else."""
+
+    @staticmethod
+    def positions(data):
+        """Anywhere in the file, or anywhere up to the end of the header, where damage is most varied."""
+        return st.integers(0, len(data) - 1) | st.integers(0, checkpoint_header(data)[1])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(draw=st.data())
+    def test_truncation(self, training_checkpoint, draw):
+        data, damaged = training_checkpoint
+        damaged.write_bytes(data[:draw.draw(self.positions(data))])
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(damaged)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(draw=st.data())
+    def test_single_byte_flip(self, training_checkpoint, draw):
+        data, damaged = training_checkpoint
+        damaged.write_bytes(flip_byte(data, draw.draw(self.positions(data)), draw.draw(st.integers(1, 255))))
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(damaged)
+
+
+def assert_same_batch(got: Batch, want: Batch) -> None:
+    assert (got.cursor, got.consumed, got.utterance_ids) == (want.cursor, want.consumed, want.utterance_ids)
+    for field in ("kind", "ids", "lengths"):
+        np.testing.assert_array_equal(getattr(got.inputs, field), getattr(want.inputs, field), err_msg=field)
+    np.testing.assert_array_equal(got.targets, want.targets)
+    np.testing.assert_array_equal(got.loss_mask, want.loss_mask)
+
+
+def recording_make_batch(monkeypatch) -> list:
+    """Route ``train.make_batch`` through a recorder; returns the list every batch built is appended to."""
+    batches = []
+    real_make_batch = train.make_batch
+
+    def make_batch(*args, **kwargs):
+        batches.append(real_make_batch(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(train, "make_batch", make_batch)
+    return batches
+
+
+class TestDataCursor:
+    """Every batch is a function of (seed, cursor), so a run resumes from any checkpoint as if unbroken."""
+
+    corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
+
+    def test_stream_from_any_cursor_is_the_tail_of_the_stream_from_the_start(self):
+        model_cfg = small_model_config(CODEC)
+        tcfg = TrainConfig(batch_frame_budget=120, seed=3)
+        stream = batch_stream(self.corpus, model_cfg, tcfg)
+        batches = [next(stream)]
+        while batches[-1].cursor[0] < 3:
+            batches.append(next(stream))
+        for e in range(3):
+            ids = [u for b in batches if b.cursor[0] == e for u in b.utterance_ids]
+            assert sorted(ids) == sorted(u.id for u in self.corpus), f"epoch {e} reads every utterance once"
+        starts = [next(b for b in batches if b.cursor == (e, 0)) for e in range(3)]
+        assert len({b.inputs.ids.tobytes() for b in starts}) == 3, "each epoch draws its own spans"
+        for i, batch in enumerate(batches):
+            tail = batch_stream(self.corpus, model_cfg, tcfg, batch.cursor)
+            for want in batches[i:]:
+                assert_same_batch(next(tail), want)
+        # a cursor at the end of an epoch starts the next one
+        assert_same_batch(next(batch_stream(self.corpus, model_cfg, tcfg, (1, len(self.corpus)))), starts[2])
+
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    def test_resume_from_each_periodic_checkpoint_equals_the_unbroken_run(self, tmp_path, monkeypatch, grad_accum):
+        """N + M steps in one run equal N steps plus M resumed from ``ckpt_00000N.bin``, bit for bit (float64)."""
+        # three batches an epoch: with grad_accum=2, steps 1 and 4 each take their batches from two epochs
+        tcfg = TrainConfig(batch_frame_budget=200, total_steps=6, seed=1, grad_accum=grad_accum, checkpoint_every=2)
+        sched = SchedulerConfig(base_lr=3e-3)
+        batches = recording_make_batch(monkeypatch)
+        straight, _ = train_loop(self.corpus, new_model(small_model_config(CODEC), seed=2), tcfg, sched, tmp_path / "a")
+        epochs = [{b.cursor[0] for b in batches[t * grad_accum:(t + 1) * grad_accum]} for t in range(6)]
+        if grad_accum == 2:
+            assert any(len(step) == 2 for step in epochs), "some step's two batches come from two epochs"
+        else:
+            assert len(epochs[2] | epochs[3]) == 2, "the steps resumed from ckpt_000002.bin cross an epoch"
+        for n in (2, 4):
+            state, training = load_checkpoint(tmp_path / "a" / f"ckpt_{n:06d}.bin")
+            assert state.step == n and training is not None
+            resumed, _ = train_loop(self.corpus, state, tcfg, sched, tmp_path / f"from{n}", training)
+            assert resumed.step == straight.step == 6
+            for name, value in straight.params.items():
+                np.testing.assert_array_equal(resumed.params[name], value, err_msg=name)
+
+
+class TestBenchmarkContract:
+    """What ``perfbench`` relies on: it times a step from its ``eden_lr`` call, counts the positions of every
+    ``make_batch``, and re-saves every checkpoint a run writes to check its bytes."""
+
+    def test_each_step_calls_eden_lr_then_make_batch_once_per_accumulated_batch(self, monkeypatch):
+        calls = []
+        real_eden_lr, real_make_batch = train.eden_lr, train.make_batch
+        monkeypatch.setattr(train, "eden_lr", lambda *args: calls.append("eden_lr") or real_eden_lr(*args))
+        monkeypatch.setattr(train, "make_batch", lambda *args: calls.append("make_batch") or real_make_batch(*args))
+        corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
+        tcfg = TrainConfig(batch_frame_budget=150, total_steps=3, seed=0, grad_accum=2)
+        train_loop(corpus, new_model(small_model_config(CODEC), seed=0), tcfg, SchedulerConfig())
+        assert calls == ["eden_lr", "make_batch", "make_batch"] * 3
+
+    def test_every_checkpoint_of_a_run_re_saves_to_identical_bytes(self, tmp_path):
+        corpus = gen_corpus(12, (5, 7), CODEC, seed=10)
+        state = new_model(small_model_config(CODEC, dtype="float32"), seed=0)
+        tcfg = TrainConfig(batch_frame_budget=150, total_steps=3, seed=0, checkpoint_every=2)
+        trained, _ = train_loop(corpus, state, tcfg, SchedulerConfig(), run_dir=tmp_path)
+        paths = sorted(tmp_path.glob("ckpt_*.bin"))
+        assert [p.name for p in paths] == ["ckpt_000002.bin", "ckpt_final.bin"]
+        for path in paths:
+            loaded, training = load_checkpoint(path)
+            assert training is not None and list(loaded.params) == list(trained.params)
+            save_checkpoint(tmp_path / "resave.bin", loaded, training)
+            assert (tmp_path / "resave.bin").read_bytes() == path.read_bytes(), path.name
