@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .errors import CodecInfillError, ConfigError, NumericalError
+from .errors import CodecInfillError, ConfigError, NumericalError, require_at_least
 from .evaluate import load_manifest, run_eval
 from .infer import EditConfig, SamplingConfig, edit_speech, zero_shot_tts
 from .jsonio import check_keys, config_from_json, get_field, read_json, write_json, write_json_lines
@@ -62,6 +62,9 @@ class CorpusConfig:
     min_symbols: int = 5
     max_symbols: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        require_at_least(0, self, "seed")
 
 
 def _apply_overrides(payload: dict, overrides) -> dict:
@@ -195,6 +198,8 @@ def cmd_train(args) -> int:
         sched_cfg = config_from_json(SchedulerConfig, payload.get("scheduler", {}), "scheduler")
         train_cfg = config_from_json(TrainConfig, payload.get("train", {}), "train")
         init_seed = get_field(payload, "init_seed", int, 0)
+        if init_seed < 0:
+            raise ConfigError(f"init_seed must be >= 0, not {init_seed}")
     out = _out_dir(args, "run")
 
     training = None
@@ -280,7 +285,8 @@ def cmd_tts(args) -> int:
     codec = load_codec_config(args.codec_config or Path(args.prompt_dump).parent / "codec_config.json")
     prompt_text = _symbol_ids(args.prompt_text, "prompt_text")
     target_text = _symbol_ids(args.target_text, "target_text")
-    sampling = SamplingConfig(seed=args.seed)
+    with _naming("--seed"):
+        sampling = config_from_json(SamplingConfig, {"seed": args.seed}, "sampling")
     edit_cfg = EditConfig()
     state, _ = load_checkpoint(args.checkpoint)
     decoder = TransformerDecoder(state)

@@ -3,7 +3,8 @@
 Every error raised by library code derives from :class:`CodecInfillError`
 so callers (and the CLI) can map failure classes to distinct exit codes.
 :func:`require_positive` is the one check the configs share for values
-that count or divide.
+that count or divide; :func:`require_at_least` with 0 is the one for
+seeds, which numpy's generators take only when non-negative.
 """
 
 
@@ -17,10 +18,15 @@ class InvalidInputError(CodecInfillError):
 
 def require_positive(config, *fields: str) -> None:
     """Raise InvalidInputError naming the first of ``fields`` of ``config`` below 1."""
+    require_at_least(1, config, *fields)
+
+
+def require_at_least(least: int, config, *fields: str) -> None:
+    """Raise InvalidInputError naming the first of ``fields`` of ``config`` below ``least``."""
     for name in fields:
         value = getattr(config, name)
-        if value < 1:
-            raise InvalidInputError(f"{name} must be >= 1, not {value!r}")
+        if value < least:
+            raise InvalidInputError(f"{name} must be >= {least}, not {value!r}")
 
 
 class InvalidSpanError(InvalidInputError):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidInputError, require_positive
+from .errors import AlignmentError, InvalidInputError, require_at_least, require_positive
 from .metrics import edit_distance_table
 from .model import ModelConfig
 from .rearrange import causal_mask, delay_stack, splice, stack_span, unstack_span
@@ -201,6 +201,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         require_positive(self, "max_generated_steps")
+        require_at_least(0, self, "seed")
         if not (0.0 < self.top_p <= 1.0):
             raise InvalidInputError("top_p must be in (0, 1]")
         if self.temperature <= 0:

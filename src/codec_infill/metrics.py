@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.fft import dct, rfft
-from scipy.signal import get_window
 
 from .errors import InvalidInputError
 
@@ -34,6 +33,25 @@ VOICING_THRESHOLD = 0.3
 # a frame's energy after mean removal at or below this share of its energy before is rounding residue
 ROUNDING_ENERGY = (WINDOW_LENGTH * np.finfo(np.float64).eps) ** 2
 MCD_SCALE = 10.0 / np.log(10.0)
+
+
+def _hann_window() -> np.ndarray:
+    """The periodic Hann window of WINDOW_LENGTH samples, read-only.
+
+    The same operations in the same order as scipy's
+    ``get_window("hann", WINDOW_LENGTH, fftbins=True)``, so the values
+    are bit-equal to it, without importing ``scipy.signal``.
+    """
+    fac = np.linspace(-np.pi, np.pi, WINDOW_LENGTH + 1)
+    w = np.zeros(WINDOW_LENGTH + 1)
+    w += 0.5 * np.cos(0 * fac)
+    w += 0.5 * np.cos(fac)
+    w = w[:-1]
+    w.flags.writeable = False
+    return w
+
+
+_HANN = _hann_window()
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +140,7 @@ def _frame_signal(wav) -> np.ndarray:
 
 def magnitude_spectrogram(wav) -> np.ndarray:
     """(frames, bins) magnitudes of the Hann-windowed short-time FFT."""
-    window = get_window("hann", WINDOW_LENGTH, fftbins=True)
-    return np.abs(rfft(_frame_signal(wav) * window, n=FFT_SIZE, axis=1))
+    return np.abs(rfft(_frame_signal(wav) * _HANN, n=FFT_SIZE, axis=1))
 
 
 def mel_filterbank(sample_rate: int) -> np.ndarray:

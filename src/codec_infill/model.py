@@ -770,20 +770,22 @@ def loss_gradient(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
     """d(total loss)/d(logits): softmax minus one-hot, scaled by alpha_k / N_k.
 
     ``probs`` is the softmax :func:`weighted_loss` returned for the same
-    logits and mask; it is overwritten with the gradient's loss rows.
+    logits and mask.  Both are consumed: each head's gradient is written
+    over that head's logits, which are returned, and ``probs[k]`` is
+    released (set to None) as soon as head k is written, so a step holds
+    no second set of logit-sized arrays and sheds the softmaxes head by head.
     """
-    d_logits = []
     for k, logit_k in enumerate(logits):
         mask = loss_mask[..., k]
-        d_k = np.zeros_like(logit_k)
         p = probs[k]
+        probs[k] = None
+        logit_k[~mask] = 0
         n = len(p)
         if n > 0:
             p[np.arange(n), targets[..., k][mask]] -= 1.0
             p *= weights[k] / n
-            d_k[mask] = p
-        d_logits.append(d_k)
-    return d_logits
+            logit_k[mask] = p
+    return logits
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, VocabularyError, require_positive
+from .errors import ConfigError, InvalidInputError, VocabularyError, require_at_least, require_positive
 from .jsonio import (
     check_keys, config_from_json, config_to_json, get_field, read_json, read_json_lines, write_json, write_json_lines,
 )
@@ -59,6 +59,9 @@ class ToyCodecConfig:
         require_positive(
             self, "alphabet_size", "frames_per_symbol", "num_codebooks", "codebook_size", "frame_rate", "sample_rate"
         )
+        require_at_least(0, self, "table_seed")
+        if self.jitter_seed is not None:
+            require_at_least(0, self, "jitter_seed")
         if self.alphabet_size * self.frames_per_symbol > self.codebook_size:
             raise InvalidInputError(
                 "codebook_size too small for an injective (symbol, phase) table"

@@ -1,11 +1,15 @@
 """End-to-end command-line tests (driven in-process through main())."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codec_infill
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill import metrics
 from codec_infill.cli import _report_header, main
@@ -57,6 +61,21 @@ def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     return path
+
+
+def test_the_cli_loads_no_scipy_subpackage_but_special_and_fft():
+    """Importing the CLI loads of scipy only ``special`` and ``fft``; ``scipy.signal`` would nearly double its memory.
+
+    A fresh interpreter imports the CLI, since this process may already
+    hold ``scipy.signal`` from other tests.  Private modules
+    (``scipy._lib`` and the like) and ``scipy.version`` are not counted.
+    """
+    script = "import sys, codec_infill.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(codec_infill.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = {name.split(".")[1] for name in out.split() if name.startswith("scipy.")}
+    public = {name for name in loaded if not name.startswith("_") and name != "version"}
+    assert "special" in public and public <= {"special", "fft"}
 
 
 class TestGenData:
@@ -615,6 +634,11 @@ def tts_with_codec_config(tmp_path, corpus_dir, checkpoint, text):
     return argv + ["--out", str(tmp_path / "tts")], [str(config)]
 
 
+def tts_with_seed(tmp_path, corpus_dir, checkpoint, seed: str):
+    argv = ["tts", str(checkpoint), str(corpus_dir / "tokens.jsonl"), "1 2", "3", "--seed", seed]
+    return argv + ["--out", str(tmp_path / "tts")], ["--seed"]
+
+
 def edit_with_request(tmp_path, corpus_dir, checkpoint, **fields):
     request = write_json(tmp_path / "request.json", {"id": "utt00001", "corpus_dir": str(corpus_dir), **fields})
     return ["edit", str(checkpoint), str(request), "--out", str(tmp_path / "edit")], [str(request)]
@@ -1014,6 +1038,30 @@ for dotted, value in [
     ("edit.tts_num_samples", 0),
 ]:
     count_below_one(dotted, value)
+
+
+def negative_seed(name: str, build):
+    """Register a case in which ``build`` sets the seed ``name`` to -1; stderr names it and its bound."""
+
+    def case(tmp_path, corpus_dir, checkpoint):
+        argv, names = build(tmp_path, corpus_dir, checkpoint)
+        return argv, names + [f"{name.split('.')[-1]} must be >= 0, not -1"]
+
+    case.__name__ = f"seed_{name.replace('.', '_')}_negative"
+    malformed(case)
+
+
+for name, build in [
+    ("corpus.seed", lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "corpus.seed=-1")),
+    ("codec.table_seed", lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "codec.table_seed=-1")),
+    ("codec.jitter_seed", lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "codec.jitter_seed=-1")),
+    ("train.seed", lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "train.seed=-1")),
+    ("init_seed", lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "init_seed=-1")),
+    ("edit.sampling.seed", lambda tmp, corpus, ckpt: edit_with_request(tmp, corpus, ckpt, target=[1], sampling={"seed": -1})),
+    ("tts.sampling.seed", lambda tmp, corpus, ckpt: tts_with_seed(tmp, corpus, ckpt, "-1")),
+    ("eval.sampling.seed", lambda tmp, corpus, ckpt: eval_with_set(tmp, corpus, ckpt, "sampling.seed=-1")),
+]:
+    negative_seed(name, build)
 
 
 class TestMalformedInputs:

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import rfft
+from scipy.signal import get_window
 
+from codec_infill import metrics
 from codec_infill.errors import InvalidInputError
 from codec_infill.infer import apply_script, diff_transcripts
 from codec_infill.metrics import (
+    FFT_SIZE,
     MCD_SCALE,
     WINDOW_LENGTH,
     aligned_distance,
@@ -15,6 +19,7 @@ from codec_infill.metrics import (
     energy_track,
     f0_track,
     levenshtein,
+    magnitude_spectrogram,
     mcd,
     mfcc,
     symbol_error_rate,
@@ -135,6 +140,28 @@ class TestDtwWavefront:
         rng = np.random.default_rng(n * 10 + m)
         a, b = rng.integers(0, 2, (n, 2)).astype(float), rng.integers(0, 2, (m, 2)).astype(float)
         assert dtw_align(a, b) == dtw_align_oracle(a, b)
+
+
+class TestHannWindow:
+    """The window is built with numpy, and scipy's ``get_window`` is its oracle."""
+
+    def test_window_is_scipys_bit_for_bit(self):
+        want = get_window("hann", WINDOW_LENGTH, fftbins=True)
+        assert metrics._HANN.dtype == want.dtype
+        assert np.array_equal(metrics._HANN.view(np.uint64), want.view(np.uint64))
+
+    def test_window_is_read_only(self):
+        assert not metrics._HANN.flags.writeable
+        with pytest.raises(ValueError):
+            metrics._HANN[0] = 1.0
+
+    def test_spectrogram_equals_one_with_scipys_window(self):
+        rng = np.random.default_rng(11)
+        wav = sinusoid(220.0) + 0.1 * rng.standard_normal(int(SR * 0.5))
+        window = get_window("hann", WINDOW_LENGTH, fftbins=True)
+        want = np.abs(rfft(metrics._frame_signal(wav) * window, n=FFT_SIZE, axis=1))
+        got = magnitude_spectrogram(wav)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMfcc:

@@ -510,11 +510,13 @@ class TestSoftmaxHandOver:
     def test_gradient_equals_the_oracle(self, dtype, masked_heads):
         for seed in range(5):
             logits, targets, mask, weights = self.case(seed, dtype, masked_heads)
+            want = loss_gradient_oracle(logits, targets, mask, weights)  # before loss_gradient overwrites the logits
             total, per_k, probs = weighted_loss(logits, targets, mask, weights)
             assert [len(p) for p in probs] == list(mask.sum(axis=0))
             got = loss_gradient(logits, targets, mask, weights, probs)
-            want = loss_gradient_oracle(logits, targets, mask, weights)
+            assert probs == [None] * 4
             for k in range(4):
+                assert got[k] is logits[k]
                 assert got[k].dtype == want[k].dtype == dtype
                 assert np.array_equal(got[k], want[k])
                 assert not got[k][~mask[:, k]].any()
@@ -593,8 +595,16 @@ class TestGradients:
         cfg = tiny_config(**FOUR_HEADS, dtype="float32")
         params = init_params(cfg, np.random.default_rng(31))
         batch, targets, mask = random_batch(np.random.default_rng(32), cfg, batch_size=3)
+
+        def digest(arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()[:16]
+
         heads = mask.any(axis=-1)
         logits, cache = forward(params, cfg, batch, heads, want_cache=True)
+        logits_digest = digest(logits)  # before loss_gradient writes the gradient over them
         targets, mask = targets[heads], mask[heads]
         total, _, probs = weighted_loss(logits, targets, mask, cfg.loss_weights)
         grads = backward(params, cfg, cache, loss_gradient(logits, targets, mask, cfg.loss_weights, probs))
@@ -605,14 +615,8 @@ class TestGradients:
             items = [tuple(int(rng.integers(0, n)) for n in cfg.codebook_sizes) for _ in range(2)]
             steps.append(session.append(items))
 
-        def digest(arrays):
-            h = hashlib.sha256()
-            for a in arrays:
-                h.update(np.ascontiguousarray(a).tobytes())
-            return h.hexdigest()[:16]
-
         got = {
-            "logits": digest(logits),
+            "logits": logits_digest,
             "loss": digest([np.float64(total)]),
             "grads": digest(grads[name] for name in params),
             "decode": digest(l for step in steps for l in step),
@@ -688,10 +692,22 @@ class TestStepMemory:
         logits, cache = forward(params, cfg, batch, heads, want_cache=True)
         targets, mask = targets[heads], mask[heads]
         _, _, probs = weighted_loss(logits, targets, mask, cfg.loss_weights)
-        d_logits = loss_gradient(logits, targets, mask, cfg.loss_weights, probs)
-        del logits, probs
-        backward(params, cfg, cache, d_logits)
+        backward(params, cfg, cache, loss_gradient(logits, targets, mask, cfg.loss_weights, probs))
         return cache
+
+    def traced_peak(self, run) -> int:
+        """Peak bytes ``run()`` allocates above what was allocated before it."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
 
     def test_backward_consumes_the_cache(self):
         assert self.step(*self.case()) == {}
@@ -699,23 +715,29 @@ class TestStepMemory:
     def test_peak_allocation_of_a_step(self):
         """numpy reports its allocations to tracemalloc, so the peak repeats exactly.
 
-        This implementation measured 3,244,642 bytes above the step's
-        inputs (numpy 2.4, Python 3.11); the one that kept every
-        intermediate, and the GELU output, until backward returned
-        measured 4,753,072.
+        This implementation measured 3,244,697 bytes above the step's
+        inputs (numpy 2.4, Python 3.11), at its peak inside backward; the
+        one that kept every intermediate, and the GELU output, until
+        backward returned measured 4,753,072.
         """
         case = self.case()
         self.step(*case)  # fill the cached name and position tables
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            self.step(*case)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak < 3_500_000
+        assert self.traced_peak(lambda: self.step(*case)) < 3_300_000
+
+    def test_loss_gradient_allocates_no_logit_sized_array(self):
+        """The gradient is written over the logits: four float32 heads of 400 x 256, 409,600 bytes each.
+
+        This implementation's peak above its inputs measured 9,824 bytes
+        (numpy 2.4, Python 3.11); the one that wrote into fresh arrays
+        measured 1,648,320.
+        """
+        rng = np.random.default_rng(43)
+        n, sizes = 400, (256,) * 4
+        logits = [rng.standard_normal((n, v)).astype(np.float32) for v in sizes]
+        targets = np.stack([rng.integers(0, v, size=n) for v in sizes], axis=-1)
+        mask = rng.random((n, len(sizes))) < 0.6
+        weights = (5.0, 1.0, 0.5, 0.1)
+        _, _, probs = weighted_loss(logits, targets, mask, weights)
+        peak = self.traced_peak(lambda: loss_gradient(logits, targets, mask, weights, probs))
+        assert peak < logits[0].nbytes // 10
 

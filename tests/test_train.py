@@ -1,6 +1,9 @@
 """Schedule, batching, training-loop, and checkpoint tests."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codec_infill
 from codec_infill import train
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill.errors import InvalidInputError, NonFiniteLossError
@@ -788,3 +792,33 @@ class TestBenchmarkContract:
             assert training is not None and list(loaded.params) == list(trained.params)
             save_checkpoint(tmp_path / "resave.bin", loaded, training)
             assert (tmp_path / "resave.bin").read_bytes() == path.read_bytes(), path.name
+
+
+# Eight 8 MiB arrays made and freed four times; prints the minor page faults of the last round.
+HEAP_ROUNDS = """
+import resource
+import numpy as np
+from codec_infill import train
+train._retain_heap()
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 21, dtype=np.float32) for _ in range(8)]
+    del arrays
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "confstr") or "glibc" not in (os.confstr("CS_GNU_LIBC_VERSION") or ""), reason="glibc only"
+)
+def test_retained_heap_serves_a_repeated_step_without_new_pages():
+    """After ``_retain_heap`` a round of 64 MiB of arrays reuses the pages the previous round freed.
+
+    glibc's adaptive thresholds would trim the 64 MiB freed at the top of
+    the heap and fault all 16,384 pages back in on the next round.  A fresh
+    interpreter runs the rounds, since the setting lasts for the process;
+    numpy's huge-page advice is off there so each page counts as a fault.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(codec_infill.__file__).parents[1]), "NUMPY_MADVISE_HUGEPAGE": "0"}
+    out = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 200
