@@ -118,8 +118,8 @@ def _record_from_payload(payload: dict) -> EvalRecord:
 
 
 def load_manifest(path) -> list[EvalRecord]:
-    """Records of a manifest file; a malformed line raises ``ConfigError`` naming it."""
-    return read_json_lines(path, _record_from_payload)
+    """Records of a manifest file; a malformed line or a repeated id raises ``ConfigError`` naming it."""
+    return read_json_lines(path, _record_from_payload, id_of=lambda record: record.id)
 
 
 def synthesize_manifest(

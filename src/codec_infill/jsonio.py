@@ -37,10 +37,17 @@ def read_json(path, parse=dict):
         return _decode(fh.read(), parse, str(path))
 
 
-def read_json_lines(path, parse) -> list:
-    """``parse`` of each non-blank line's JSON object; errors name the file and line."""
+def read_json_lines(path, parse, id_of=None) -> list:
+    """``parse`` of each non-blank line's JSON object; errors, and a repeated ``id_of(item)``, name the file and line."""
+    items, first = [], {}
     with open(path, "rb") as fh:
-        return [_decode(raw, parse, f"{path} line {n}") for n, raw in enumerate(fh, start=1) if raw.strip()]
+        for n, raw in enumerate(fh, start=1):
+            if raw.strip():
+                items.append(_decode(raw, parse, f"{path} line {n}"))
+                item_id = id_of(items[-1]) if id_of else n  # a line number repeats no other
+                if first.setdefault(item_id, n) != n:
+                    raise ConfigError(f"{path} line {n}: id '{item_id}' repeats line {first[item_id]}")
+    return items
 
 
 def get_field(payload: dict, name: str, kind, default=REQUIRED, convert=None):

@@ -738,22 +738,23 @@ def weighted_loss(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
     """Weighted masked cross-entropy: L = sum_k alpha_k * mean-CE_k.
 
     ``logits[k]`` is (..., V_k); ``targets``/``loss_mask`` are (..., K).
-    Returns (total, per-codebook components, probs):
-    ``probs[k]`` is head k's softmax at its loss rows, (N_k, V_k) float64
-    in the row order of ``logits[k][loss_mask[..., k]]``, which
-    :func:`loss_gradient` takes so the softmax is computed once per step.
-    Accumulation runs in float64 regardless of model dtype.
+    Returns (total, per-codebook components).  Consumes the logits: head
+    k's loss rows are overwritten with dL/dlogits, softmax minus one-hot
+    scaled by alpha_k / N_k, before head k+1's softmax is taken, so one
+    head's float64 softmax exists at a time; :func:`loss_gradient`
+    finishes the gradient.  Accumulation runs in float64 regardless of
+    model dtype.
     """
-    per_k, probs = [], []
+    per_k = []
     for k, logit_k in enumerate(logits):
         mask = loss_mask[..., k]
         lk = logit_k[mask].astype(np.float64)
         n = len(lk)
         if n == 0:
             per_k.append(0.0)
-            probs.append(lk)
             continue
-        picked = lk[np.arange(n), targets[..., k][mask]]
+        rows = np.arange(n), targets[..., k][mask]
+        picked = lk[rows]
         m = lk.max(axis=-1, keepdims=True)
         lk -= m
         p = np.exp(lk, out=lk)
@@ -761,30 +762,22 @@ def weighted_loss(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weig
         ce = np.log(sums) + m[:, 0] - picked
         per_k.append(float(ce.mean()))
         p /= sums[:, None]
-        probs.append(p)
+        p[rows] -= 1.0
+        p *= weights[k] / n
+        logit_k[mask] = p
+        del lk, p  # before the next head's softmax is allocated
     total = float(sum(w * l for w, l in zip(weights, per_k)))
-    return total, per_k, probs
+    return total, per_k
 
 
-def loss_gradient(logits: list, targets: np.ndarray, loss_mask: np.ndarray, weights, probs: list):
-    """d(total loss)/d(logits): softmax minus one-hot, scaled by alpha_k / N_k.
+def loss_gradient(logits: list, loss_mask: np.ndarray):
+    """d(total loss)/d(logits), from the logits :func:`weighted_loss` consumed.
 
-    ``probs`` is the softmax :func:`weighted_loss` returned for the same
-    logits and mask.  Both are consumed: each head's gradient is written
-    over that head's logits, which are returned, and ``probs[k]`` is
-    released (set to None) as soon as head k is written, so a step holds
-    no second set of logit-sized arrays and sheds the softmaxes head by head.
+    Zeroes each head's rows outside its loss mask, where the loss does not
+    depend on the logits, and returns the logits, which now hold the gradient.
     """
     for k, logit_k in enumerate(logits):
-        mask = loss_mask[..., k]
-        p = probs[k]
-        probs[k] = None
-        logit_k[~mask] = 0
-        n = len(p)
-        if n > 0:
-            p[np.arange(n), targets[..., k][mask]] -= 1.0
-            p *= weights[k] / n
-            logit_k[mask] = p
+        logit_k[~loss_mask[..., k]] = 0
     return logits
 
 

@@ -304,13 +304,13 @@ def load_corpus(corpus_dir) -> tuple[list[ToyUtterance], ToyCodecConfig]:
     corpus_dir = Path(corpus_dir)
     cfg = load_codec_config(corpus_dir / "codec_config.json")
     manifest = corpus_dir / "manifest.jsonl"
-    entries = {entry[0]: entry for entry in read_json_lines(manifest, _manifest_entry)}
+    entries = read_json_lines(manifest, _manifest_entry, id_of=lambda entry: entry[0])
     dumps = {}
-    for _, _, name, _ in entries.values():
+    for _, _, name, _ in entries:
         if name not in dumps:
             dumps[name] = {rec.id: rec for rec in read_token_dump(corpus_dir / name)}
     utterances = []
-    for rid, transcript, name, split in entries.values():
+    for rid, transcript, name, split in entries:
         if rid not in dumps[name]:
             raise ConfigError(f"{manifest}: utterance '{rid}' is not in dump {name}")
         utterances.append(ToyUtterance(rid, transcript, dumps[name][rid].matrix, split))

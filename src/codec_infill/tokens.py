@@ -183,5 +183,5 @@ def write_token_dump(path, records) -> None:
 
 
 def read_token_dump(path) -> list[TokenDumpRecord]:
-    """Records of a dump file; a malformed line raises ``ConfigError`` naming it."""
-    return read_json_lines(path, _record_from_payload)
+    """Records of a dump file; a malformed line or a repeated id raises ``ConfigError`` naming it."""
+    return read_json_lines(path, _record_from_payload, id_of=lambda record: record.id)

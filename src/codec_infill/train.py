@@ -274,9 +274,7 @@ def batch_stream(utterances, model_cfg, train_cfg, cursor=(0, 0)):
 def evaluation_loss(state: ModelState, batch: Batch) -> float:
     heads = batch.loss_mask.any(axis=-1)
     logits, _ = forward(state.params, state.config, batch.inputs, heads)
-    total, _, _ = weighted_loss(
-        logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights
-    )
+    total, _ = weighted_loss(logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights)
     return total
 
 
@@ -337,21 +335,20 @@ def train_loop(
             heads = batch.loss_mask.any(axis=-1)
             targets, loss_mask = batch.targets[heads], batch.loss_mask[heads]
             logits, cache = forward(state.params, state.config, batch.inputs, heads, want_cache=True)
-            loss_value, loss_k, probs = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
+            loss_value, loss_k = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
             if not np.isfinite(loss_value):
                 batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
                 if run_path is not None:
                     dump = {"step": t, "cursor": list(batch.cursor), "utterances": batch.utterance_ids}
                     write_json(run_path / "nonfinite_batch.json", dump)
                 raise NonFiniteLossError(f"non-finite loss {loss_value} at step {t}", batch_id)
-            # written over the logits; each head's softmax is freed once its gradient is written
-            d_logits = loss_gradient(logits, targets, loss_mask, state.config.loss_weights, probs)
-            grads = backward(state.params, state.config, cache, d_logits)
+            grads = backward(state.params, state.config, cache, loss_gradient(logits, loss_mask))
             if grads_sum is None:
                 grads_sum = grads
             else:
                 for name in grads_sum:
                     grads_sum[name] += grads[name]
+            del logits, grads  # so nothing of this batch is held through the next forward
             total += loss_value / train_cfg.grad_accum
             per_k = loss_k if per_k is None else [a + b for a, b in zip(per_k, loss_k)]
             positions += int(batch.inputs.lengths.sum())

@@ -137,7 +137,7 @@ def embed_backward_oracle(streams, d_emb, cfg: ModelConfig) -> dict:
 
 
 def loss_gradient_oracle(logits, targets, loss_mask, weights):
-    """Reference for ``loss_gradient``: computes each head's softmax from the logits itself."""
+    """Reference for the gradient ``weighted_loss`` and ``loss_gradient`` write over the logits, into new arrays."""
     d_logits = []
     for k, logit_k in enumerate(logits):
         mask = loss_mask[..., k]

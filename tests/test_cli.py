@@ -788,6 +788,28 @@ def corpus_manifest_unknown_key(tmp_path, corpus_dir, checkpoint):
     return argv, names + ["'splits'"]
 
 
+def corpus_with_a_repeat_of_utt00000(tmp_path, corpus_dir, checkpoint, name):
+    """edit over a copy of the corpus whose file ``name`` ends in line 3's entry renamed utt00000."""
+    lines = (corpus_dir / name).read_text().splitlines()
+    entry = json.loads(lines[2])
+    entry["id"] = "utt00000"
+    corpus = corpus_with(tmp_path, corpus_dir, name, "\n".join([*lines, json.dumps(entry)]) + "\n")
+    argv, _ = edit_with_request(tmp_path, corpus, checkpoint, target=[1])
+    return argv, [str(corpus / name), f"line {len(lines) + 1}", "'utt00000'", "line 1"]
+
+
+@malformed
+def corpus_manifest_repeated_id(tmp_path, corpus_dir, checkpoint):
+    """The repeat once gave utt00000 utt00002's transcript beside its own tokens."""
+    return corpus_with_a_repeat_of_utt00000(tmp_path, corpus_dir, checkpoint, "manifest.jsonl")
+
+
+@malformed
+def corpus_dump_repeated_id(tmp_path, corpus_dir, checkpoint):
+    """The repeat once gave utt00000 utt00002's tokens beside its own transcript."""
+    return corpus_with_a_repeat_of_utt00000(tmp_path, corpus_dir, checkpoint, "tokens.jsonl")
+
+
 def eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, named, **fields):
     """eval of a manifest whose line 2 is a valid identity record with ``fields`` set."""
     manifest = tmp_path / "manifest.jsonl"
@@ -795,6 +817,13 @@ def eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, named, **fields)
     manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n' + json.dumps(record) + "\n")
     argv = ["eval", str(checkpoint), str(corpus_dir), str(manifest), "--out", str(tmp_path / "ev")]
     return argv, [str(manifest), "line 2", named]
+
+
+@malformed
+def eval_manifest_repeated_id(tmp_path, corpus_dir, checkpoint):
+    """Records are keyed by id: two records named alike once both edited the second one's utterance."""
+    argv, names = eval_manifest_with_line_2(tmp_path, corpus_dir, checkpoint, "'utt00000'", id="utt00000")
+    return argv, names + ["line 1"]
 
 
 @malformed
