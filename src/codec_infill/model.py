@@ -26,23 +26,32 @@ Training minimizes sum_k alpha_k * L_k where L_k is the mean
 masked cross-entropy of head k; positions whose target is a mask marker
 or the EMPTY filler carry no loss.
 
-Everything is plain numpy with hand-written reverse-mode gradients.  A
-training forward saves, block by block, only the arrays its backward
-reads (an FFN keeps the GELU's input and CDF, and backward recomputes
-its output as their product).  ``backward`` consumes that cache: each
-block's backward adds its own parameters' gradients, returns the
-gradient of its input, and its saved arrays are dropped as soon as it
-returns.  The large elementwise stages write their results in place, in
-the same order of operations, so a step holds few temporaries.  All
-functions are deterministic given their inputs.
+Everything is plain numpy with hand-written reverse-mode gradients.
+Every block is pre-norm: a LayerNorm, then attention, an FFN or the
+heads.  A training forward saves, block by block, only what its backward
+cannot rebuild for a few cheap operations: the LayerNorm's normalized
+rows and inverse deviations, but not its output; the attention's softmax
+weights and merged context, but not q, k or v; the FFN's GELU input and
+CDF, but not the GELU's output.  ``backward`` rebuilds the LayerNorm
+output from the normalized rows by the forward's own two operations,
+q, k and v from that by the same projections, and the GELU output as the
+product of its input and CDF, so every rebuilt array equals the
+forward's bit for bit.  It consumes the cache: each block's backward
+adds its own parameters' gradients, returns the gradient of its input,
+and its saved arrays are dropped as soon as it returns.  The large
+elementwise stages write their results in place, in the same order of
+operations, so a step holds few temporaries.  All functions are
+deterministic given their inputs.
 
 ``forward`` is the only implementation of the network.  It keeps the
 real positions of a batch packed as one (N, d) array, so padding costs
-only its share of the attention core.  Training runs it over
-right-padded batches.  A :class:`DecodeSession` decodes several rows
-at once: it runs ``forward`` over their left-padded contexts (prefill,
-once per context object) and then over one appended item per row,
-passing a :class:`KVCache` so every call continues each row's positions.
+only its share of the attention core, and after the last attention it
+keeps only the rows the heads read: the last FFN, like the heads, runs
+at those rows alone.  Training runs it over right-padded batches.  A
+:class:`DecodeSession` decodes several rows at once: it runs
+``forward`` over their left-padded contexts (prefill, once per context
+object) and then over one appended item per row, passing a
+:class:`KVCache` so every call continues each row's positions.
 
 Architecture choices not pinned elsewhere, recorded here: pre-norm
 blocks, exact (erf-based) GELU in the FFN and heads, LayerNorm eps 1e-5,
@@ -418,17 +427,31 @@ def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0, s
     return emb
 
 
+def _add_rows(table, ids, rows):
+    """``np.add.at(table, ids, rows)`` by one stable sort of ``ids`` and one ``np.add.reduceat``.
+
+    Each id's rows are summed in their order, then added to its row of
+    ``table`` once; ``np.add.at`` is several times slower.
+    """
+    if not len(ids):
+        return
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+    table[ids[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+
+
 def _embed_backward(params: dict, cfg: ModelConfig, batch: EncodedBatch, d_emb, grads: dict):
     """Add the gradient of the packed input vectors ``d_emb`` to the embedding tables."""
     real = batch.kind != KIND_PAD
     kind, ids = batch.kind[real], batch.ids[real]
     text = kind == KIND_TEXT
-    np.add.at(grads["text_emb"], ids[text, 0], d_emb[text])
+    _add_rows(grads["text_emb"], ids[text, 0], d_emb[text])
     frame = kind == KIND_FRAME
     for k in range(cfg.num_codebooks):
         drawn = ~text if k == 0 else frame
         d_table = np.zeros((cfg.head_vocab_size(k), cfg.hidden_dim), dtype=d_emb.dtype)
-        np.add.at(d_table, ids[drawn, k], d_emb[drawn])
+        _add_rows(d_table, ids[drawn, k], d_emb[drawn])
         size = cfg.codebook_sizes[k]
         grads[f"codebook_emb_{k}"] += d_table[:size]
         grads["marker_emb"] += d_table[size:-1]
@@ -476,14 +499,23 @@ def _mean_last(x):
 
 
 def _layer_norm(params, prefix, x):
-    """LayerNorm of the rows ``x`` with the gain and bias named ``prefix``; returns (out, cache)."""
+    """LayerNorm of the rows ``x`` with the gain and bias named ``prefix``; returns (out, cache).
+
+    The cache is (normed, inv_std), not the output: :func:`_layer_norm_output`
+    rebuilds that from ``normed``.
+    """
     normed = x - _mean_last(x)
     var = _mean_last(normed * normed)
     inv_std = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=x.dtype))
     normed *= inv_std
+    return _layer_norm_output(params, prefix, normed), (normed, inv_std)
+
+
+def _layer_norm_output(params, prefix, normed):
+    """``normed * gain + bias`` by the forward's own two operations, so a rebuilt output equals it bit for bit."""
     out = normed * params[f"{prefix}.gain"]
     out += params[f"{prefix}.bias"]
-    return out, (normed, inv_std)
+    return out
 
 
 def _layer_norm_backward(params, prefix, d_out, cache, grads):
@@ -535,19 +567,30 @@ def _merge_heads(a, real):
     return columns.reshape(-1, a.shape[1] * a.shape[3])
 
 
-def _attention_forward(params, prefix, x, real, bias, cfg, kv=None):
-    """Multi-head self-attention over packed rows ``x``; ``kv`` is this layer's (keys, values, column).
-
-    Only the attention core runs in the (B, H, L, head_dim) layout of the
-    batch columns; the projections run on the packed rows.  With a cache,
-    this call's keys/values are written into the cache buffers at
-    ``column`` and attention runs over every column up to them, so the
-    next call sees every position.
-    """
-    dh = cfg.hidden_dim // cfg.num_heads
+def _attention_projections(params, prefix, x, real, cfg):
+    """Queries, keys and values of the packed rows ``x``, each (B, H, L, head_dim) at their batch columns."""
     q = _split_heads(_affine(x, params[f"{prefix}.wq"], params[f"{prefix}.bq"]), real, cfg)
     k = _split_heads(x @ params[f"{prefix}.wk"], real, cfg)
     v = _split_heads(_affine(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"]), real, cfg)
+    return q, k, v
+
+
+def _attention_forward(params, ln, prefix, x, real, bias, cfg, kv=None):
+    """LayerNorm ``ln``, then multi-head self-attention, over packed rows ``x``; returns (out, cache).
+
+    ``kv`` is this layer's (keys, values, column).  Only the attention
+    core runs in the (B, H, L, head_dim) layout of the batch columns; the
+    projections run on the packed rows.  With a KV cache, this call's
+    keys/values are written into the cache buffers at ``column`` and
+    attention runs over every column up to them, so the next call sees
+    every position.  The cache keeps the LayerNorm's own cache, the
+    softmax weights and the merged context, not the block's input nor q,
+    k and v: backward rebuilds them.
+    """
+    dh = cfg.hidden_dim // cfg.num_heads
+    normed, ln_cache = _layer_norm(params, ln, x)
+    q, k, v = _attention_projections(params, prefix, normed, real, cfg)
+    del normed
     if kv is not None:
         keys, values, past = kv
         end = past + real.shape[1]
@@ -562,17 +605,20 @@ def _attention_forward(params, prefix, x, real, bias, cfg, kv=None):
     weights /= weights.sum(axis=-1, keepdims=True)
     merged = _merge_heads(weights @ v, real)
     out = _affine(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    return out, (x, real, q, k, v, weights, merged)
+    return out, (ln_cache, real, weights, merged)
 
 
-def _attention_backward(params, prefix, d_out, cache, cfg, grads):
-    x, real, q, k, v, weights, merged = cache
+def _attention_backward(params, ln, prefix, d_out, cache, cfg, grads):
+    """Mirror of :func:`_attention_forward`; returns the gradient of its input ``x``."""
+    ln_cache, real, weights, merged = cache
     dh = cfg.hidden_dim // cfg.num_heads
 
     grads[f"{prefix}.wo"] += merged.T @ d_out
     grads[f"{prefix}.bo"] += d_out.sum(axis=0)
     d_context = _split_heads(d_out @ params[f"{prefix}.wo"].T, real, cfg)
 
+    x = _layer_norm_output(params, ln, ln_cache[0])
+    q, k, v = _attention_projections(params, prefix, x, real, cfg)
     d_weights = d_context @ v.transpose(0, 1, 3, 2)
     d_v = weights.transpose(0, 1, 3, 2) @ d_context
     # softmax jacobian: dS = W * (dW - sum(dW * W)), written over dW
@@ -582,6 +628,7 @@ def _attention_backward(params, prefix, d_out, cache, cfg, grads):
     d_scores /= np.asarray(np.sqrt(dh), dtype=x.dtype)
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 1, 3, 2) @ q
+    del q, k, v, d_scores, d_weights
 
     d_x = np.zeros_like(x)
     for name, dval in (("q", d_q), ("k", d_k), ("v", d_v)):
@@ -590,39 +637,47 @@ def _attention_backward(params, prefix, d_out, cache, cfg, grads):
         if name != "k":
             grads[f"{prefix}.b{name}"] += dval.sum(axis=0)
         d_x += dval @ params[f"{prefix}.w{name}"].T
-    return d_x
+    del x, d_q, d_k, d_v
+    return _layer_norm_backward(params, ln, d_x, ln_cache, grads)
 
 
-def _ffn_forward(params, blocks, x, w1, b1):
-    """K Linear -> GELU -> Linear blocks over the same rows ``x``; returns (K outputs, cache).
+def _ffn_forward(params, ln, blocks, x, w1, b1):
+    """LayerNorm ``ln``, then K Linear -> GELU -> Linear blocks, over the same rows ``x``; returns (K outputs, cache).
 
     ``blocks`` are the blocks' parameter names, (w1, b1, w2, b2) each.
     Their first layers run stacked, as one product of ``w1`` (K, d, f)
     and ``b1`` (K, 1, f) and one GELU; the second layers run one per
     block, since their widths may differ.  A layer's FFN is the one-block
-    case, ``params[w1][None]``.  The cache keeps the GELU's input and CDF,
-    not its output: backward recomputes that as their product.
+    case, ``params[w1][None]``.  The cache keeps the LayerNorm's own
+    cache and the GELU's input and CDF, not the block's input nor the
+    GELU's output: backward rebuilds the one from the LayerNorm's
+    ``normed`` and recomputes the other as the product of the two.
     """
-    pre = _affine(x, w1, b1)
+    normed, ln_cache = _layer_norm(params, ln, x)
+    pre = _affine(normed, w1, b1)
+    del normed
     phi = _gelu_cdf(pre)
     act = pre * phi
     out = [_affine(act[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
-    return out, (x, pre, phi, w1)
+    return out, (ln_cache, pre, phi, w1)
 
 
-def _ffn_backward(params, blocks, d_out, cache, grads):
-    """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns d_x."""
-    x, pre, phi, w1 = cache
+def _ffn_backward(params, ln, blocks, d_out, cache, grads):
+    """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns the gradient of ``x``."""
+    ln_cache, pre, phi, w1 = cache
     act = pre * phi  # the GELU output; block k's rows are overwritten by their gradient once read
     for k, ((_, _, w2, b2), d_k) in enumerate(zip(blocks, d_out)):
         grads[w2] += act[k].T @ d_k
         grads[b2] += d_k.sum(axis=0)
         np.matmul(d_k, params[w2].T, out=act[k])
     d_pre = _gelu_grad(pre, phi, act)
+    x = _layer_norm_output(params, ln, ln_cache[0])
     for k, (w1_name, b1_name, _, _) in enumerate(blocks):
         grads[w1_name] += x.T @ d_pre[k]  # one 2-D product per block: broadcast over K it is slower
         grads[b1_name] += d_pre[k].sum(axis=0)
-    return sum(d_pre[k] @ w1[k].T for k in range(len(blocks)))
+    del x
+    d_x = sum(d_pre[k] @ w1[k].T for k in range(len(blocks)))
+    return _layer_norm_backward(params, ln, d_x, ln_cache, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +707,11 @@ def forward(
     positions the (B, L) boolean ``heads_at`` marks, which must be real
     positions: ``logits[k]`` has shape (heads_at.sum(), V_k), one row per
     marked position in row-major order.  A position's logits are
-    computed from positions <= it only.
+    computed from positions <= it only.  Nothing reads the last layer's
+    other rows after its attention, so its LayerNorm and FFN run at the
+    marked rows only: the rows that carry loss in training, each row's
+    last column in a decode prefill.  The attention still runs a query
+    at every row.
 
     ``kv_cache`` (decoding only) is a :class:`KVCache` over the same
     rows: the batch continues its columns, each row at its own position,
@@ -662,8 +721,9 @@ def forward(
 
     With ``want_cache`` the second value is the cache :func:`backward`
     takes: the batch, the rows the heads ran at and, for each block in
-    the order it ran, the arrays its backward reads.  It covers no keys
-    of a ``kv_cache``, and one ``backward`` consumes it.
+    the order it ran, the arrays its backward cannot rebuild (see the
+    module docstring): no LayerNorm output and no q, k or v.  It covers
+    no keys of a ``kv_cache``, and one ``backward`` consumes it.
 
     ``tables`` are :func:`_fixed_tables` of ``params``, built here when not
     given; a decode session passes the ones it built once.
@@ -679,26 +739,27 @@ def forward(
         key_ok = np.arange(past + batch.max_length) >= kv_cache.pad[:, None]
     x = _embed_batch(params, cfg, batch, start=start, slots=tables.slots)
     bias = _causal_bias(key_ok, batch.max_length, x.dtype)
+    heads = heads_at[real]  # (N,) packed rows the heads run at
     saved = []  # each block's backward cache, in the order the blocks ran
     for i in range(cfg.num_layers):
         p = f"layer{i}"
-        normed1, ln1_cache = _layer_norm(params, f"{p}.ln1", x)
         kv = None if kv_cache is None else (kv_cache.keys[i], kv_cache.values[i], past)
-        attn_out, attn_cache = _attention_forward(params, f"{p}.attn", normed1, real, bias, cfg, kv)
+        attn_out, attn_cache = _attention_forward(params, f"{p}.ln1", f"{p}.attn", x, real, bias, cfg, kv)
         x += attn_out
-        normed2, ln2_cache = _layer_norm(params, f"{p}.ln2", x)
+        if i == cfg.num_layers - 1 and not heads.all():  # nothing reads the last FFN's other rows
+            x = x[heads]
         ffn = _layer_ffn(i)
-        (ffn_out,), ffn_cache = _ffn_forward(params, [ffn], normed2, params[ffn[0]][None], params[ffn[1]])
+        (ffn_out,), ffn_cache = _ffn_forward(params, f"{p}.ln2", [ffn], x, params[ffn[0]][None], params[ffn[1]])
         x += ffn_out
         if want_cache:  # otherwise each layer's intermediates are freed as it ends
-            saved += [ln1_cache, attn_cache, ln2_cache, ffn_cache]
-    heads = heads_at[real]  # (N,) packed rows the heads run at
-    hidden, final_cache = _layer_norm(params, "final_ln", x[heads])
-    logits, head_cache = _ffn_forward(params, _head_ffns(cfg.num_codebooks), hidden, tables.head_w0, tables.head_b0)
+            saved += [attn_cache, ffn_cache]
+    logits, head_cache = _ffn_forward(
+        params, "final_ln", _head_ffns(cfg.num_codebooks), x, tables.head_w0, tables.head_b0
+    )
 
     cache = None
     if want_cache:
-        cache = {"batch": batch, "heads": heads, "saved": saved + [final_cache, head_cache]}
+        cache = {"batch": batch, "heads": heads, "saved": saved + [head_cache]}
     return logits, cache
 
 
@@ -708,22 +769,27 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     Consumes ``cache``: each block's saved arrays are dropped, some
     overwritten first, as soon as its gradients are taken, so the memory
     a step holds shrinks as backward goes, and ``cache`` ends empty.  A
-    cache serves one backward.
+    cache serves one backward.  Each block rebuilds what its forward
+    did not save: its input, from its LayerNorm's ``normed``, before that
+    LayerNorm's backward overwrites it, and the attention's q, k and v,
+    from that input.  The gradient of the last layer's residual rows
+    covers the heads' rows only until that layer's attention, where it
+    is scattered into every row, zero at the others.
     """
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     saved = cache.pop("saved")
-    d_logits = [np.asarray(d_k, dtype=cfg.np_dtype) for d_k in d_logits]
-    d_hidden = _ffn_backward(params, _head_ffns(cfg.num_codebooks), d_logits, saved.pop(), grads)
     heads = cache.pop("heads")
-    d_x = np.zeros((heads.size, cfg.hidden_dim), dtype=d_hidden.dtype)
-    d_x[heads] = _layer_norm_backward(params, "final_ln", d_hidden, saved.pop(), grads)
+    d_logits = [np.asarray(d_k, dtype=cfg.np_dtype) for d_k in d_logits]
+    d_x = _ffn_backward(params, "final_ln", _head_ffns(cfg.num_codebooks), d_logits, saved.pop(), grads)
 
     for i in reversed(range(cfg.num_layers)):
         p = f"layer{i}"
-        d_normed2 = _ffn_backward(params, [_layer_ffn(i)], [d_x], saved.pop(), grads)
-        d_x += _layer_norm_backward(params, f"{p}.ln2", d_normed2, saved.pop(), grads)
-        d_normed1 = _attention_backward(params, f"{p}.attn", d_x, saved.pop(), cfg, grads)
-        d_x += _layer_norm_backward(params, f"{p}.ln1", d_normed1, saved.pop(), grads)
+        d_x += _ffn_backward(params, f"{p}.ln2", [_layer_ffn(i)], [d_x], saved.pop(), grads)
+        if len(d_x) < heads.size:  # the last layer's FFN ran at the heads' rows only
+            every_row = np.zeros((heads.size, cfg.hidden_dim), dtype=d_x.dtype)
+            every_row[heads] = d_x
+            d_x = every_row
+        d_x += _attention_backward(params, f"{p}.ln1", f"{p}.attn", d_x, saved.pop(), cfg, grads)
 
     _embed_backward(params, cfg, cache.pop("batch"), d_x, grads)
     return grads

@@ -29,6 +29,7 @@ All functions are pure; randomness enters only through an explicit
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,11 +98,18 @@ class MaskSamplingConfig:
             raise InvalidInputError("rate must be positive")
 
 
+@functools.lru_cache(maxsize=16)
 def truncated_poisson_pmf(rate: float, lo: int, hi: int) -> np.ndarray:
-    """Pmf of Poisson(rate) conditioned on lo <= n <= hi."""
+    """Pmf of Poisson(rate) conditioned on lo <= n <= hi.
+
+    Cached, since every sampled utterance asks for the same one; the
+    array is read-only because every caller shares it.
+    """
     ns = np.arange(lo, hi + 1)
     weights = np.array([rate**n / math.factorial(n) for n in ns], dtype=np.float64)
-    return weights / weights.sum()
+    pmf = weights / weights.sum()
+    pmf.setflags(write=False)
+    return pmf
 
 
 def sample_span_count(cfg: MaskSamplingConfig, rng: np.random.Generator) -> int:
@@ -162,7 +170,7 @@ def sample_mask_spans(
 
 
 def _frame_tuples(matrix: CodecMatrix) -> list[FrameTuple]:
-    return [tuple(int(v) for v in row) for row in matrix.frames]
+    return list(map(tuple, matrix.frames.tolist()))
 
 
 def causal_mask(matrix: CodecMatrix, spans: list[Span]) -> RearrangedSequence:

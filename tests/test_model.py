@@ -438,6 +438,33 @@ class TestPackedPositions:
             assert loss_b == pytest.approx(loss_a, rel=1e-10)
             self.assert_same_grads(grads_b, grads_a)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_logits_at_head_rows_equal_those_rows_of_a_full_forward(self, dtype):
+        """The last layer runs its FFN at the heads' rows only, and changes no bit of their logits.
+
+        Checked for a training loss mask and for a prefill's last column of
+        left-padded rows.  The products run on fewer rows, so this holds
+        where BLAS rounds each row the same whatever the row count, as it
+        does at these widths; at the desk model's, OpenBLAS rounds a
+        product of one row (gemv) or of a few rows (its small-matrix
+        kernel) differently.
+        """
+        cfg = tiny_config(**FOUR_HEADS, dtype=dtype)
+        params = init_params(cfg, np.random.default_rng(34))
+        rng = np.random.default_rng(35)
+        batch, _, _ = random_batch(rng, cfg, batch_size=3)
+        _, loss_mask = next_item_targets(batch, cfg)
+        prefill = encode_batch([random_context(rng, cfg, num_frames=n) for n in (3, 6, 4)], cfg)
+        last = np.zeros(prefill.kind.shape, dtype=bool)
+        last[:, -1] = True
+        for case, heads_at in ((batch, loss_mask.any(axis=-1)), (prefill, last)):
+            real = case.kind != KIND_PAD
+            assert 1 < heads_at.sum() < real.sum()
+            got, _ = forward(params, cfg, case, heads_at)
+            every, _ = forward(params, cfg, case, real)
+            for k in range(cfg.num_codebooks):
+                np.testing.assert_array_equal(got[k], every[k][heads_at[real]])
+
     def test_heads_at_loss_rows_equal_heads_at_every_real_position(self):
         cfg, params, _, batch, targets, mask = self.case(32)
         lossy, real = mask.any(axis=-1), batch.kind != KIND_PAD
@@ -580,11 +607,12 @@ class TestGradients:
                 rel = abs(an - fd) / max(abs(an), abs(fd))
                 assert rel < 1e-4, f"{name}{idx}: analytic {an} vs fd {fd}"
 
-    # sha256 prefixes recorded from the implementation with separate head and layer FFN code
+    # sha256 prefixes recorded from the implementation with separate head and layer FFN code;
+    # "grads" re-recorded when the embedding gradient moved from np.add.at to a sorted np.add.reduceat
     PINNED = {
         "logits": "a123662a767558e8",
         "loss": "46630ec8e5b32c9a",
-        "grads": "5be1da66c613e9fc",
+        "grads": "560cce74821fb422",
         "decode": "92c41cd231fbcc83",
     }
 
@@ -720,14 +748,46 @@ class TestStepMemory:
     def test_peak_allocation_of_a_step(self):
         """numpy reports its allocations to tracemalloc, so the peak repeats exactly.
 
-        This implementation measured 3,244,697 bytes above the step's
-        inputs (numpy 2.4, Python 3.11), at its peak inside backward; the
-        one that kept every intermediate, and the GELU output, until
-        backward returned measured 4,753,072.
+        This implementation measured 2,642,625 bytes above the step's
+        inputs (numpy 2.4, Python 3.11); the one that saved the
+        LayerNorm outputs and q, k and v and ran the last layer's FFN at
+        every row measured 3,244,649, and the one that kept every
+        intermediate, and the GELU output, until backward returned
+        measured 4,753,072.
         """
         case = self.case()
         self.step(*case)  # fill the cached name and position tables
-        assert self.traced_peak(lambda: self.step(*case)) < 3_300_000
+        assert self.traced_peak(lambda: self.step(*case)) < 2_700_000
+
+    def test_cache_holds_no_layer_norm_output_and_no_projection(self, monkeypatch):
+        """Backward rebuilds every LayerNorm output and the attention's q, k and v; the cache keeps none."""
+        made = []
+
+        def recorded(fn, pick):
+            def call(*args):
+                out = fn(*args)
+                made.extend(pick(out))
+                return out
+
+            return call
+
+        monkeypatch.setattr(model, "_layer_norm", recorded(model._layer_norm, lambda out: out[:1]))
+        monkeypatch.setattr(model, "_attention_projections", recorded(model._attention_projections, list))
+        cfg, params, batch, targets, mask = self.case()
+        _, cache = forward(params, cfg, batch, mask.any(axis=-1), want_cache=True)
+        assert len(made) == 2 * cfg.num_layers + 1 + 3 * cfg.num_layers  # LN1 and LN2 per layer, final LN; q, k, v
+
+        def arrays(entry):
+            if isinstance(entry, np.ndarray):
+                yield entry
+            elif isinstance(entry, (tuple, list)):
+                for part in entry:
+                    yield from arrays(part)
+
+        saved = list(arrays(cache["saved"]))
+        assert saved
+        for a in made:
+            assert not any(np.may_share_memory(a, s) for s in saved)
 
     def loss_case(self):
         """Four float32 heads of 400 x 256, 409,600 bytes each, and a loss mask at ~60% of rows."""
