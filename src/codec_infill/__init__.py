@@ -13,7 +13,6 @@ from .tokens import EMPTY, EOS, EOU, Alignment, CodecMatrix, Span, SpecialToken,
 from .rearrange import (
     MaskSamplingConfig,
     RearrangedSequence,
-    StackedSequence,
     causal_mask,
     delay_stack,
     place_spans,

@@ -19,13 +19,13 @@ the codec's sample rate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .infer import EditConfig, SamplingConfig, build_infill_context, diff_transcripts, edit_speech, generate_infill
-from .jsonio import check_keys, get_field, read_json_lines, write_json_lines
+from .jsonio import check_keys, get_field, read_json_lines
 from .metrics import WINDOW_LENGTH, energy_distance, f0_distance, levenshtein, mcd_distance, symbol_error_rate
 from .model import ModelConfig
 from .rearrange import splice
@@ -98,10 +98,6 @@ def validate_record(record: EvalRecord) -> None:
         )
 
 
-def save_manifest(path, records: list[EvalRecord]) -> None:
-    write_json_lines(path, (asdict(r) for r in records))
-
-
 def _record_from_payload(payload: dict) -> EvalRecord:
     check_keys(payload, {"id", "original", "edited", "edit_types", "num_spans", "bucket", "utterance"})
     record = EvalRecord(
@@ -127,19 +123,15 @@ def synthesize_manifest(
     codec_cfg: ToyCodecConfig,
     rng: np.random.Generator,
     num_records: int,
-    identity: bool = False,
     max_span_words: int = 5,
 ) -> list[EvalRecord]:
-    """RealEdit-style records over toy utterances (for tests and demos)."""
+    """RealEdit-style single-span edit records over toy utterances (for tests and benchmarks)."""
     records = []
     attempts = 0
     while len(records) < num_records and attempts < num_records * 50:
         attempts += 1
         utt = utterances[int(rng.integers(0, len(utterances)))]
         words = list(utt.transcript)
-        if identity:
-            records.append(EvalRecord(f"case{len(records):04d}_{utt.id}", words, words, utterance=utt.id))
-            continue
         kind = EDIT_TYPES[int(rng.integers(0, 3))]
         span_words = int(rng.integers(1, max_span_words + 1))
         edited = list(words)

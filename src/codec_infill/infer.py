@@ -122,18 +122,6 @@ def _classify_block(o_lo, o_hi, t_lo, t_hi) -> EditOp:
     return EditOp(kind, o_lo, o_hi, t_lo, t_hi)
 
 
-def apply_script(script: list[EditOp], original: list, target_words: list) -> list:
-    """Replay the script against the original; used to verify minimality."""
-    out = []
-    cursor = 0
-    for op in script:
-        out.extend(original[cursor:op.orig_start])
-        out.extend(target_words[op.repl_start:op.repl_end])
-        cursor = op.orig_end
-    out.extend(original[cursor:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Span selection
 # ---------------------------------------------------------------------------
@@ -237,12 +225,12 @@ class RunState:
             self.length = 1
 
 
-def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed=None) -> np.ndarray:
+def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed) -> np.ndarray:
     """Nucleus-sample one token id for each row of ``logits`` (rows, V).
 
     Row r applies temperature, subtracts repetition_gamma * run length
     from the logit of its running token ``runs[r]`` (the caller updates
-    the runs), optionally restricts to the ids where the boolean keep-mask
+    the runs), restricts to the ids where the boolean keep-mask
     ``allowed`` is true (shape (V,) or (rows, V); it broadcasts against
     the logits), then keeps the smallest probability-sorted prefix with
     cumulative mass >= top_p (ties by token id; the crossing token is
@@ -257,8 +245,7 @@ def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed=None) -> np.nd
         for r, run in enumerate(runs):
             if run.token is not None:
                 z[r, run.token] -= cfg.repetition_gamma * run.length
-    if allowed is not None:
-        z = np.where(allowed, z, -np.inf)
+    z = np.where(allowed, z, -np.inf)
     z -= z.max(axis=1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(axis=1, keepdims=True)

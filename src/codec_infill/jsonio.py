@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import sys
 import types
 import typing
 
@@ -120,8 +121,8 @@ def config_from_json(cls, payload, section: str):
     """A ``cls`` config dataclass from its JSON object.
 
     An unknown field, a value not of its field's declared type (int,
-    float, str, bool, ``tuple[X, ...]`` from a list, ``X | None`` or a
-    nested config) or a value the config rejects raises ConfigError
+    finite float, str, bool, ``tuple[X, ...]`` from a list, ``X | None``
+    or a nested config) or a value the config rejects raises ConfigError
     naming the field.
     """
     if not isinstance(payload, dict):
@@ -149,6 +150,8 @@ def _typed(hint, value, name: str):
         if isinstance(value, (list, tuple)):
             return tuple(_typed(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
     elif isinstance(value, (int, float) if hint is float else hint) and isinstance(value, bool) == (hint is bool):
+        if hint is float and (value != value or abs(value) > sys.float_info.max):  # NaN, Infinity, 1e999, 10**400
+            raise ConfigError(f"config field '{name}' must be finite, not {value!r}")
         return value  # an int is a float, but a bool is no int
     expected = hint.__name__ if isinstance(hint, type) else hint
     raise ConfigError(f"config field '{name}' must be {expected}, not {type(value).__name__} {value!r}")

@@ -102,10 +102,12 @@ class ModelConfig:
     def __post_init__(self):
         require_positive(
             self, "num_layers", "hidden_dim", "ffn_dim", "num_heads", "num_codebooks", "max_positions",
-            "text_vocab_size",
+            "text_vocab_size", "max_mask_spans",
         )
         if len(self.codebook_sizes) != self.num_codebooks:
             raise InvalidInputError("codebook_sizes length must equal num_codebooks")
+        if any(size < 1 for size in self.codebook_sizes):
+            raise InvalidInputError(f"codebook_sizes must all be >= 1, not {self.codebook_sizes!r}")
         if len(self.loss_weights) != self.num_codebooks:
             raise InvalidInputError("loss_weights length must equal num_codebooks")
         if any(w <= 0 for w in self.loss_weights):
@@ -224,20 +226,18 @@ def new_model(cfg: ModelConfig, seed: int = 0) -> ModelState:
 # ---------------------------------------------------------------------------
 
 
-def sinusoidal_positions(length: int, dim: int, dtype=np.float64, start=0) -> np.ndarray:
-    """Classic sin/cos rows for positions start .. start + length - 1.
+def sinusoidal_positions(length: int, dim: int, dtype=np.float64) -> np.ndarray:
+    """Classic sin/cos rows for positions 0 .. length - 1.
 
-    Row j encodes position p = start + j: pe[j, 2i] = sin(p * r_i),
-    pe[j, 2i+1] = cos(p * r_i).  ``start`` may be one offset per row of a
-    batch, giving a (rows, length, dim) table.
+    Row p encodes position p: pe[p, 2i] = sin(p * r_i), pe[p, 2i+1] = cos(p * r_i).
     """
-    positions = (np.asarray(start)[..., None] + np.arange(length)).astype(np.float64)[..., None]
+    positions = np.arange(length, dtype=np.float64)[:, None]
     half = np.arange(dim // 2, dtype=np.float64)
     rates = np.power(10000.0, -2.0 * half / dim)
     angles = positions * rates
-    pe = np.zeros(angles.shape[:-1] + (dim,), dtype=np.float64)
-    pe[..., 0::2] = np.sin(angles)
-    pe[..., 1::2] = np.cos(angles)
+    pe = np.zeros((length, dim), dtype=np.float64)
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles)
     return pe.astype(dtype)
 
 
@@ -398,28 +398,27 @@ def _fixed_tables(params: dict, cfg: ModelConfig) -> FixedTables:
     )
 
 
-def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, start=0, slots=None) -> np.ndarray:
+def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, slots, start) -> np.ndarray:
     """Input vectors of the real positions of a batch, packed row-major: (N, d).
 
     The batch's first column sits at position ``start``, one position for
     every row or one per row.  Padding gets no vector.
 
     A text item draws its ``text_emb`` row and a marker its row of slot
-    0's table (:func:`_slot_tables`, or ``slots`` when given).  A frame
-    step sums the rows of its K ids in their slots' tables, so each EMPTY
-    slot adds ``empty_emb``.  The sinusoidal encoding of the absolute
+    0's table in ``slots`` (:func:`_slot_tables`).  A frame step sums the
+    rows of its K ids in their slots' tables, so each EMPTY slot adds
+    ``empty_emb``.  The sinusoidal encoding of the absolute
     position is added, read from one table of ``max_positions`` rows.
     """
     real = batch.kind != KIND_PAD
     kind, ids = batch.kind[real], batch.ids[real]
-    tables = _slot_tables(params, cfg) if slots is None else slots
     text = kind == KIND_TEXT
     emb = np.empty((kind.size, cfg.hidden_dim), dtype=cfg.np_dtype)
     emb[text] = params["text_emb"][ids[text, 0]]
-    emb[~text] = tables[0][ids[~text, 0]]
+    emb[~text] = slots[0][ids[~text, 0]]
     frame = kind == KIND_FRAME
     for k in range(1, cfg.num_codebooks):
-        np.add(emb, tables[k][ids[:, k]], out=emb, where=frame[:, None])
+        np.add(emb, slots[k][ids[:, k]], out=emb, where=frame[:, None])
     positions = np.asarray(start)[..., None] + np.arange(batch.max_length)
     emb += _position_table(cfg.max_positions, cfg.hidden_dim, cfg.np_dtype)[
         np.broadcast_to(positions, real.shape)[real]
@@ -737,7 +736,7 @@ def forward(
         past = kv_cache.extend(batch.max_length)
         start = past - kv_cache.pad
         key_ok = np.arange(past + batch.max_length) >= kv_cache.pad[:, None]
-    x = _embed_batch(params, cfg, batch, start=start, slots=tables.slots)
+    x = _embed_batch(params, cfg, batch, tables.slots, start)
     bias = _causal_bias(key_ok, batch.max_length, x.dtype)
     heads = heads_at[real]  # (N,) packed rows the heads run at
     saved = []  # each block's backward cache, in the order the blocks ran
@@ -971,10 +970,3 @@ class TransformerDecoder:
 
     def new_session(self, contexts) -> DecodeSession:
         return DecodeSession(self.state, contexts)
-
-
-def score_sequence(state: ModelState, text_ids, items):
-    """Full-context forward for one utterance; logits (L, V_k) at every position."""
-    batch = encode_sequence(text_ids, items, state.config)
-    logits, _ = forward(state.params, state.config, batch, batch.kind != KIND_PAD)
-    return logits

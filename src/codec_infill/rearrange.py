@@ -43,25 +43,13 @@ FrameTuple = tuple[int, ...]
 
 @dataclass
 class RearrangedSequence:
-    """Span-relocated sequence: frame tuples interleaved with markers."""
+    """Span-relocated sequence: frame tuples interleaved with markers.
 
-    items: list  # FrameTuple | SpecialToken
-    frame_rate: int
-    codebook_sizes: tuple[int, ...]
-
-    @property
-    def num_codebooks(self) -> int:
-        return len(self.codebook_sizes)
-
-
-@dataclass
-class StackedSequence:
-    """Delay-patterned sequence: stacked steps interleaved with markers.
-
-    Stacked steps are K-tuples over token ids plus the EMPTY filler (-1).
+    After :func:`delay_stack` the frame tuples are stacked steps, K-tuples
+    over token ids plus the EMPTY filler (-1).
     """
 
-    items: list  # FrameTuple (with EMPTY entries) | SpecialToken
+    items: list  # FrameTuple (stacked: with EMPTY entries) | SpecialToken
     frame_rate: int
     codebook_sizes: tuple[int, ...]
 
@@ -342,7 +330,7 @@ def _join_runs(unmasked: list, relocated: list) -> list:
     return items
 
 
-def delay_stack(seq: RearrangedSequence) -> StackedSequence:
+def delay_stack(seq: RearrangedSequence) -> RearrangedSequence:
     """Apply the delay pattern to every span of Y; markers pass through."""
     k_count = seq.num_codebooks
 
@@ -350,10 +338,10 @@ def delay_stack(seq: RearrangedSequence) -> StackedSequence:
         return stack_span(_frame_run(run, offset, mask_index), k_count)
 
     items = _join_runs(*_parse_layout(seq.items, stack))
-    return StackedSequence(items, seq.frame_rate, seq.codebook_sizes)
+    return RearrangedSequence(items, seq.frame_rate, seq.codebook_sizes)
 
 
-def unstack(seq: StackedSequence) -> RearrangedSequence:
+def unstack(seq: RearrangedSequence) -> RearrangedSequence:
     """Exact inverse of :func:`delay_stack`; EMPTY fillers are discarded."""
     k_count = seq.num_codebooks
 

@@ -115,7 +115,11 @@ def exact_alignment(num_symbols: int, cfg: ToyCodecConfig) -> Alignment:
 
 
 def _encode(symbols, cfg: ToyCodecConfig, tables: list[np.ndarray], rng: np.random.Generator | None) -> CodecMatrix:
-    """``encode_transcript`` with the codebook tables already built."""
+    """``encode_transcript`` with the codebook tables already built.
+
+    When an rng is supplied, texture codebooks (3 and up) receive bounded
+    jitter; codebooks 1-2 are never perturbed, preserving invertibility.
+    """
     ids = np.asarray(symbols, dtype=np.int64)
     outside = ids[(ids < 0) | (ids >= cfg.alphabet_size)]
     if outside.size:
@@ -128,13 +132,9 @@ def _encode(symbols, cfg: ToyCodecConfig, tables: list[np.ndarray], rng: np.rand
     return CodecMatrix(frames, frame_rate=cfg.frame_rate, codebook_sizes=cfg.codebook_sizes)
 
 
-def encode_transcript(symbols, cfg: ToyCodecConfig, rng: np.random.Generator | None = None) -> CodecMatrix:
-    """Map symbols to frames_per_symbol frames each via the fixed tables.
-
-    When an rng is supplied, texture codebooks (3 and up) receive bounded
-    jitter; codebooks 1-2 are never perturbed, preserving invertibility.
-    """
-    return _encode(symbols, cfg, codebook_tables(cfg), rng)
+def encode_transcript(symbols, cfg: ToyCodecConfig) -> CodecMatrix:
+    """Map symbols to frames_per_symbol frames each via the fixed tables, without jitter."""
+    return _encode(symbols, cfg, codebook_tables(cfg), None)
 
 
 def decode_tokens(tokens: CodecMatrix, cfg: ToyCodecConfig) -> list[int]:

@@ -271,13 +271,6 @@ def batch_stream(utterances, model_cfg, train_cfg, cursor=(0, 0)):
         epoch, offset = epoch + 1, 0
 
 
-def evaluation_loss(state: ModelState, batch: Batch) -> float:
-    heads = batch.loss_mask.any(axis=-1)
-    logits, _ = forward(state.params, state.config, batch.inputs, heads)
-    total, _ = weighted_loss(logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights)
-    return total
-
-
 def train_loop(
     utterances,
     state: ModelState,

@@ -3,11 +3,14 @@
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
 from codec_infill.checkpoint import TrainingState
-
+from codec_infill.evaluate import EvalRecord
+from codec_infill.infer import EditOp
+from codec_infill.jsonio import write_json_lines
 from codec_infill.metrics import (
     F0_RANGE_HZ,
     ROUNDING_ENERGY,
@@ -18,14 +21,19 @@ from codec_infill.metrics import (
     _pairwise_euclidean,
 )
 from codec_infill.model import (
+    KIND_PAD,
     ModelConfig,
+    ModelState,
     encode_batch,
     encode_sequence,
+    forward,
     next_item_targets,
     parameter_shapes,
+    weighted_loss,
 )
-from codec_infill.synthcodec import ToyCodecConfig, codebook_tables
+from codec_infill.synthcodec import ToyCodecConfig, ToyUtterance, codebook_tables
 from codec_infill.tokens import EMPTY, EOU, CodecMatrix, Span, SpecialToken
+from codec_infill.train import Batch
 
 
 def random_matrix(rng, num_frames, num_codebooks, vocab=64):
@@ -69,6 +77,46 @@ def distinct_matrix(num_frames, num_codebooks):
     frames = np.arange(num_frames * num_codebooks).reshape(num_frames, num_codebooks)
     vocab = num_frames * num_codebooks
     return CodecMatrix(frames, codebook_sizes=(vocab,) * num_codebooks)
+
+
+def score_sequence(state: ModelState, text_ids, items):
+    """Full-context forward for one utterance; logits (L, V_k) at every position."""
+    batch = encode_sequence(text_ids, items, state.config)
+    logits, _ = forward(state.params, state.config, batch, batch.kind != KIND_PAD)
+    return logits
+
+
+def evaluation_loss(state: ModelState, batch: Batch) -> float:
+    heads = batch.loss_mask.any(axis=-1)
+    logits, _ = forward(state.params, state.config, batch.inputs, heads)
+    total, _ = weighted_loss(logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights)
+    return total
+
+
+def apply_script(script: list[EditOp], original: list, target_words: list) -> list:
+    """Replay the script against the original; used to verify minimality."""
+    out = []
+    cursor = 0
+    for op in script:
+        out.extend(original[cursor:op.orig_start])
+        out.extend(target_words[op.repl_start:op.repl_end])
+        cursor = op.orig_end
+    out.extend(original[cursor:])
+    return out
+
+
+def save_manifest(path, records: list[EvalRecord]) -> None:
+    write_json_lines(path, (asdict(r) for r in records))
+
+
+def identity_records(utterances: list[ToyUtterance], rng: np.random.Generator, num_records: int) -> list[EvalRecord]:
+    """Identity eval records of utterances drawn with one ``rng.integers`` each, ids ``caseNNNN_<utt>``."""
+    records = []
+    for i in range(num_records):
+        utt = utterances[int(rng.integers(0, len(utterances)))]
+        words = list(utt.transcript)
+        records.append(EvalRecord(f"case{i:04d}_{utt.id}", words, words, utterance=utt.id))
+    return records
 
 
 def next_item_targets_oracle(text_ids, items, cfg: ModelConfig):

@@ -13,7 +13,7 @@ import codec_infill
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill import metrics
 from codec_infill.cli import _report_header, main
-from codec_infill.evaluate import EvalRecord, load_manifest, save_manifest, synthesize_manifest
+from codec_infill.evaluate import EvalRecord, load_manifest, synthesize_manifest
 from codec_infill.model import ModelConfig, new_model
 from codec_infill.synthcodec import ToyCodecConfig, ToyUtterance, gen_corpus, load_corpus, write_corpus
 from codec_infill.tokens import (
@@ -23,7 +23,7 @@ from codec_infill.tokens import (
     write_token_dump,
 )
 
-from helpers import checkpoint_header, flip_byte, random_training_state, with_checkpoint_header
+from helpers import checkpoint_header, flip_byte, identity_records, random_training_state, save_manifest, with_checkpoint_header
 
 CODEC = ToyCodecConfig()
 
@@ -481,7 +481,7 @@ class TestEvalCommand:
         corpus_path = tmp_path / "corpus"
         write_corpus(corpus_path, corpus, CODEC)
         rng = np.random.default_rng(23)
-        records = dedupe_by_utterance(synthesize_manifest(corpus, CODEC, rng, 4, identity=True))
+        records = dedupe_by_utterance(identity_records(corpus, rng, 4))
         manifest = tmp_path / "manifest.jsonl"
         save_manifest(manifest, records)
         code = main(
@@ -501,7 +501,7 @@ class TestEvalCommand:
         corpus_path_b = tmp_path / "corrupt"
         write_corpus(corpus_path_a, corpus, CODEC)
         rng = np.random.default_rng(25)
-        identity = synthesize_manifest(corpus, CODEC, rng, 2, identity=True)
+        identity = identity_records(corpus, rng, 2)
         edits = synthesize_manifest(corpus, CODEC, rng, 2, max_span_words=2)
         records = dedupe_by_utterance(identity + edits)
         manifest = tmp_path / "manifest.jsonl"
@@ -535,7 +535,7 @@ class TestEvalCommand:
         corpus = gen_corpus(3, (5, 8), CODEC, seed=27)
         corpus_path = tmp_path / "corpus"
         write_corpus(corpus_path, corpus, CODEC)
-        records = synthesize_manifest(corpus, CODEC, np.random.default_rng(28), 4, identity=True)
+        records = identity_records(corpus, np.random.default_rng(28), 4)
         assert len({r.utterance for r in records}) < len(records)
         manifest = tmp_path / "manifest.jsonl"
         save_manifest(manifest, records)
@@ -1013,6 +1013,26 @@ def config_model_head_mlp_layers_removed(tmp_path, corpus_dir, checkpoint):
 
 
 @malformed
+def config_train_base_lr_nan(tmp_path, corpus_dir, checkpoint):
+    """A NaN learning rate once trained to a checkpoint whose every parameter was NaN."""
+    argv, names = train_with_config(tmp_path, corpus_dir, "scheduler.base_lr=NaN")
+    return argv, names + ["scheduler.base_lr", "must be finite"]
+
+
+@malformed
+def eval_set_temperature_infinite(tmp_path, corpus_dir, checkpoint):
+    argv, names = eval_with_set(tmp_path, corpus_dir, checkpoint, "sampling.temperature=Infinity")
+    return argv, names + ["sampling.temperature", "must be finite"]
+
+
+@malformed
+def config_model_codebook_size_negative(tmp_path, corpus_dir, checkpoint):
+    """A negative codebook size once ended in a numpy traceback from ``init_params``."""
+    argv, names = train_with_config(tmp_path, corpus_dir, "model.codebook_sizes=[-4,256,256,256]")
+    return argv, names + ["'model'", "codebook_sizes must all be >= 1"]
+
+
+@malformed
 def eval_set_outside_sampling_and_edit(tmp_path, corpus_dir, checkpoint):
     argv, names = eval_with_set(tmp_path, corpus_dir, checkpoint, "seed=3")
     return argv, names + ["'seed'"]
@@ -1060,6 +1080,7 @@ for dotted, value in [
     ("model.num_heads", 0),
     ("model.max_positions", 0),
     ("model.text_vocab_size", 0),
+    ("model.max_mask_spans", 0),
     ("train.checkpoint_every", 0),
     ("scheduler.steps_per_pseudo_epoch", 0),
     ("sampling.max_generated_steps", 0),

@@ -12,7 +12,6 @@ from codec_infill.evaluate import (
     masked_reconstruction_eval,
     run_eval,
     sample_reconstruction_cases,
-    save_manifest,
     synthesize_manifest,
     validate_record,
 )
@@ -20,7 +19,7 @@ from codec_infill.infer import EditConfig, SamplingConfig
 from codec_infill.model import ModelConfig
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus
 
-from helpers import StubDecoder
+from helpers import StubDecoder, identity_records, save_manifest
 
 CODEC = ToyCodecConfig()
 MODEL_CFG = ModelConfig(
@@ -64,7 +63,7 @@ class TestManifestSchema:
         corpus = gen_corpus(10, (6, 12), CODEC, seed=0)
         rng = np.random.default_rng(1)
         records = synthesize_manifest(corpus, CODEC, rng, 8)
-        records += synthesize_manifest(corpus, CODEC, rng, 2, identity=True)
+        records += identity_records(corpus, rng, 2)
         path = tmp_path / "manifest.jsonl"
         save_manifest(path, records)
         assert '"bucket":null' in path.read_text()  # an identity record's bucket is written as null
@@ -82,7 +81,7 @@ class TestRunEval:
     def make_inputs(self, num_identity=3):
         corpus = gen_corpus(8, (5, 9), CODEC, seed=4)
         rng = np.random.default_rng(5)
-        records = synthesize_manifest(corpus, CODEC, rng, num_identity, identity=True)
+        records = identity_records(corpus, rng, num_identity)
         dumps = {}
         for record in records:
             utt_id = record.id.split("_", 1)[1]

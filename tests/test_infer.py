@@ -16,7 +16,6 @@ from codec_infill.infer import (
     EditConfig,
     RunState,
     SamplingConfig,
-    apply_script,
     build_infill_context,
     diff_transcripts,
     discard_longest,
@@ -35,6 +34,7 @@ from helpers import (
     StubDecoder,
     StubSession,
     TeacherDecoder,
+    apply_script,
     mask_plan,
     nucleus_distribution,
     random_matrix,
@@ -244,10 +244,11 @@ class TestVectorizedSampling:
     def test_rows_match_per_row_oracle(self, case):
         """Every row draws the oracle's id from its own stream, call after call."""
         logits, cfg, runs, allowed, seeds = case
+        keep = np.ones(logits.shape[1], dtype=bool) if allowed is None else allowed  # the oracle keeps all on None
         batched = [np.random.default_rng(s) for s in seeds]
         alone = [np.random.default_rng(s) for s in seeds]
         for _ in range(3):
-            ids = sample_token(logits, cfg, runs, batched, allowed)
+            ids = sample_token(logits, cfg, runs, batched, keep)
             expected = [
                 sample_token_oracle(logits[r], cfg, runs[r], alone[r], allowed)
                 for r in range(len(logits))
@@ -293,14 +294,15 @@ class TestVectorizedSampling:
             for i, step in enumerate(cdf[:-1]):
                 draws += [np.nextafter(step, 0.0), step]
                 expected += [ids[i], ids[i + 1]]
-            got = [sample_token(row[None], cfg, [RunState()], [Fixed(u)])[0] for u in draws]
+            everything = np.ones(row.size, dtype=bool)
+            got = [sample_token(row[None], cfg, [RunState()], [Fixed(u)], everything)[0] for u in draws]
             assert got == expected
 
     def test_ties_break_by_token_id(self):
         """Four equal logits and p = 0.5: the nucleus is ids 0 and 1 in every row."""
         cfg = SamplingConfig(top_p=0.5)
         rngs = [np.random.default_rng(s) for s in range(40)]
-        ids = sample_token(np.zeros((40, 4)), cfg, [RunState()] * 40, rngs)
+        ids = sample_token(np.zeros((40, 4)), cfg, [RunState()] * 40, rngs, np.ones(4, dtype=bool))
         assert set(ids.tolist()) == {0, 1}
 
 

@@ -1,5 +1,6 @@
 """JSON files: the one written form, and one typed error for every malformed input."""
 
+import json
 import re
 import shutil
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codec_infill.errors import CodecInfillError, ConfigError
-from codec_infill.evaluate import load_manifest, save_manifest, synthesize_manifest
+from codec_infill.evaluate import load_manifest, synthesize_manifest
 from codec_infill.jsonio import (
     append_json_line,
     config_from_json,
@@ -25,6 +26,8 @@ from codec_infill.rearrange import MaskSamplingConfig
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_codec_config, load_corpus, write_corpus
 from codec_infill.tokens import read_token_dump
 from codec_infill.train import TrainConfig
+
+from helpers import save_manifest
 
 CODEC = ToyCodecConfig()
 
@@ -83,6 +86,21 @@ class TestConfigFromJson:
     def test_value_of_the_wrong_type_names_the_field(self, cls, payload, named):
         with pytest.raises(ConfigError, match=re.escape(f"'{named}'")):
             config_from_json(cls, payload, "x")
+
+    @pytest.mark.parametrize(
+        "cls, text, named",
+        [
+            (TrainConfig, '{"mask": {"rate": NaN}}', "x.mask.rate"),
+            (ModelConfig, '{"init_scale": Infinity}', "x.init_scale"),
+            (ModelConfig, '{"loss_weights": [1, -Infinity, 1, 1]}', "x.loss_weights[1]"),
+            (ToyCodecConfig, '{"render_gains": [1, 1e999, 1, 1]}', "x.render_gains[1]"),
+            (ModelConfig, '{"init_scale": 1%s}' % ("0" * 400), "x.init_scale"),
+        ],
+    )
+    def test_float_that_is_not_finite_names_the_field(self, cls, text, named):
+        """Python's json reads NaN, Infinity and an overflowing 1e999 as floats, and 10**400 as an int no float holds."""
+        with pytest.raises(ConfigError, match=re.escape(f"'{named}' must be finite")):
+            config_from_json(cls, json.loads(text), "x")
 
     def test_declared_types_accept_their_json_forms(self):
         cfg = config_from_json(ToyCodecConfig, {"render_gains": [1, 0.5, 0.25, 0.125], "jitter_seed": None}, "x")

@@ -9,7 +9,7 @@ from scipy.signal import get_window
 
 from codec_infill import metrics
 from codec_infill.errors import InvalidInputError
-from codec_infill.infer import apply_script, diff_transcripts
+from codec_infill.infer import diff_transcripts
 from codec_infill.metrics import (
     FFT_SIZE,
     MCD_SCALE,
@@ -27,7 +27,7 @@ from codec_infill.metrics import (
 from codec_infill.synthcodec import ToyCodecConfig, encode_transcript, frequency_tables, render_waveform
 from codec_infill.tokens import CodecMatrix
 
-from helpers import dtw_align_oracle, f0_track_oracle, levenshtein_oracle
+from helpers import apply_script, dtw_align_oracle, f0_track_oracle, levenshtein_oracle
 
 SR = 16000
 

@@ -26,14 +26,13 @@ from codec_infill.model import (
     new_model,
     next_item_targets,
     pad_sequences,
-    score_sequence,
     sinusoidal_positions,
     weighted_loss,
 )
 from codec_infill.rearrange import causal_mask, delay_stack
 from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, mask_marker
 
-from helpers import embed_backward_oracle, loss_gradient_oracle, random_matrix
+from helpers import embed_backward_oracle, loss_gradient_oracle, random_matrix, score_sequence
 
 
 # two layers and four heads of unequal vocabularies
@@ -92,7 +91,7 @@ def embed_one(params, cfg, item, pos):
         seq = encode_sequence([item], [], cfg)
     else:
         seq = encode_sequence([], [item], cfg)
-    return _embed_batch(params, cfg, pad_sequences([seq], cfg), start=pos)[0]
+    return _embed_batch(params, cfg, pad_sequences([seq], cfg), model._slot_tables(params, cfg), pos)[0]
 
 
 class TestEmbedding:
@@ -109,11 +108,9 @@ class TestEmbedding:
         params = {name: np.zeros_like(p) for name, p in new_model(cfg).params.items()}
         batch = encode_batch([([1], []), ([1, 2, 3], []), ([1, 2], [])], cfg)  # pads 2, 0, 1
         top = cfg.max_positions - 1
-        emb = _embed_batch(params, cfg, batch, start=np.array([top - 2, 5, -1]))
-        expected = np.concatenate([
-            sinusoidal_positions(n, cfg.hidden_dim, cfg.np_dtype, start=s)
-            for n, s in ((1, top), (3, 5), (2, 0))
-        ])
+        emb = _embed_batch(params, cfg, batch, model._slot_tables(params, cfg), np.array([top - 2, 5, -1]))
+        pe = sinusoidal_positions(cfg.max_positions, cfg.hidden_dim, cfg.np_dtype)
+        expected = np.concatenate([pe[s : s + n] for n, s in ((1, top), (3, 5), (2, 0))])
         assert emb.dtype == cfg.np_dtype and np.array_equal(emb, expected)
         table = model._position_table(cfg.max_positions, cfg.hidden_dim, cfg.np_dtype)
         with pytest.raises(ValueError):
@@ -157,7 +154,7 @@ class TestEmbedding:
         text, items = random_context(np.random.default_rng(3), cfg)
         seq = encode_sequence(text, items, cfg)
         batch = pad_sequences([seq], cfg)
-        emb = _embed_batch(state.params, cfg, batch)
+        emb = _embed_batch(state.params, cfg, batch, model._slot_tables(state.params, cfg), 0)
         stream = list(text) + list(items)
         for pos, item in enumerate(stream):
             np.testing.assert_allclose(emb[pos], embed_one(state.params, cfg, item, pos), rtol=1e-12)

@@ -25,7 +25,6 @@ from codec_infill.model import (
     next_item_targets,
     pad_sequences,
     parameter_shapes,
-    score_sequence,
 )
 from codec_infill.rearrange import MaskSamplingConfig, causal_mask, delay_stack
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus
@@ -38,7 +37,6 @@ from codec_infill.train import (
     batch_stream,
     build_training_example,
     eden_lr,
-    evaluation_loss,
     make_batch,
     pseudo_epoch,
     train_loop,
@@ -47,11 +45,13 @@ from codec_infill.train import (
 from helpers import (
     adamw_oracle,
     checkpoint_header,
+    evaluation_loss,
     flip_byte,
     next_item_targets_oracle,
     random_matrix,
     random_spans,
     random_training_state,
+    score_sequence,
     with_checkpoint_header,
 )
 
