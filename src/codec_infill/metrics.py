@@ -4,6 +4,9 @@ Generated and reference signals can differ in length, so every distance
 first time-aligns the two feature tracks with dynamic time warping
 (symmetric step set {(1,0), (0,1), (1,1)}, Euclidean local distance) and
 then averages the pointwise measure over the pairs of the alignment path.
+The local distances go into the cost matrix one bounded block of rows at
+a time, so an alignment holds the cost matrix plus one block, whatever
+the length of the clips.
 
 The constants below are the one copy of the analysis settings: Hann
 window of 640 samples, hop 160, FFT 1024, 40 HTK-spaced triangular mel
@@ -33,6 +36,8 @@ VOICING_THRESHOLD = 0.3
 # a frame's energy after mean removal at or below this share of its energy before is rounding residue
 ROUNDING_ENERGY = (WINDOW_LENGTH * np.finfo(np.float64).eps) ** 2
 MCD_SCALE = 10.0 / np.log(10.0)
+# feature differences per block of rows in the DTW local-distance fill
+DTW_BLOCK_CELLS = 2**15
 
 
 def _hann_window() -> np.ndarray:
@@ -59,11 +64,6 @@ _HANN = _hann_window()
 # ---------------------------------------------------------------------------
 
 
-def _pairwise_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
 def _as_feature_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -87,6 +87,12 @@ def dtw_align(a, b) -> tuple[list[tuple[int, int]], float]:
     the three predecessors of a whole diagonal are three contiguous
     slices.  Each cell is the same ``local + min(predecessors)`` as in a
     cell-by-cell fill, so the cost is bit-equal to that fill's.
+
+    The local distances go into the skewed matrix one block of rows of
+    ``a`` at a time, at most DTW_BLOCK_CELLS feature differences (or one
+    row) per block, so the fill holds the cost matrix plus one bounded
+    block, never an (n, m, dims) cube.  Each cell is still one sum over
+    its own ``dims`` differences, bit-equal to the all-pairs expression.
     """
     a_mat, b_mat = _as_feature_matrix(a), _as_feature_matrix(b)
     n, m = len(a_mat), len(b_mat)
@@ -94,9 +100,12 @@ def dtw_align(a, b) -> tuple[list[tuple[int, int]], float]:
         raise InvalidInputError("cannot align an empty sequence")
     if not (np.isfinite(a_mat).all() and np.isfinite(b_mat).all()):
         raise InvalidInputError("cannot align features that are not finite")
-    rows, cols = np.indices((n, m))
     cost = np.full((n + m - 1, n + 1), np.inf)
-    cost[rows + cols, rows + 1] = _pairwise_euclidean(a_mat, b_mat)  # local distances, skewed
+    block = max(1, DTW_BLOCK_CELLS // (m * a_mat.shape[1]))
+    for lo in range(0, n, block):
+        diff = a_mat[lo : lo + block, None, :] - b_mat[None, :, :]
+        for i, row in enumerate(np.sqrt((diff * diff).sum(axis=-1)), start=lo):
+            cost[i : i + m, i + 1] = row  # local distances of row i, skewed
     best = np.empty(n)
     for d in range(1, n + m - 1):
         # (i, j-1) and (i-1, j) lie on diagonal d-1, (i-1, j-1) on d-2
@@ -133,9 +142,7 @@ def _frame_signal(wav) -> np.ndarray:
     wav = np.asarray(wav, dtype=np.float64)
     if len(wav) < WINDOW_LENGTH:
         raise InvalidInputError(f"signal shorter than one window ({WINDOW_LENGTH} samples)")
-    count = 1 + (len(wav) - WINDOW_LENGTH) // HOP
-    idx = np.arange(WINDOW_LENGTH)[None, :] + HOP * np.arange(count)[:, None]
-    return wav[idx]
+    return np.lib.stride_tricks.sliding_window_view(wav, WINDOW_LENGTH)[::HOP]  # read-only view
 
 
 def magnitude_spectrogram(wav) -> np.ndarray:

@@ -13,12 +13,11 @@ from codec_infill.infer import EditOp
 from codec_infill.jsonio import write_json_lines
 from codec_infill.metrics import (
     F0_RANGE_HZ,
+    HOP,
     ROUNDING_ENERGY,
     VOICING_THRESHOLD,
     WINDOW_LENGTH,
     _as_feature_matrix,
-    _frame_signal,
-    _pairwise_euclidean,
 )
 from codec_infill.model import (
     KIND_PAD,
@@ -261,10 +260,14 @@ def levenshtein_oracle(ref, hyp) -> int:
 
 
 def dtw_align_oracle(a, b) -> tuple[list[tuple[int, int]], float]:
-    """Cell-by-cell reference for ``metrics.dtw_align``: the same path and a bit-equal cost."""
+    """Cell-by-cell reference for ``metrics.dtw_align``: the same path and a bit-equal cost.
+
+    The local distances come from the whole (n, m, dims) difference cube at once.
+    """
     a_mat, b_mat = _as_feature_matrix(a), _as_feature_matrix(b)
     n, m = len(a_mat), len(b_mat)
-    local = _pairwise_euclidean(a_mat, b_mat)
+    diff = a_mat[:, None, :] - b_mat[None, :, :]
+    local = np.sqrt((diff * diff).sum(axis=-1))
     cost = np.full((n, m), np.inf)
     cost[0, 0] = local[0, 0]
     for i in range(n):
@@ -298,9 +301,14 @@ def dtw_align_oracle(a, b) -> tuple[list[tuple[int, int]], float]:
 
 
 def f0_track_oracle(wav, sample_rate: int) -> np.ndarray:
-    """Frame-by-frame reference for ``metrics.f0_track``: one ``np.correlate`` per frame."""
+    """Frame-by-frame reference for ``metrics.f0_track``: one ``np.correlate`` per frame.
+
+    The frames are gathered into a new array by an index matrix.
+    """
     f_min, f_max = F0_RANGE_HZ
-    frames = _frame_signal(wav)
+    wav = np.asarray(wav, dtype=np.float64)
+    count = 1 + (len(wav) - WINDOW_LENGTH) // HOP
+    frames = wav[np.arange(WINDOW_LENGTH)[None, :] + HOP * np.arange(count)[:, None]]
     lag_min = int(np.ceil(sample_rate / f_max))
     lag_max = min(int(np.floor(sample_rate / f_min)), WINDOW_LENGTH - 1)
     out = np.zeros(len(frames))

@@ -1,5 +1,7 @@
 """Metric tests against closed forms and brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,43 @@ class TestDtwWavefront:
         rng = np.random.default_rng(n * 10 + m)
         a, b = rng.integers(0, 2, (n, 2)).astype(float), rng.integers(0, 2, (m, 2)).astype(float)
         assert dtw_align(a, b) == dtw_align_oracle(a, b)
+
+    @pytest.mark.parametrize(
+        "n,m,dims",
+        [
+            (300, 257, 13),  # 9 rows a block, 34 blocks
+            (600, 600, 1),  # 54 rows a block, 12 blocks
+            (1, 3000, 13),  # one row, wider than a block
+            (3000, 1, 13),  # 2520 rows a block, 2 blocks
+            (710, 650, None),  # 1-D tracks, 50 rows a block, 15 blocks
+        ],
+    )
+    @pytest.mark.parametrize("values", ["normal", "small integers"])
+    def test_block_fill_equals_the_cube(self, n, m, dims, values):
+        """Local distances filled block by block give the oracle's path and cost, the last block short."""
+        block = max(1, metrics.DTW_BLOCK_CELLS // (m * (dims or 1)))
+        assert n == 1 or n % block != 0
+        rng = np.random.default_rng(n + m)
+        shape_a, shape_b = ((n, dims), (m, dims)) if dims else ((n,), (m,))
+        if values == "normal":
+            a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+        else:
+            a, b = rng.integers(0, 3, shape_a).astype(float), rng.integers(0, 3, shape_b).astype(float)
+        assert dtw_align(a, b) == dtw_align_oracle(a, b)
+
+    @pytest.mark.parametrize("dims", [13, 1])
+    def test_peak_memory_is_the_cost_matrix_plus_a_block(self, dims):
+        """No (n, m, dims) cube: a 600 x 600 alignment peaks under 1.5 x its skewed cost matrix."""
+        rng = np.random.default_rng(dims)
+        a, b = rng.standard_normal((600, dims)), rng.standard_normal((600, dims))
+        cost_bytes = (600 + 600 - 1) * (600 + 1) * 8
+        tracemalloc.start()
+        try:
+            dtw_align(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * cost_bytes
 
 
 class TestHannWindow:

@@ -13,7 +13,6 @@ from codec_infill.model import (
     _LN_EPS,
     KIND_PAD,
     DecodeSession,
-    EncodedBatch,
     ModelConfig,
     ModelState,
     _embed_batch,

@@ -20,7 +20,7 @@ from codec_infill.rearrange import (
 from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, mask_marker
 from codec_infill.rearrange import splice
 
-from helpers import distinct_matrix, random_matrix, random_rearrangement_case
+from helpers import distinct_matrix, random_rearrangement_case
 
 
 def frame(i, k=4):

@@ -19,14 +19,13 @@ from codec_infill.errors import InvalidInputError, NonFiniteLossError
 from codec_infill.jsonio import read_json
 from codec_infill.model import (
     ModelConfig,
-    ModelState,
     encode_sequence,
     new_model,
     next_item_targets,
     pad_sequences,
     parameter_shapes,
 )
-from codec_infill.rearrange import MaskSamplingConfig, causal_mask, delay_stack
+from codec_infill.rearrange import causal_mask, delay_stack
 from codec_infill.synthcodec import ToyCodecConfig, gen_corpus
 from codec_infill.tokens import EMPTY, EOU, CodecMatrix, SpecialToken, Span, mask_marker
 from codec_infill.train import (
