@@ -241,10 +241,10 @@ def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed) -> np.ndarray
     top to bottom.
     """
     z = np.asarray(logits, dtype=np.float64) / cfg.temperature
-    if cfg.repetition_gamma > 0:
-        for r, run in enumerate(runs):
-            if run.token is not None:
-                z[r, run.token] -= cfg.repetition_gamma * run.length
+    held = [(r, run.token, run.length) for r, run in enumerate(runs) if run.token is not None]
+    if cfg.repetition_gamma > 0 and held:
+        r, token, length = np.array(held).T
+        z[r, token] -= cfg.repetition_gamma * length
     z = np.where(allowed, z, -np.inf)
     z -= z.max(axis=1, keepdims=True)
     probs = np.exp(z)
@@ -256,8 +256,9 @@ def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed) -> np.ndarray
     # tolerance guards float roundoff when the boundary lands exactly on p
     sizes = np.minimum((cumulative < cfg.top_p - 1e-12).sum(axis=1), z.shape[1] - 1) + 1
     rows = np.arange(len(z))
-    # the nucleus mass is summed as numpy sums a 1-D array (pairwise), row by row
-    mass = np.array([ranked[r, :n].sum() for r, n in enumerate(sizes)])
+    # each row's nucleus is one contiguous run of the reduction, so it is summed
+    # pairwise, bit for bit as a 1-D ``ranked[r, :n].sum()``
+    mass = np.add.reduce(ranked, axis=1, where=np.arange(z.shape[1]) < sizes[:, None])
     cdf = np.cumsum(ranked / mass[:, None], axis=1)
     cdf /= cdf[rows, sizes - 1][:, None]
     draws = np.array([rng.random() for rng in rngs])
@@ -267,8 +268,7 @@ def sample_token(logits, cfg: SamplingConfig, runs, rngs, allowed) -> np.ndarray
     # one at its offset past the ids of larger probability
     value = ranked[rows, picks][:, None]
     nth = picks - (probs > value).sum(axis=1)
-    same = probs == value
-    return np.argmax(same & (np.cumsum(same, axis=1) == nth[:, None] + 1), axis=1)
+    return np.argmax(np.cumsum(probs == value, axis=1) > nth[:, None], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ heads, one per codebook, at the positions the caller asks for (training:
 those that carry loss; decoding: each row's last).  Each head is a
 two-layer FFN block, Linear -> GELU -> Linear, the same block as a
 layer's FFN but ending in head k's vocabulary.  One FFN implementation
-runs both: it runs K blocks over the same rows, their first layers
-stacked as one product and one GELU, and a layer's FFN is the one-block
-case.
+runs both: it runs K blocks over the same rows, each block's first
+layer its own product and one GELU over all K, and a layer's FFN is the
+one-block case.
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
 one-row batch.  Each position's training targets are the ids of the
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -375,29 +374,6 @@ def _slot_tables(params: dict, cfg: ModelConfig) -> list[np.ndarray]:
     return [np.concatenate([params[f"codebook_emb_{k}"], specials]) for k in range(cfg.num_codebooks)]
 
 
-class FixedTables(NamedTuple):
-    """Arrays ``forward`` derives from the parameters alone.
-
-    ``slots`` are the K slot tables (:func:`_slot_tables`); ``head_w0``
-    (K, d, d) and ``head_b0`` (K, 1, d) stack the K heads' first layers so
-    they run as one product.  They are copies: they go stale when the
-    parameters change.
-    """
-
-    slots: list
-    head_w0: np.ndarray
-    head_b0: np.ndarray
-
-
-def _fixed_tables(params: dict, cfg: ModelConfig) -> FixedTables:
-    heads = range(cfg.num_codebooks)
-    return FixedTables(
-        _slot_tables(params, cfg),
-        np.stack([params[f"head{k}.w0"] for k in heads]),
-        np.stack([params[f"head{k}.b0"] for k in heads])[:, None, :],
-    )
-
-
 def _embed_batch(params: dict, cfg: ModelConfig, batch: EncodedBatch, slots, start) -> np.ndarray:
     """Input vectors of the real positions of a batch, packed row-major: (N, d).
 
@@ -640,30 +616,33 @@ def _attention_backward(params, ln, prefix, d_out, cache, cfg, grads):
     return _layer_norm_backward(params, ln, d_x, ln_cache, grads)
 
 
-def _ffn_forward(params, ln, blocks, x, w1, b1):
+def _ffn_forward(params, ln, blocks, x):
     """LayerNorm ``ln``, then K Linear -> GELU -> Linear blocks, over the same rows ``x``; returns (K outputs, cache).
 
-    ``blocks`` are the blocks' parameter names, (w1, b1, w2, b2) each.
-    Their first layers run stacked, as one product of ``w1`` (K, d, f)
-    and ``b1`` (K, 1, f) and one GELU; the second layers run one per
-    block, since their widths may differ.  A layer's FFN is the one-block
-    case, ``params[w1][None]``.  The cache keeps the LayerNorm's own
-    cache and the GELU's input and CDF, not the block's input nor the
-    GELU's output: backward rebuilds the one from the LayerNorm's
-    ``normed`` and recomputes the other as the product of the two.
+    ``blocks`` are the blocks' parameter names, (w1, b1, w2, b2) each, and
+    a layer's FFN is the one-block case.  Each block's first layer is its
+    own product, written into one (K, rows, f) array, and one GELU runs
+    over all K; the second layers run one per block, since their widths
+    may differ.  The cache keeps the LayerNorm's own cache and the GELU's
+    input and CDF, not the block's input nor the GELU's output: backward
+    rebuilds the one from the LayerNorm's ``normed`` and recomputes the
+    other as the product of the two.
     """
     normed, ln_cache = _layer_norm(params, ln, x)
-    pre = _affine(normed, w1, b1)
+    pre = np.empty((len(blocks), len(normed), params[blocks[0][0]].shape[1]), dtype=normed.dtype)
+    for block_pre, (w1, b1, _, _) in zip(pre, blocks):
+        np.matmul(normed, params[w1], out=block_pre)
+        block_pre += params[b1]
     del normed
     phi = _gelu_cdf(pre)
     act = pre * phi
     out = [_affine(act[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
-    return out, (ln_cache, pre, phi, w1)
+    return out, (ln_cache, pre, phi)
 
 
 def _ffn_backward(params, ln, blocks, d_out, cache, grads):
     """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns the gradient of ``x``."""
-    ln_cache, pre, phi, w1 = cache
+    ln_cache, pre, phi = cache
     act = pre * phi  # the GELU output; block k's rows are overwritten by their gradient once read
     for k, ((_, _, w2, b2), d_k) in enumerate(zip(blocks, d_out)):
         grads[w2] += act[k].T @ d_k
@@ -671,11 +650,11 @@ def _ffn_backward(params, ln, blocks, d_out, cache, grads):
         np.matmul(d_k, params[w2].T, out=act[k])
     d_pre = _gelu_grad(pre, phi, act)
     x = _layer_norm_output(params, ln, ln_cache[0])
-    for k, (w1_name, b1_name, _, _) in enumerate(blocks):
-        grads[w1_name] += x.T @ d_pre[k]  # one 2-D product per block: broadcast over K it is slower
-        grads[b1_name] += d_pre[k].sum(axis=0)
+    for k, (w1, b1, _, _) in enumerate(blocks):
+        grads[w1] += x.T @ d_pre[k]  # one 2-D product per block: broadcast over K it is slower
+        grads[b1] += d_pre[k].sum(axis=0)
     del x
-    d_x = sum(d_pre[k] @ w1[k].T for k in range(len(blocks)))
+    d_x = sum(d_pre[k] @ params[w1].T for k, (w1, _, _, _) in enumerate(blocks))
     return _layer_norm_backward(params, ln, d_x, ln_cache, grads)
 
 
@@ -691,7 +670,7 @@ def forward(
     heads_at: np.ndarray,
     want_cache: bool = False,
     kv_cache=None,
-    tables: FixedTables | None = None,
+    slots: list | None = None,
 ):
     """Run the network; returns (logits per codebook, cache or None).
 
@@ -724,11 +703,12 @@ def forward(
     module docstring): no LayerNorm output and no q, k or v.  It covers
     no keys of a ``kv_cache``, and one ``backward`` consumes it.
 
-    ``tables`` are :func:`_fixed_tables` of ``params``, built here when not
-    given; a decode session passes the ones it built once.
+    ``slots`` are the K slot tables, :func:`_slot_tables` of ``params``,
+    built here when not given; a decode session passes the ones it built
+    once.
     """
-    if tables is None:
-        tables = _fixed_tables(params, cfg)
+    if slots is None:
+        slots = _slot_tables(params, cfg)
     real = batch.kind != KIND_PAD
     key_ok = real
     start = past = 0
@@ -736,7 +716,7 @@ def forward(
         past = kv_cache.extend(batch.max_length)
         start = past - kv_cache.pad
         key_ok = np.arange(past + batch.max_length) >= kv_cache.pad[:, None]
-    x = _embed_batch(params, cfg, batch, tables.slots, start)
+    x = _embed_batch(params, cfg, batch, slots, start)
     bias = _causal_bias(key_ok, batch.max_length, x.dtype)
     heads = heads_at[real]  # (N,) packed rows the heads run at
     saved = []  # each block's backward cache, in the order the blocks ran
@@ -747,14 +727,11 @@ def forward(
         x += attn_out
         if i == cfg.num_layers - 1 and not heads.all():  # nothing reads the last FFN's other rows
             x = x[heads]
-        ffn = _layer_ffn(i)
-        (ffn_out,), ffn_cache = _ffn_forward(params, f"{p}.ln2", [ffn], x, params[ffn[0]][None], params[ffn[1]])
+        (ffn_out,), ffn_cache = _ffn_forward(params, f"{p}.ln2", [_layer_ffn(i)], x)
         x += ffn_out
         if want_cache:  # otherwise each layer's intermediates are freed as it ends
             saved += [attn_cache, ffn_cache]
-    logits, head_cache = _ffn_forward(
-        params, "final_ln", _head_ffns(cfg.num_codebooks), x, tables.head_w0, tables.head_b0
-    )
+    logits, head_cache = _ffn_forward(params, "final_ln", _head_ffns(cfg.num_codebooks), x)
 
     cache = None
     if want_cache:
@@ -911,15 +888,14 @@ class DecodeSession:
     batched ``forward``, so scored prefixes and incrementally decoded
     prefixes agree.
 
-    The session builds the tables ``forward`` derives from the parameters
-    (:class:`FixedTables`) once, so ``state.params`` must not change while
-    it decodes.
+    The session builds the K slot tables (:func:`_slot_tables`) once, so
+    ``state.params`` must not change while it decodes.
     """
 
     def __init__(self, state: ModelState, contexts):
         self.state = state
         cfg = state.config
-        self._tables = _fixed_tables(state.params, cfg)
+        self._slots = _slot_tables(state.params, cfg)
         unique = {(id(text_ids), id(items)): (text_ids, items) for text_ids, items in contexts}
         batch = encode_batch(list(unique.values()), cfg)
         if batch.batch_size == 0 or batch.lengths.min() == 0:
@@ -937,7 +913,7 @@ class DecodeSession:
         heads_at = np.zeros(batch.kind.shape, dtype=bool)
         heads_at[:, -1] = True  # every row ends in the last column
         self.logits, _ = forward(
-            self.state.params, self.state.config, batch, heads_at, kv_cache=self._kv, tables=self._tables
+            self.state.params, self.state.config, batch, heads_at, kv_cache=self._kv, slots=self._slots
         )
         return self.logits
 

@@ -120,12 +120,11 @@ class CodecMatrix:
             )
         if self.num_codebooks < 1:
             raise InvalidInputError("need at least one codebook")
-        for k, size in enumerate(self.codebook_sizes):
-            col = self.frames[:, k]
-            if col.size and (col.min() < 0 or col.max() >= size):
-                raise InvalidInputError(
-                    f"codebook {k + 1} token out of range [0, {size})"
-                )
+        if self.num_frames:
+            bad = (self.frames.min(axis=0) < 0) | (self.frames.max(axis=0) >= self.codebook_sizes)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise InvalidInputError(f"codebook {k + 1} token out of range [0, {self.codebook_sizes[k]})")
 
     @property
     def num_frames(self) -> int:

@@ -731,6 +731,17 @@ def dump_frames_bools(tmp_path, corpus_dir, checkpoint):
 
 
 @malformed
+def dump_token_equal_to_its_codebook_size(tmp_path, corpus_dir, checkpoint):
+    named = "codebook 2 token out of range [0, 4)"
+    return dump_with_fields(tmp_path, named, codebook_sizes=[8, 4], frames=[[1, 3], [2, 4]])
+
+
+@malformed
+def dump_token_negative(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "codebook 1 token out of range [0, 8)", frames=[[1], [-1]])
+
+
+@malformed
 def dump_frame_rate_a_float(tmp_path, corpus_dir, checkpoint):
     return dump_with_fields(tmp_path, "'frame_rate'", frame_rate=50.9)
 

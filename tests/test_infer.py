@@ -263,8 +263,11 @@ class TestVectorizedSampling:
         The first row has probabilities (0.15, 0.3, 0.05, 0.3, 0.2): with
         p = 0.75 the nucleus is ids 1, 3 (a tie, by id), 4 with cdf steps
         0.375, 0.75, 1.  Twelve more rows have 64 seeded logits and
-        p = 0.95.  A draw u picks the first id whose cdf step exceeds u,
-        as ``Generator.choice`` does, so a slip in the nucleus or the tie
+        p = 0.95, and twelve are at the toy codec's head width, 262 ids
+        (256 real and 6 specials) of normal(0, 0.3) logits with p = 0.8,
+        whose nuclei of ~185 ids run past numpy's 128-element pairwise
+        block.  A draw u picks the first id whose cdf step exceeds u, as
+        ``Generator.choice`` does, so a slip in the nucleus or the tie
         order moves a pick, and so does a rounding change in its mass or
         its cdf on some of the seeded rows.
         """
@@ -278,7 +281,7 @@ class TestVectorizedSampling:
 
         cases = [(np.log([0.15, 0.3, 0.05, 0.3, 0.2]), 0.75)] + [
             (np.random.default_rng(seed).normal(0.0, 2.0, size=64), 0.95) for seed in range(12)
-        ]
+        ] + [(np.random.default_rng(seed).normal(0.0, 0.3, size=262), 0.8) for seed in range(12)]
         for r, (row, top_p) in enumerate(cases):
             cfg = SamplingConfig(top_p=top_p, repetition_gamma=0.0)
             ids, probs = nucleus_distribution(row, cfg, RunState())
@@ -287,8 +290,10 @@ class TestVectorizedSampling:
             if r == 0:
                 assert ids.tolist() == [1, 3, 4]
                 np.testing.assert_allclose(cdf, [0.375, 0.75, 1.0], rtol=1e-12)
-            else:
+            elif row.size == 64:
                 assert 3 < len(ids) < 64
+            else:
+                assert 128 < len(ids) < 262
             draws = [0.0, np.nextafter(1.0, 0.0)]
             expected = [ids[0], ids[-1]]
             for i, step in enumerate(cdf[:-1]):
