@@ -16,8 +16,9 @@ those that carry loss; decoding: each row's last).  Each head is a
 two-layer FFN block, Linear -> GELU -> Linear, the same block as a
 layer's FFN but ending in head k's vocabulary.  One FFN implementation
 runs both: it runs K blocks over the same rows, each block's first
-layer its own product and one GELU over all K, and a layer's FFN is the
-one-block case.
+layer its own product and one GELU (erf) over all K, then each block's
+second layer on its own GELU output, so that output and its gradient
+exist for one block at a time; a layer's FFN is the one-block case.
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
 one-row batch.  Each position's training targets are the ids of the
@@ -36,12 +37,13 @@ CDF, but not the GELU's output.  ``backward`` rebuilds the LayerNorm
 output from the normalized rows by the forward's own two operations,
 q, k and v from that by the same projections, and the GELU output as the
 product of its input and CDF, so every rebuilt array equals the
-forward's bit for bit.  It consumes the cache: each block's backward
-adds its own parameters' gradients, returns the gradient of its input,
-and its saved arrays are dropped as soon as it returns.  The large
-elementwise stages write their results in place, in the same order of
-operations, so a step holds few temporaries.  All functions are
-deterministic given their inputs.
+forward's bit for bit.  It consumes the cache and the logit gradients:
+each block's backward adds its own parameters' gradients and returns
+the gradient of its input; its saved arrays are dropped as soon as it
+returns, and each head's logit gradient as soon as that head's block
+has read it.  The large elementwise stages write their results in
+place, in the same order of operations, so a step holds few
+temporaries.  All functions are deterministic given their inputs.
 
 ``forward`` is the only implementation of the network.  It keeps the
 real positions of a batch packed as one (N, d) array, so padding costs
@@ -621,12 +623,14 @@ def _ffn_forward(params, ln, blocks, x):
 
     ``blocks`` are the blocks' parameter names, (w1, b1, w2, b2) each, and
     a layer's FFN is the one-block case.  Each block's first layer is its
-    own product, written into one (K, rows, f) array, and one GELU runs
-    over all K; the second layers run one per block, since their widths
-    may differ.  The cache keeps the LayerNorm's own cache and the GELU's
-    input and CDF, not the block's input nor the GELU's output: backward
-    rebuilds the one from the LayerNorm's ``normed`` and recomputes the
-    other as the product of the two.
+    own product, written into one (K, rows, f) array, and one GELU CDF
+    (erf) runs over all K.  The second layers run one per block, since
+    their widths may differ, each on its block's GELU output ``pre[k] *
+    phi[k]``, so one block's output exists at a time.  The cache keeps the
+    LayerNorm's own cache and the GELU's input and CDF, not the block's
+    input nor the GELU's output: backward rebuilds the one from the
+    LayerNorm's ``normed`` and recomputes the other as the product of the
+    two.
     """
     normed, ln_cache = _layer_norm(params, ln, x)
     pre = np.empty((len(blocks), len(normed), params[blocks[0][0]].shape[1]), dtype=normed.dtype)
@@ -635,26 +639,35 @@ def _ffn_forward(params, ln, blocks, x):
         block_pre += params[b1]
     del normed
     phi = _gelu_cdf(pre)
-    act = pre * phi
-    out = [_affine(act[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
+    out = [_affine(pre[k] * phi[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
     return out, (ln_cache, pre, phi)
 
 
 def _ffn_backward(params, ln, blocks, d_out, cache, grads):
-    """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns the gradient of ``x``."""
+    """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns the gradient of ``x``.
+
+    Rebuilds the block input from the LayerNorm's ``normed`` once, then
+    takes one block at a time: its GELU output ``pre[k] * phi[k]``, which
+    the gradient through its second layer then overwrites, that gradient
+    through the GELU, and the block's share of the input gradient, added
+    in block order.  Consumes ``d_out``: entry k is set to ``None`` once
+    block k has read it, so one block's temporaries and the output
+    gradients not yet read are what it holds.
+    """
     ln_cache, pre, phi = cache
-    act = pre * phi  # the GELU output; block k's rows are overwritten by their gradient once read
-    for k, ((_, _, w2, b2), d_k) in enumerate(zip(blocks, d_out)):
-        grads[w2] += act[k].T @ d_k
-        grads[b2] += d_k.sum(axis=0)
-        np.matmul(d_k, params[w2].T, out=act[k])
-    d_pre = _gelu_grad(pre, phi, act)
     x = _layer_norm_output(params, ln, ln_cache[0])
-    for k, (w1, b1, _, _) in enumerate(blocks):
-        grads[w1] += x.T @ d_pre[k]  # one 2-D product per block: broadcast over K it is slower
-        grads[b1] += d_pre[k].sum(axis=0)
-    del x
-    d_x = sum(d_pre[k] @ params[w1].T for k, (w1, _, _, _) in enumerate(blocks))
+    d_x = np.zeros_like(x)
+    for k, (w1, b1, w2, b2) in enumerate(blocks):
+        act = pre[k] * phi[k]  # the block's GELU output, overwritten by its gradient once read
+        grads[w2] += act.T @ d_out[k]
+        grads[b2] += d_out[k].sum(axis=0)
+        np.matmul(d_out[k], params[w2].T, out=act)
+        d_out[k] = None
+        d_pre = _gelu_grad(pre[k], phi[k], act)
+        grads[w1] += x.T @ d_pre
+        grads[b1] += d_pre.sum(axis=0)
+        d_x += d_pre @ params[w1].T
+    del x, act, d_pre
     return _layer_norm_backward(params, ln, d_x, ln_cache, grads)
 
 
@@ -745,7 +758,12 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     Consumes ``cache``: each block's saved arrays are dropped, some
     overwritten first, as soon as its gradients are taken, so the memory
     a step holds shrinks as backward goes, and ``cache`` ends empty.  A
-    cache serves one backward.  Each block rebuilds what its forward
+    cache serves one backward.  Consumes ``d_logits`` too: each entry is
+    replaced in the given list by its array in the model dtype, which
+    head k's backward reads and then drops, so the list holds only
+    ``None`` when backward returns; a caller that passes the list
+    :func:`loss_gradient` returned holds its logits no longer than
+    backward needs them.  Each block rebuilds what its forward
     did not save: its input, from its LayerNorm's ``normed``, before that
     LayerNorm's backward overwrites it, and the attention's q, k and v,
     from that input.  The gradient of the last layer's residual rows
@@ -755,7 +773,8 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     saved = cache.pop("saved")
     heads = cache.pop("heads")
-    d_logits = [np.asarray(d_k, dtype=cfg.np_dtype) for d_k in d_logits]
+    for k, d_k in enumerate(d_logits):
+        d_logits[k] = np.asarray(d_k, dtype=cfg.np_dtype)
     d_x = _ffn_backward(params, "final_ln", _head_ffns(cfg.num_codebooks), d_logits, saved.pop(), grads)
 
     for i in reversed(range(cfg.num_layers)):

@@ -757,6 +757,21 @@ def dump_codebook_sizes_floats(tmp_path, corpus_dir, checkpoint):
 
 
 @malformed
+def dump_codebook_size_zero(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "codebook_sizes must all be >= 1, not (0,)", codebook_sizes=[0], frames=[])
+
+
+@malformed
+def dump_codebook_size_negative(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "codebook_sizes must all be >= 1, not (8, -3)", codebook_sizes=[8, -3], frames=[])
+
+
+@malformed
+def dump_frame_rate_negative(tmp_path, corpus_dir, checkpoint):
+    return dump_with_fields(tmp_path, "frame_rate must be >= 1, not -5", frame_rate=-5)
+
+
+@malformed
 def dump_line_unknown_key(tmp_path, corpus_dir, checkpoint):
     return dump_with_fields(tmp_path, "'frame_rates'", frame_rates=50)
 

@@ -705,9 +705,10 @@ class TestGradients:
 class TestStepMemory:
     """A training step saves only what backward reads, and backward frees it as it goes."""
 
-    def case(self):
-        """A float32 FOUR_HEADS model at d=32, f=128 and eight padded rows of 53 columns."""
-        cfg = tiny_config(**FOUR_HEADS, hidden_dim=32, ffn_dim=128, num_heads=4, dtype="float32", max_positions=256)
+    def case(self, **overrides):
+        """A float32 FOUR_HEADS model at d=32, f=128 (or as ``overrides`` set) and eight padded rows of 53 columns."""
+        sizes = dict(hidden_dim=32, ffn_dim=128, num_heads=4, dtype="float32", max_positions=256)
+        cfg = tiny_config(**{**FOUR_HEADS, **sizes, **overrides})
         params = init_params(cfg, np.random.default_rng(41))
         rng = np.random.default_rng(42)
         rows = [encode_sequence(*random_context(rng, cfg, num_frames=int(n)), cfg) for n in rng.integers(20, 40, 8)]
@@ -716,13 +717,14 @@ class TestStepMemory:
         return cfg, params, batch, targets, mask
 
     def step(self, cfg, params, batch, targets, mask):
-        """forward, loss and backward as ``train_loop`` runs them; returns the cache after backward."""
+        """forward, loss and backward as ``train_loop`` runs them; returns what backward consumed: (cache, d_logits)."""
         heads = mask.any(axis=-1)
         logits, cache = forward(params, cfg, batch, heads, want_cache=True)
         targets, mask = targets[heads], mask[heads]
         weighted_loss(logits, targets, mask, cfg.loss_weights)
-        backward(params, cfg, cache, loss_gradient(logits, mask))
-        return cache
+        d_logits = loss_gradient(logits, mask)
+        backward(params, cfg, cache, d_logits)
+        return cache, d_logits
 
     def traced_peak(self, run) -> int:
         """Peak bytes ``run()`` allocates above what was allocated before it."""
@@ -739,21 +741,44 @@ class TestStepMemory:
                 tracemalloc.stop()
 
     def test_backward_consumes_the_cache(self):
-        assert self.step(*self.case()) == {}
+        cache, _ = self.step(*self.case())
+        assert cache == {}
+
+    def test_backward_consumes_the_logit_gradients(self):
+        """Each head's logit gradient is dropped from the list once its block has used it."""
+        _, d_logits = self.step(*self.case())
+        assert d_logits == [None] * 4
 
     def test_peak_allocation_of_a_step(self):
         """numpy reports its allocations to tracemalloc, so the peak repeats exactly.
 
-        This implementation measured 2,642,625 bytes above the step's
-        inputs (numpy 2.4, Python 3.11); the one that saved the
-        LayerNorm outputs and q, k and v and ran the last layer's FFN at
-        every row measured 3,244,649, and the one that kept every
-        intermediate, and the GELU output, until backward returned
-        measured 4,753,072.
+        This implementation measured 2,592,279 bytes above the step's
+        inputs (numpy 2.4, Python 3.11), in the last layer's attention
+        backward; the one that held all K heads' GELU outputs at once and
+        kept the logit gradients until backward returned measured
+        2,636,847, the one that saved the LayerNorm outputs and q, k and
+        v and ran the last layer's FFN at every row 3,244,649, and the
+        one that kept every intermediate, and the GELU output, until
+        backward returned 4,753,072.
         """
         case = self.case()
         self.step(*case)  # fill the cached name and position tables
         assert self.traced_peak(lambda: self.step(*case)) < 2_700_000
+
+    def test_peak_allocation_of_a_step_in_the_heads(self):
+        """With head vocabularies wide against ``hidden_dim``, the step peaks in the heads' backward.
+
+        At d=64 and four heads of 134 ids, this implementation measured
+        4,337,945 bytes above the step's inputs (numpy 2.4, Python 3.11):
+        the heads' backward holds one block's GELU output and gradient at
+        a time and drops each head's logit gradient once it has used it.
+        The one that held all K blocks' GELU outputs and gradients and
+        kept the logit gradients until backward returned measured
+        4,717,717, also in the heads' backward.
+        """
+        case = self.case(hidden_dim=64, codebook_sizes=(128,) * 4)
+        self.step(*case)
+        assert self.traced_peak(lambda: self.step(*case)) < 4_500_000
 
     def test_cache_holds_no_layer_norm_output_and_no_projection(self, monkeypatch):
         """Backward rebuilds every LayerNorm output and the attention's q, k and v; the cache keeps none."""
