@@ -1,9 +1,9 @@
 """Versioned binary checkpoint container.
 
-Layout (format 2): magic ``CILM``, u32 format version, u64 header
-length, u32 CRC-32 (``zlib.crc32``) of the header, the header, then the
-raw tensor bytes concatenated in the order of its tensor table.  The
-header is canonical JSON (sorted keys, no whitespace) holding the model
+Layout (format 2, the only one that loads): magic ``CILM``, u32 format
+version, u64 header length, u32 CRC-32 (``zlib.crc32``) of the header,
+the header, then the raw tensor bytes in the order of its tensor table.
+The header is canonical JSON (sorted keys, no whitespace) holding the model
 config, the training step, the data ``cursor`` and the tensor table, one
 ``{name, dtype, shape, crc32}`` entry per tensor.  A model-only file
 has a null cursor and holds the parameters, in the documented parameter
@@ -21,17 +21,9 @@ read, every tensor's name, shape and dtype against the config before
 reading its bytes, and each tensor's CRC before using it, and rejects
 bytes after the last tensor, so a truncated, corrupt or mis-shaped file
 raises :class:`InvalidInputError` naming the header or the tensor, as
-does a header whose step is not an integer >= 0 or whose cursor is
-neither null nor two integers >= 0.
-
-Format 1 files (no CRCs, no cursor, no moments) load as model-only
-checkpoints; their headers carry an ``rng_state``, which nothing reads.
-Files written while the model still had an attention key bias carry
-``layer<i>.attn.bk`` tensors; loading drops them, since the softmax
-cancels a key bias.  Every head is a two-layer FFN block; headers
-written while the head depth was a setting carry
-``"head_mlp_layers": 2``, which loads, and any other depth raises
-:class:`InvalidInputError`.
+does a file of another format version, a header whose config has a
+field :class:`ModelConfig` lacks, and a header whose step is not an
+integer >= 0 or whose cursor is neither null nor two integers >= 0.
 """
 
 from __future__ import annotations
@@ -108,9 +100,9 @@ def save_checkpoint(path, state: ModelState, training: TrainingState | None = No
 
 
 def load_checkpoint(path) -> tuple[ModelState, TrainingState | None]:
-    """Read a checkpoint; a truncated, corrupt, malformed, overlong or mis-shaped file raises InvalidInputError.
+    """Read a checkpoint; a truncated, corrupt, malformed, overlong, mis-shaped or other-version file raises InvalidInputError.
 
-    The training state is None for a model-only or format 1 file.
+    The training state is None for a model-only file.
     """
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
@@ -130,25 +122,19 @@ def load_checkpoint(path) -> tuple[ModelState, TrainingState | None]:
     if take(len(MAGIC), "magic") != MAGIC:
         raise InvalidInputError(f"{path} is not a checkpoint file")
     (version,) = struct.unpack("<I", take(4, "format version"))
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise InvalidInputError(f"unsupported checkpoint version {version}")
     (head_len,) = struct.unpack("<Q", take(8, "header length"))
-    checked = version == FORMAT_VERSION  # format 1 has no CRCs, cursor or moments
-    head_crc = struct.unpack("<I", take(4, "header CRC"))[0] if checked else None
+    (head_crc,) = struct.unpack("<I", take(4, "header CRC"))
     head = take(head_len, "header")
-    if checked:
-        check_crc(head, head_crc, "header")
+    check_crc(head, head_crc, "header")
     try:
         header = json.loads(bytes(head).decode("utf-8"))
-        config = header["config"]
-        depth = config.pop("head_mlp_layers", 2) if isinstance(config, dict) else 2
-        if depth != 2:
-            raise InvalidInputError(f"checkpoint {path} has heads of {depth!r} layers; every head has 2")
-        cfg = config_from_json(ModelConfig, config, "config")
+        cfg = config_from_json(ModelConfig, header["config"], "config")
         step = header["step"]
         if type(step) is not int or step < 0:
             raise InvalidInputError(f"checkpoint {path} has step {step!r}; a step is an integer >= 0")
-        cursor = header["cursor"] if checked else None
+        cursor = header["cursor"]
         well_formed = type(cursor) is list and [type(n) for n in cursor] == [int, int] and min(cursor) >= 0
         if cursor is not None and not well_formed:
             raise InvalidInputError(f"checkpoint {path} has cursor {cursor!r}; a cursor is two integers >= 0")
@@ -156,12 +142,11 @@ def load_checkpoint(path) -> tuple[ModelState, TrainingState | None]:
             (spec["name"], np.dtype(spec["dtype"]), tuple(int(n) for n in spec["shape"]))
             for spec in header["tensors"]
         ]
-        crcs = [spec["crc32"] if checked else None for spec in header["tensors"]]
+        crcs = [spec["crc32"] for spec in header["tensors"]]
     except (ConfigError, KeyError, TypeError, ValueError) as err:
         raise InvalidInputError(f"checkpoint {path} has a malformed header: {err!r}") from err
-    legacy = lambda name: name.endswith(".attn.bk")  # a key bias the model no longer has
     wanted = [(name, cfg.np_dtype, shape) for name, shape in _tensor_table(cfg, cursor is not None)]
-    for got, want in itertools.zip_longest((spec for spec in specs if not legacy(spec[0])), wanted):
+    for got, want in itertools.zip_longest(specs, wanted):
         if got != want:
             raise InvalidInputError(
                 f"checkpoint {path} tensor table does not match the config: it has {got}, the config needs {want}"
@@ -169,10 +154,8 @@ def load_checkpoint(path) -> tuple[ModelState, TrainingState | None]:
     tensors = {}
     for (name, dtype, shape), crc in zip(specs, crcs):
         raw = take(math.prod(shape) * dtype.itemsize, f"tensor {name}")
-        if checked:
-            check_crc(raw, crc, f"tensor {name}")
-        if not legacy(name):
-            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        check_crc(raw, crc, f"tensor {name}")
+        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(data):
         raise InvalidInputError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
     params = {name: tensors[name] for name in parameter_shapes(cfg)}

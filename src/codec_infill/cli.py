@@ -209,7 +209,7 @@ def cmd_train(args) -> int:
             raise ConfigError("resume checkpoint config differs from the requested model")
         print(f"resumed from {args.resume} at step {state.step}")
         if training is None:
-            print(f"{args.resume} holds no data cursor or AdamW moments (a model-only or format 1 file); "
+            print(f"{args.resume} holds no data cursor or AdamW moments (a model-only file); "
                   "training starts fresh moments at cursor (0, 0)")
     else:
         state = new_model(model_cfg, seed=init_seed)

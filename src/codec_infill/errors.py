@@ -4,7 +4,8 @@ Every error raised by library code derives from :class:`CodecInfillError`
 so callers (and the CLI) can map failure classes to distinct exit codes.
 :func:`require_positive` is the one check the configs share for values
 that count or divide; :func:`require_at_least` with 0 is the one for
-seeds, which numpy's generators take only when non-negative.
+seeds, which numpy's generators take only when non-negative, and for
+the other values a negative would break.
 """
 
 

@@ -206,6 +206,9 @@ class EditConfig:
 
     def __post_init__(self):
         require_positive(self, "tts_num_samples")
+        require_at_least(0, self, "num_discard_longest")
+        if min(self.margin_schedule, default=0) < 0:  # a negative margin selects no span
+            raise InvalidInputError(f"margin_schedule must hold margins >= 0, not {min(self.margin_schedule)!r}")
         if self.num_discard_longest >= len(self.margin_schedule):
             raise InvalidInputError("num_discard_longest must be < the number of margins")
 

@@ -96,6 +96,8 @@ class SchedulerConfig:
         for name in ("base_lr", "step_const", "epoch_const", "warmup_start"):
             if getattr(self, name) <= 0:
                 raise InvalidInputError(f"{name} must be positive")
+        if self.warmup_start > 1:  # the ramp rises to 1; from above 1 it would fall below 0
+            raise InvalidInputError(f"warmup_start must be <= 1, not {self.warmup_start!r}")
         require_positive(self, "warmup_steps", "steps_per_pseudo_epoch")
 
 
@@ -116,7 +118,6 @@ def pseudo_epoch(t: int, cfg: SchedulerConfig) -> int:
 class TrainConfig:
     batch_frame_budget: int = 4096
     total_steps: int = 2000
-    grad_accum: int = 1
     beta1: float = 0.9
     beta2: float = 0.98
     adam_eps: float = 1e-9
@@ -127,8 +128,13 @@ class TrainConfig:
     mask: MaskSamplingConfig = field(default_factory=MaskSamplingConfig)
 
     def __post_init__(self):
-        require_positive(self, "batch_frame_budget", "total_steps", "grad_accum", "checkpoint_every")
-        require_at_least(0, self, "seed")
+        require_positive(self, "batch_frame_budget", "total_steps", "checkpoint_every")
+        require_at_least(0, self, "seed", "beta1", "beta2", "weight_decay", "grad_clip")
+        for name in ("beta1", "beta2"):  # a moment that never forgets divides by a zero bias correction
+            if getattr(self, name) >= 1:
+                raise InvalidInputError(f"{name} must be < 1, not {getattr(self, name)!r}")
+        if self.adam_eps <= 0:
+            raise InvalidInputError(f"adam_eps must be > 0, not {self.adam_eps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +290,7 @@ def train_loop(
     Each metrics entry holds the step, learning rate, loss, per-codebook
     losses, the gradient's global norm before clipping (``grad_norm``)
     and whether it was clipped, and where the step went: the real
-    ``positions`` of its batches, the ``head_positions`` the heads ran at
+    ``positions`` of its batch, the ``head_positions`` the heads ran at
     (those with any loss), their ``pad_fraction``, ``batch_size`` (rows)
     and the step's wall time ``step_ms``.  Writes ``metrics.jsonl`` and
     periodic checkpoints, each with the run's training state, under
@@ -318,52 +324,32 @@ def train_loop(
         started = time.perf_counter()
         t = state.step
         lr = eden_lr(t, pseudo_epoch(t, sched_cfg), sched_cfg)
-        grads_sum = None
-        total = 0.0
-        per_k = None
-        batch = None
-        positions = head_positions = padded = rows = 0
-        for _ in range(train_cfg.grad_accum):
-            batch = next(stream)
-            heads = batch.loss_mask.any(axis=-1)
-            targets, loss_mask = batch.targets[heads], batch.loss_mask[heads]
-            logits, cache = forward(state.params, state.config, batch.inputs, heads, want_cache=True)
-            loss_value, loss_k = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
-            if not np.isfinite(loss_value):
-                batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
-                if run_path is not None:
-                    dump = {"step": t, "cursor": list(batch.cursor), "utterances": batch.utterance_ids}
-                    write_json(run_path / "nonfinite_batch.json", dump)
-                raise NonFiniteLossError(f"non-finite loss {loss_value} at step {t}", batch_id)
-            grads = backward(state.params, state.config, cache, loss_gradient(logits, loss_mask))
-            if grads_sum is None:
-                grads_sum = grads
-            else:
-                for name in grads_sum:
-                    grads_sum[name] += grads[name]
-            del logits, grads  # so nothing of this batch is held through the next forward
-            total += loss_value / train_cfg.grad_accum
-            per_k = loss_k if per_k is None else [a + b for a, b in zip(per_k, loss_k)]
-            positions += int(batch.inputs.lengths.sum())
-            head_positions += int(heads.sum())
-            padded += batch.inputs.kind.size
-            rows += batch.inputs.batch_size
-            training.cursor = (batch.cursor[0], batch.cursor[1] + batch.consumed)
-        if train_cfg.grad_accum > 1:
-            for name in grads_sum:
-                grads_sum[name] /= train_cfg.grad_accum
-            per_k = [v / train_cfg.grad_accum for v in per_k]
-        grad_norm = clip_global_norm(grads_sum, train_cfg.grad_clip)
-        optimizer.step(state.params, grads_sum, lr)
+        batch = next(stream)
+        heads = batch.loss_mask.any(axis=-1)
+        targets, loss_mask = batch.targets[heads], batch.loss_mask[heads]
+        logits, cache = forward(state.params, state.config, batch.inputs, heads, want_cache=True)
+        loss_value, loss_k = weighted_loss(logits, targets, loss_mask, state.config.loss_weights)
+        if not np.isfinite(loss_value):
+            batch_id = batch.utterance_ids[0] if batch.utterance_ids else "?"
+            if run_path is not None:
+                dump = {"step": t, "cursor": list(batch.cursor), "utterances": batch.utterance_ids}
+                write_json(run_path / "nonfinite_batch.json", dump)
+            raise NonFiniteLossError(f"non-finite loss {loss_value} at step {t}", batch_id)
+        grads = backward(state.params, state.config, cache, loss_gradient(logits, loss_mask))
+        training.cursor = (batch.cursor[0], batch.cursor[1] + batch.consumed)
+        grad_norm = clip_global_norm(grads, train_cfg.grad_clip)
+        optimizer.step(state.params, grads, lr)
         state.step += 1
         clipped = bool(train_cfg.grad_clip > 0 and grad_norm > train_cfg.grad_clip)
+        positions = int(batch.inputs.lengths.sum())
         entry = {
-            "step": t, "lr": lr, "loss": total, "loss_k": per_k,
+            "step": t, "lr": lr, "loss": loss_value, "loss_k": loss_k,
             "grad_norm": grad_norm, "clipped": clipped,
-            "positions": positions, "head_positions": head_positions,
-            "pad_fraction": 1.0 - positions / padded, "batch_size": rows,
+            "positions": positions, "head_positions": int(heads.sum()),
+            "pad_fraction": 1.0 - positions / batch.inputs.kind.size, "batch_size": batch.inputs.batch_size,
             "step_ms": (time.perf_counter() - started) * 1e3,
         }
+        del batch, heads, targets, loss_mask, logits, grads  # so nothing of this step is held through the next
         metrics.append(entry)
         if run_path is not None:
             append_json_line(run_path / "metrics.jsonl", entry)

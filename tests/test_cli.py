@@ -14,8 +14,9 @@ from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill import metrics
 from codec_infill.cli import _report_header, main
 from codec_infill.evaluate import EvalRecord, load_manifest, synthesize_manifest
+from codec_infill.jsonio import config_from_json
 from codec_infill.model import ModelConfig, new_model
-from codec_infill.synthcodec import ToyCodecConfig, ToyUtterance, gen_corpus, load_corpus, write_corpus
+from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_corpus, write_corpus
 from codec_infill.tokens import (
     CodecMatrix,
     TokenDumpRecord,
@@ -192,26 +193,14 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert "tensor text_emb fails its CRC-32 check" in err
 
-    def test_resume_from_a_format_1_checkpoint_starts_fresh_moments(self, tmp_path, capsys):
-        """The key-bias fixture (format 1, 2 codebooks of 5 tokens, 7 symbols) resumes at its step 6 and says so."""
-        rng = np.random.default_rng(5)
-        utterances = [
-            ToyUtterance(f"utt{i}", rng.integers(0, 7, 4).tolist(), CodecMatrix(frames, codebook_sizes=(5, 5)))
-            for i, frames in enumerate(rng.integers(0, 5, (6, 8, 2)))
-        ]
-        codec = ToyCodecConfig(alphabet_size=7, num_codebooks=2, codebook_size=28)  # the smallest injective table
-        write_corpus(tmp_path / "corpus", utterances, codec)
-        payload = {
-            "data_dir": str(tmp_path / "corpus"),
-            "model": {
-                "num_layers": 2, "hidden_dim": 8, "ffn_dim": 16, "num_heads": 2, "codebook_sizes": [5, 5],
-                "max_positions": 64, "loss_weights": [1.0, 1.0], "dtype": "float64",
-            },
-            "train": {"batch_frame_budget": 64, "total_steps": 8},
-        }
+    def test_resume_from_a_model_only_checkpoint_starts_fresh_moments(self, tmp_path, corpus_dir, capsys):
+        """A file saved without a training state resumes at its step, from cursor (0, 0) with zero moments, and says so."""
+        payload = self.train_config(corpus_dir, steps=8)
+        state = new_model(config_from_json(ModelConfig, payload["model"], "model"), seed=0)
+        state.step = 6
+        save_checkpoint(tmp_path / "model.bin", state, None)
         cfg = write_json(tmp_path / "train.json", payload)
-        fixture = Path(__file__).parent / "fixtures" / "checkpoint_with_key_bias.bin"
-        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--resume", str(fixture)])
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--resume", str(tmp_path / "model.bin")])
         out = capsys.readouterr().out
         assert code == 0
         assert "resumed from" in out and "at step 6" in out
@@ -1138,6 +1127,45 @@ for name, build in [
     ("eval.sampling.seed", lambda tmp, corpus, ckpt: eval_with_set(tmp, corpus, ckpt, "sampling.seed=-1")),
 ]:
     negative_seed(name, build)
+
+
+def out_of_range(name: str, message: str, build):
+    """Register a case in which ``build`` sets ``name`` outside its range; stderr names its section and ``message``."""
+
+    def case(tmp_path, corpus_dir, checkpoint):
+        argv, names = build(tmp_path, corpus_dir, checkpoint)
+        return argv, names + [f"'{name.split('.')[0]}'", message]
+
+    case.__name__ = f"config_{name.replace('.', '_')}_out_of_range"
+    malformed(case)
+
+
+# Each of these once trained or edited without complaint, or failed later, blaming a batch.
+for name, message, build in [
+    ("train.beta1", "beta1 must be < 1, not 1.0", lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "train.beta1=1.0")),
+    ("train.beta2", "beta2 must be >= 0, not -0.5", lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "train.beta2=-0.5")),
+    ("train.adam_eps", "adam_eps must be > 0, not 0.0", lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "train.adam_eps=0.0")),
+    (
+        "train.weight_decay", "weight_decay must be >= 0, not -0.5",
+        lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "train.weight_decay=-0.5"),
+    ),
+    ("train.grad_clip", "grad_clip must be >= 0, not -1", lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "train.grad_clip=-1")),
+    (
+        "scheduler.warmup_start", "warmup_start must be <= 1, not 2.0",
+        lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "scheduler.warmup_start=2.0"),
+    ),
+    (
+        "edit.margin_schedule", "margin_schedule must hold margins >= 0, not -0.03",
+        lambda tmp, corpus, ckpt: edit_with_request(
+            tmp, corpus, ckpt, target=[1], edit={"margin_schedule": [-0.03, 0.05, 0.06, 0.07, 0.08]}
+        ),
+    ),
+    (
+        "edit.num_discard_longest", "num_discard_longest must be >= 0, not -1",
+        lambda tmp, corpus, ckpt: edit_with_request(tmp, corpus, ckpt, target=[1], edit={"num_discard_longest": -1}),
+    ),
+]:
+    out_of_range(name, message, build)
 
 
 class TestMalformedInputs:
