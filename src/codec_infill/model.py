@@ -16,9 +16,11 @@ those that carry loss; decoding: each row's last).  Each head is a
 two-layer FFN block, Linear -> GELU -> Linear, the same block as a
 layer's FFN but ending in head k's vocabulary.  One FFN implementation
 runs both: it runs K blocks over the same rows, each block's first
-layer its own product and one GELU (erf) over all K, then each block's
-second layer on its own GELU output, so that output and its gradient
-exist for one block at a time; a layer's FFN is the one-block case.
+layer its own product and one GELU (erf) over all K, whose output is
+written over its input, then each block's second layer on its own GELU
+output; backward rebuilds one block's GELU input at a time, so that
+input, its output and its gradient exist for one block at a time.  A
+layer's FFN is the one-block case.
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
 one-row batch.  Each position's training targets are the ids of the
@@ -32,18 +34,20 @@ Every block is pre-norm: a LayerNorm, then attention, an FFN or the
 heads.  A training forward saves, block by block, only what its backward
 cannot rebuild for a few cheap operations: the LayerNorm's normalized
 rows and inverse deviations, but not its output; the attention's softmax
-weights and merged context, but not q, k or v; the FFN's GELU input and
-CDF, but not the GELU's output.  ``backward`` rebuilds the LayerNorm
+weights and merged context, but not q, k or v; the FFN's GELU CDF, but
+not the GELU's input or output.  ``backward`` rebuilds the LayerNorm
 output from the normalized rows by the forward's own two operations,
-q, k and v from that by the same projections, and the GELU output as the
-product of its input and CDF, so every rebuilt array equals the
-forward's bit for bit.  It consumes the cache and the logit gradients:
-each block's backward adds its own parameters' gradients and returns
-the gradient of its input; its saved arrays are dropped as soon as it
-returns, and each head's logit gradient as soon as that head's block
-has read it.  The large elementwise stages write their results in
-place, in the same order of operations, so a step holds few
-temporaries.  All functions are deterministic given their inputs.
+q, k and v from that by the same projections, each FFN block's GELU
+input from that by the block's first-layer product and bias add, and
+the GELU output as the product of its input and CDF, so every rebuilt
+array equals the forward's bit for bit.  It consumes the cache and the
+logit gradients: each block's backward adds its own parameters'
+gradients and returns the gradient of its input; its saved arrays are
+dropped as soon as it returns, and each head's logit gradient as soon
+as that head's block has read it.  The large elementwise stages write
+their results in place, in the same order of operations, so a step
+holds few temporaries.  All functions are deterministic given their
+inputs.
 
 ``forward`` is the only implementation of the network.  It keeps the
 real positions of a batch packed as one (N, d) array, so padding costs
@@ -82,6 +86,8 @@ KIND_FRAME = 2
 KIND_MARKER = 3
 
 _LN_EPS = 1e-5
+# float16 rounds AdamW's eps to 0 and scipy's erf has no long double loop
+_DTYPES = ("float32", "float64")
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
@@ -115,12 +121,8 @@ class ModelConfig:
             raise InvalidInputError("loss_weights must all be positive")
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidInputError("hidden_dim must be divisible by num_heads")
-        try:
-            floating = np.issubdtype(np.dtype(self.dtype), np.floating)
-        except TypeError:
-            floating = False
-        if not floating:
-            raise InvalidInputError(f"dtype '{self.dtype}' is not a numpy float type")
+        if self.dtype not in _DTYPES:
+            raise InvalidInputError(f"dtype '{self.dtype}' is not one of {', '.join(_DTYPES)}")
 
     @property
     def np_dtype(self):
@@ -624,13 +626,13 @@ def _ffn_forward(params, ln, blocks, x):
     ``blocks`` are the blocks' parameter names, (w1, b1, w2, b2) each, and
     a layer's FFN is the one-block case.  Each block's first layer is its
     own product, written into one (K, rows, f) array, and one GELU CDF
-    (erf) runs over all K.  The second layers run one per block, since
-    their widths may differ, each on its block's GELU output ``pre[k] *
-    phi[k]``, so one block's output exists at a time.  The cache keeps the
-    LayerNorm's own cache and the GELU's input and CDF, not the block's
-    input nor the GELU's output: backward rebuilds the one from the
-    LayerNorm's ``normed`` and recomputes the other as the product of the
-    two.
+    (erf) runs over all K.  The GELU output is written over its input,
+    and the second layers run one per block, since their widths may
+    differ, each on its block's GELU output.  The cache keeps the
+    LayerNorm's own cache and the GELU's CDF, not the block's input, the
+    GELU's input nor its output: backward rebuilds the input from the
+    LayerNorm's ``normed``, the GELU's input from that by the block's
+    first-layer product, and its output as the product of the two.
     """
     normed, ln_cache = _layer_norm(params, ln, x)
     pre = np.empty((len(blocks), len(normed), params[blocks[0][0]].shape[1]), dtype=normed.dtype)
@@ -639,35 +641,41 @@ def _ffn_forward(params, ln, blocks, x):
         block_pre += params[b1]
     del normed
     phi = _gelu_cdf(pre)
-    out = [_affine(pre[k] * phi[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
-    return out, (ln_cache, pre, phi)
+    pre *= phi  # the GELU output
+    out = [_affine(pre[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
+    return out, (ln_cache, phi)
 
 
 def _ffn_backward(params, ln, blocks, d_out, cache, grads):
     """Mirror of :func:`_ffn_forward` for the K output gradients ``d_out``; returns the gradient of ``x``.
 
     Rebuilds the block input from the LayerNorm's ``normed`` once, then
-    takes one block at a time: its GELU output ``pre[k] * phi[k]``, which
-    the gradient through its second layer then overwrites, that gradient
-    through the GELU, and the block's share of the input gradient, added
-    in block order.  Consumes ``d_out``: entry k is set to ``None`` once
-    block k has read it, so one block's temporaries and the output
-    gradients not yet read are what it holds.
+    takes one block at a time: its GELU input, by the forward's own
+    first-layer product and bias add into one (rows, f) buffer, its GELU
+    output as the product of that input and the cached CDF ``phi[k]``,
+    which the gradient through its second layer then overwrites, that
+    gradient through the GELU, and the block's share of the input
+    gradient, added in block order.  Consumes ``d_out``: entry k is set
+    to ``None`` once block k has read it, so one block's temporaries and
+    the output gradients not yet read are what it holds.
     """
-    ln_cache, pre, phi = cache
+    ln_cache, phi = cache
     x = _layer_norm_output(params, ln, ln_cache[0])
     d_x = np.zeros_like(x)
+    pre = np.empty(phi.shape[1:], dtype=x.dtype)
     for k, (w1, b1, w2, b2) in enumerate(blocks):
-        act = pre[k] * phi[k]  # the block's GELU output, overwritten by its gradient once read
+        np.matmul(x, params[w1], out=pre)  # the block's GELU input, as the forward built it
+        pre += params[b1]
+        act = pre * phi[k]  # the block's GELU output, overwritten by its gradient once read
         grads[w2] += act.T @ d_out[k]
         grads[b2] += d_out[k].sum(axis=0)
         np.matmul(d_out[k], params[w2].T, out=act)
         d_out[k] = None
-        d_pre = _gelu_grad(pre[k], phi[k], act)
+        d_pre = _gelu_grad(pre, phi[k], act)
         grads[w1] += x.T @ d_pre
         grads[b1] += d_pre.sum(axis=0)
         d_x += d_pre @ params[w1].T
-    del x, act, d_pre
+    del x, pre, act, d_pre
     return _layer_norm_backward(params, ln, d_x, ln_cache, grads)
 
 
@@ -713,8 +721,9 @@ def forward(
     With ``want_cache`` the second value is the cache :func:`backward`
     takes: the batch, the rows the heads ran at and, for each block in
     the order it ran, the arrays its backward cannot rebuild (see the
-    module docstring): no LayerNorm output and no q, k or v.  It covers
-    no keys of a ``kv_cache``, and one ``backward`` consumes it.
+    module docstring): no LayerNorm output, no q, k or v and no GELU
+    input.  It covers no keys of a ``kv_cache``, and one ``backward``
+    consumes it.
 
     ``slots`` are the K slot tables, :func:`_slot_tables` of ``params``,
     built here when not given; a decode session passes the ones it built
@@ -765,10 +774,11 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     :func:`loss_gradient` returned holds its logits no longer than
     backward needs them.  Each block rebuilds what its forward
     did not save: its input, from its LayerNorm's ``normed``, before that
-    LayerNorm's backward overwrites it, and the attention's q, k and v,
-    from that input.  The gradient of the last layer's residual rows
-    covers the heads' rows only until that layer's attention, where it
-    is scattered into every row, zero at the others.
+    LayerNorm's backward overwrites it, the attention's q, k and v, from
+    that input, and each FFN block's GELU input, by its first-layer
+    product.  The gradient of the last layer's residual rows covers the
+    heads' rows only until that layer's attention, where it is scattered
+    into every row, zero at the others.
     """
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     saved = cache.pop("saved")

@@ -974,6 +974,20 @@ def config_model_dtype_unknown(tmp_path, corpus_dir, checkpoint):
     return ["train", "--config", str(config), "--out", str(tmp_path / "run")], [str(config), "'model'", "dtype 'float99'"]
 
 
+# numpy float types the model cannot train in: float16 once failed its second step blaming a batch (AdamW's
+# eps rounds to 0), and longdouble a traceback from scipy's erf
+@malformed
+def config_model_dtype_float16(tmp_path, corpus_dir, checkpoint):
+    argv, names = train_with_config(tmp_path, corpus_dir, "model.dtype=float16")
+    return argv, names + ["'model'", "dtype 'float16'"]
+
+
+@malformed
+def config_model_dtype_longdouble(tmp_path, corpus_dir, checkpoint):
+    argv, names = train_with_config(tmp_path, corpus_dir, "model.dtype=longdouble")
+    return argv, names + ["'model'", "dtype 'longdouble'"]
+
+
 @malformed
 def config_train_without_data_dir(tmp_path, corpus_dir, checkpoint):
     config = write_json(tmp_path / "train.json", {"train": {"total_steps": 1}})

@@ -740,6 +740,14 @@ class TestStepMemory:
             if not tracing:
                 tracemalloc.stop()
 
+    def saved_arrays(self, entry) -> list:
+        """Every array in a cache entry's nested tuples and lists."""
+        if isinstance(entry, np.ndarray):
+            return [entry]
+        if isinstance(entry, (tuple, list)):
+            return [a for part in entry for a in self.saved_arrays(part)]
+        return []
+
     def test_backward_consumes_the_cache(self):
         cache, _ = self.step(*self.case())
         assert cache == {}
@@ -752,33 +760,36 @@ class TestStepMemory:
     def test_peak_allocation_of_a_step(self):
         """numpy reports its allocations to tracemalloc, so the peak repeats exactly.
 
-        This implementation measured 2,592,279 bytes above the step's
+        This implementation measured 2,405,664 bytes above the step's
         inputs (numpy 2.4, Python 3.11), in the last layer's attention
-        backward; the one that held all K heads' GELU outputs at once and
-        kept the logit gradients until backward returned measured
-        2,636,847, the one that saved the LayerNorm outputs and q, k and
-        v and ran the last layer's FFN at every row 3,244,649, and the
-        one that kept every intermediate, and the GELU output, until
-        backward returned 4,753,072.
+        backward; the one that cached each FFN block's GELU input measured
+        2,592,279, the one that held all K heads' GELU outputs at once and
+        kept the logit gradients until backward returned 2,636,847, the
+        one that saved the LayerNorm outputs and q, k and v and ran the
+        last layer's FFN at every row 3,244,649, and the one that kept
+        every intermediate, and the GELU output, until backward returned
+        4,753,072.
         """
         case = self.case()
         self.step(*case)  # fill the cached name and position tables
-        assert self.traced_peak(lambda: self.step(*case)) < 2_700_000
+        assert self.traced_peak(lambda: self.step(*case)) < 2_500_000
 
     def test_peak_allocation_of_a_step_in_the_heads(self):
         """With head vocabularies wide against ``hidden_dim``, the step peaks in the heads' backward.
 
         At d=64 and four heads of 134 ids, this implementation measured
-        4,337,945 bytes above the step's inputs (numpy 2.4, Python 3.11):
-        the heads' backward holds one block's GELU output and gradient at
-        a time and drops each head's logit gradient once it has used it.
-        The one that held all K blocks' GELU outputs and gradients and
-        kept the logit gradients until backward returned measured
-        4,717,717, also in the heads' backward.
+        3,736,601 bytes above the step's inputs (numpy 2.4, Python 3.11):
+        the heads' backward rebuilds one block's GELU input, holds its
+        output and gradient one block at a time and drops each head's
+        logit gradient once it has used it.  The one that cached all K
+        blocks' GELU inputs measured 4,337,945, and the one that also held
+        all K blocks' GELU outputs and gradients and kept the logit
+        gradients until backward returned 4,717,717, both in the heads'
+        backward.
         """
         case = self.case(hidden_dim=64, codebook_sizes=(128,) * 4)
         self.step(*case)
-        assert self.traced_peak(lambda: self.step(*case)) < 4_500_000
+        assert self.traced_peak(lambda: self.step(*case)) < 3_900_000
 
     def test_cache_holds_no_layer_norm_output_and_no_projection(self, monkeypatch):
         """Backward rebuilds every LayerNorm output and the attention's q, k and v; the cache keeps none."""
@@ -797,17 +808,26 @@ class TestStepMemory:
         cfg, params, batch, targets, mask = self.case()
         _, cache = forward(params, cfg, batch, mask.any(axis=-1), want_cache=True)
         assert len(made) == 2 * cfg.num_layers + 1 + 3 * cfg.num_layers  # LN1 and LN2 per layer, final LN; q, k, v
-
-        def arrays(entry):
-            if isinstance(entry, np.ndarray):
-                yield entry
-            elif isinstance(entry, (tuple, list)):
-                for part in entry:
-                    yield from arrays(part)
-
-        saved = list(arrays(cache["saved"]))
+        saved = self.saved_arrays(cache["saved"])
         assert saved
         for a in made:
+            assert not any(np.may_share_memory(a, s) for s in saved)
+
+    def test_cache_holds_no_ffn_pre_activation(self, monkeypatch):
+        """Backward rebuilds each FFN block's GELU input by its first-layer product; the cache keeps only the CDF."""
+        gelu_inputs, gelu_cdf = [], model._gelu_cdf
+
+        def recorded(x):
+            gelu_inputs.append(x)
+            return gelu_cdf(x)
+
+        monkeypatch.setattr(model, "_gelu_cdf", recorded)
+        cfg, params, batch, targets, mask = self.case()
+        _, cache = forward(params, cfg, batch, mask.any(axis=-1), want_cache=True)
+        assert len(gelu_inputs) == cfg.num_layers + 1  # each layer's FFN, then the heads
+        saved = self.saved_arrays(cache["saved"])
+        assert saved
+        for a in gelu_inputs:
             assert not any(np.may_share_memory(a, s) for s in saved)
 
     def loss_case(self):
