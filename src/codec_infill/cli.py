@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .errors import CodecInfillError, ConfigError, NumericalError, require_at_least
+from .errors import CodecInfillError, ConfigError, NumericalError
 from .evaluate import load_manifest, run_eval
 from .infer import EditConfig, SamplingConfig, edit_speech, zero_shot_tts
 from .jsonio import check_keys, config_from_json, get_field, read_json, write_json, write_json_lines
@@ -30,6 +30,7 @@ from .metrics import F0_RANGE_HZ, FFT_SIZE, HOP, LOG_FLOOR, MCD_SCALE, MEL_BANDS
 from .model import ModelConfig, TransformerDecoder, new_model
 from .rearrange import causal_mask, delay_stack, format_items, uncausal_mask, unstack
 from .synthcodec import (
+    CorpusConfig,
     ToyCodecConfig,
     decode_tokens,
     exact_alignment,
@@ -53,18 +54,6 @@ EXIT_PIPELINE = 1
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class CorpusConfig:
-    num_utterances: int = 1100
-    num_validation: int = 100
-    min_symbols: int = 5
-    max_symbols: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        require_at_least(0, self, "seed")
 
 
 def _apply_overrides(payload: dict, overrides) -> dict:

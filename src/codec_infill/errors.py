@@ -1,12 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one check of config bounds.
 
 Every error raised by library code derives from :class:`CodecInfillError`
 so callers (and the CLI) can map failure classes to distinct exit codes.
-:func:`require_positive` is the one check the configs share for values
-that count or divide; :func:`require_at_least` with 0 is the one for
-seeds, which numpy's generators take only when non-negative, and for
-the other values a negative would break.
+A config field declares its bound in its type, as ``Annotated[int,
+Range(1)]`` or an alias below, and its ``__post_init__`` calls
+:func:`check_bounds`; the rules that span fields stay in the ``__post_init__``.
 """
+
+import functools
+import typing
 
 
 class CodecInfillError(Exception):
@@ -15,19 +17,6 @@ class CodecInfillError(Exception):
 
 class InvalidInputError(CodecInfillError):
     """An argument violates an operation's precondition."""
-
-
-def require_positive(config, *fields: str) -> None:
-    """Raise InvalidInputError naming the first of ``fields`` of ``config`` below 1."""
-    require_at_least(1, config, *fields)
-
-
-def require_at_least(least: int, config, *fields: str) -> None:
-    """Raise InvalidInputError naming the first of ``fields`` of ``config`` below ``least``."""
-    for name in fields:
-        value = getattr(config, name)
-        if value < least:
-            raise InvalidInputError(f"{name} must be >= {least}, not {value!r}")
 
 
 class InvalidSpanError(InvalidInputError):
@@ -71,3 +60,47 @@ class NonFiniteLossError(NumericalError):
     def __init__(self, message: str, batch_id: str):
         super().__init__(f"{message} (batch {batch_id})")
         self.batch_id = batch_id
+
+
+class Range(typing.NamedTuple):
+    """The bound ``lo <= value <= hi`` of a field; either end may be open, and ``hi`` may be absent."""
+
+    lo: float
+    hi: float | None = None
+    lo_open: bool = False
+    hi_open: bool = False
+
+
+Count = typing.Annotated[int, Range(1)]  # a size, count or divisor
+Natural = typing.Annotated[int, Range(0)]  # a seed (numpy's generators take no negative one), or an amount
+Positive = typing.Annotated[float, Range(0, lo_open=True)]
+NonNegative = typing.Annotated[float, Range(0)]
+Unit = typing.Annotated[float, Range(0, 1, hi_open=True)]  # an AdamW decay: at 1 its bias correction divides by 0
+Share = typing.Annotated[float, Range(0, 1, lo_open=True)]
+
+
+@functools.cache
+def declared_bounds(cls) -> dict[str, tuple[Range, bool]]:
+    """Each bounded field of ``cls``: its Range, and whether the Range bounds every item of a tuple."""
+    bounds = {}
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        each = typing.get_origin(hint) is tuple
+        if typing.get_origin(hint) in (tuple, typing.Union):  # tuple[X, ...], or X | None with X annotated
+            hint = typing.get_args(hint)[0]
+        if typing.get_origin(hint) is typing.Annotated:
+            bounds[name] = (hint.__metadata__[0], each)
+    return bounds
+
+
+def check_bounds(obj) -> None:
+    """Raise InvalidInputError naming the first field of ``obj`` outside its declared Range; NaN is outside all."""
+    for name, ((lo, hi, lo_open, hi_open), each) in declared_bounds(type(obj)).items():
+        value = getattr(obj, name)
+        for item in value if each else () if value is None else (value,):
+            if not (item > lo if lo_open else item >= lo):
+                rule = f"{'>' if lo_open else '>='} {lo}"
+            elif hi is not None and not (item < hi if hi_open else item <= hi):
+                rule = f"{'<' if hi_open else '<='} {hi}"
+            else:
+                continue
+            raise InvalidInputError(f"{name} must {'all ' if each else ''}be {rule}, not {value!r}")

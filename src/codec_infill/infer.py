@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidInputError, require_at_least, require_positive
+from .errors import AlignmentError, Count, InvalidInputError, Natural, NonNegative, Positive, Share, check_bounds
 from .metrics import edit_distance_table
 from .model import ModelConfig
 from .rearrange import causal_mask, delay_stack, splice, stack_span, unstack_span
@@ -181,34 +181,24 @@ def select_edit_spans(
 
 @dataclass
 class SamplingConfig:
-    top_p: float = 0.8
-    temperature: float = 1.0
-    repetition_gamma: float = 0.5
-    max_generated_steps: int = 200  # cap on generated frames per span
-    seed: int = 0
+    top_p: Share = 0.8
+    temperature: Positive = 1.0
+    repetition_gamma: NonNegative = 0.5
+    max_generated_steps: Count = 200  # cap on generated frames per span
+    seed: Natural = 0
 
     def __post_init__(self):
-        require_positive(self, "max_generated_steps")
-        require_at_least(0, self, "seed")
-        if not (0.0 < self.top_p <= 1.0):
-            raise InvalidInputError("top_p must be in (0, 1]")
-        if self.temperature <= 0:
-            raise InvalidInputError("temperature must be positive")
-        if self.repetition_gamma < 0:
-            raise InvalidInputError("repetition_gamma must be >= 0")
+        check_bounds(self)
 
 
 @dataclass
 class EditConfig:
-    margin_schedule: tuple[float, ...] = tuple(round(0.05 + 0.01 * i, 2) for i in range(10))
-    num_discard_longest: int = 4
-    tts_num_samples: int = 5
+    margin_schedule: tuple[NonNegative, ...] = tuple(round(0.05 + 0.01 * i, 2) for i in range(10))  # < 0 selects no span
+    num_discard_longest: Natural = 4
+    tts_num_samples: Count = 5
 
     def __post_init__(self):
-        require_positive(self, "tts_num_samples")
-        require_at_least(0, self, "num_discard_longest")
-        if min(self.margin_schedule, default=0) < 0:  # a negative margin selects no span
-            raise InvalidInputError(f"margin_schedule must hold margins >= 0, not {min(self.margin_schedule)!r}")
+        check_bounds(self)
         if self.num_discard_longest >= len(self.margin_schedule):
             raise InvalidInputError("num_discard_longest must be < the number of margins")
 

@@ -144,7 +144,7 @@ def _typed(hint, value, name: str):
     if dataclasses.is_dataclass(hint):
         return config_from_json(hint, value, name)
     args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):  # X | None
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # X | None; Optional when X is Annotated
         return None if value is None else _typed(args[0], value, name)
     if typing.get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)):

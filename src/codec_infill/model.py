@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import CapacityError, InvalidInputError, VocabularyError, require_positive
+from .errors import CapacityError, Count, InvalidInputError, Positive, VocabularyError, check_bounds
 from .tokens import EMPTY, SpecialToken
 
 # position-stream kinds
@@ -93,32 +93,23 @@ _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 @dataclass
 class ModelConfig:
-    num_layers: int = 2
-    hidden_dim: int = 128
-    ffn_dim: int = 512
-    num_heads: int = 4
-    num_codebooks: int = 4
-    codebook_sizes: tuple[int, ...] = (256, 256, 256, 256)
-    text_vocab_size: int = 30
-    max_positions: int = 2048
-    loss_weights: tuple[float, ...] = (5.0, 1.0, 0.5, 0.1)
-    max_mask_spans: int = 3
-    init_scale: float = 0.02
+    num_layers: Count = 2
+    hidden_dim: Count = 128
+    ffn_dim: Count = 512
+    num_heads: Count = 4
+    num_codebooks: Count = 4
+    codebook_sizes: tuple[Count, ...] = (256, 256, 256, 256)
+    text_vocab_size: Count = 30
+    max_positions: Count = 2048
+    loss_weights: tuple[Positive, ...] = (5.0, 1.0, 0.5, 0.1)
+    max_mask_spans: Count = 3
+    init_scale: Positive = 0.02  # the standard deviation of the initial weights
     dtype: str = "float32"
 
     def __post_init__(self):
-        require_positive(
-            self, "num_layers", "hidden_dim", "ffn_dim", "num_heads", "num_codebooks", "max_positions",
-            "text_vocab_size", "max_mask_spans",
-        )
-        if len(self.codebook_sizes) != self.num_codebooks:
-            raise InvalidInputError("codebook_sizes length must equal num_codebooks")
-        if any(size < 1 for size in self.codebook_sizes):
-            raise InvalidInputError(f"codebook_sizes must all be >= 1, not {self.codebook_sizes!r}")
-        if len(self.loss_weights) != self.num_codebooks:
-            raise InvalidInputError("loss_weights length must equal num_codebooks")
-        if any(w <= 0 for w in self.loss_weights):
-            raise InvalidInputError("loss_weights must all be positive")
+        check_bounds(self)
+        if not len(self.codebook_sizes) == len(self.loss_weights) == self.num_codebooks:
+            raise InvalidInputError("codebook_sizes and loss_weights must each hold num_codebooks entries")
         if self.hidden_dim % self.num_heads != 0:
             raise InvalidInputError("hidden_dim must be divisible by num_heads")
         if self.dtype not in _DTYPES:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, StructureError
+from .errors import Count, InvalidInputError, Positive, StructureError, check_bounds
 from .tokens import EMPTY, EOS, EOU, CodecMatrix, Span, SpecialToken, mask_marker, validate_spans
 
 FrameTuple = tuple[int, ...]
@@ -72,18 +72,15 @@ class MaskSamplingConfig:
     full-scale length cap is 600 frames; the desk-scale default is 60.
     """
 
-    rate: float = 1.0
-    min_spans: int = 1
-    max_spans: int = 3
-    max_span_len: int = 60
+    rate: Positive = 1.0
+    min_spans: Count = 1
+    max_spans: Count = 3
+    max_span_len: Count = 60
 
     def __post_init__(self):
-        if not (1 <= self.min_spans <= self.max_spans):
-            raise InvalidInputError("need 1 <= min_spans <= max_spans")
-        if self.max_span_len < 1:
-            raise InvalidInputError("max_span_len must be >= 1")
-        if self.rate <= 0:
-            raise InvalidInputError("rate must be positive")
+        check_bounds(self)
+        if self.min_spans > self.max_spans:
+            raise InvalidInputError(f"min_spans must be <= max_spans, not {self.min_spans} > {self.max_spans}")
 
 
 @functools.lru_cache(maxsize=16)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, VocabularyError, require_at_least, require_positive
+from .errors import ConfigError, Count, InvalidInputError, Natural, VocabularyError, check_bounds
 from .jsonio import (
     check_keys, config_from_json, config_to_json, get_field, read_json, read_json_lines, write_json, write_json_lines,
 )
@@ -44,24 +44,19 @@ RENDER_AMPLITUDE = 0.2
 
 @dataclass
 class ToyCodecConfig:
-    alphabet_size: int = 30
-    frames_per_symbol: int = 4
-    num_codebooks: int = 4
-    codebook_size: int = 256
-    frame_rate: int = 50
-    sample_rate: int = 16000
-    table_seed: int = 1234
-    jitter_seed: int | None = None
-    jitter_amount: int = 2
-    render_gains: tuple[float, ...] = (1.0, 0.25, 0.15, 0.1)
+    alphabet_size: Count = 30
+    frames_per_symbol: Count = 4
+    num_codebooks: Count = 4
+    codebook_size: Count = 256
+    frame_rate: Count = 50
+    sample_rate: Count = 16000
+    table_seed: Natural = 1234
+    jitter_seed: Natural | None = None
+    jitter_amount: Natural = 2
+    render_gains: tuple[float, ...] = (1.0, 0.25, 0.15, 0.1)  # unbounded: a negative gain inverts a tone
 
     def __post_init__(self):
-        require_positive(
-            self, "alphabet_size", "frames_per_symbol", "num_codebooks", "codebook_size", "frame_rate", "sample_rate"
-        )
-        require_at_least(0, self, "table_seed")
-        if self.jitter_seed is not None:
-            require_at_least(0, self, "jitter_seed")
+        check_bounds(self)
         if self.alphabet_size * self.frames_per_symbol > self.codebook_size:
             raise InvalidInputError(
                 "codebook_size too small for an injective (symbol, phase) table"
@@ -232,6 +227,24 @@ def _bigram_sampler(cfg: ToyCodecConfig, rng: np.random.Generator):
     return draw
 
 
+@dataclass
+class CorpusConfig:
+    num_utterances: Count = 1100
+    num_validation: Natural = 100
+    min_symbols: Count = 5
+    max_symbols: Count = 20
+    seed: Natural = 0
+
+    def __post_init__(self):
+        check_bounds(self)
+        if self.min_symbols > self.max_symbols:
+            raise InvalidInputError(f"min_symbols must be <= max_symbols, not {self.min_symbols} > {self.max_symbols}")
+        if self.num_validation >= self.num_utterances:
+            raise InvalidInputError(
+                f"num_validation must be < num_utterances, not {self.num_validation} >= {self.num_utterances}"
+            )
+
+
 def gen_corpus(
     num_utterances: int,
     length_range: tuple[int, int],
@@ -244,10 +257,7 @@ def gen_corpus(
     The last ``num_validation`` utterances carry split "val"; ids are
     globally unique so the splits are disjoint by construction.
     """
-    if num_utterances < 1 or not (1 <= length_range[0] <= length_range[1]):
-        raise InvalidInputError("need a positive utterance count and length range")
-    if num_validation >= num_utterances:
-        raise InvalidInputError("num_validation must be smaller than num_utterances")
+    CorpusConfig(num_utterances, num_validation, *length_range, seed)  # an argument out of bounds raises, naming it
     rng = np.random.default_rng(seed)
     draw = _bigram_sampler(cfg, rng)
     tables = codebook_tables(cfg)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpanError, require_positive
+from .errors import Count, InvalidInputError, InvalidSpanError, check_bounds
 from .jsonio import check_keys, get_field, read_json_lines, write_json_lines
 
 # Filler id occupying stacked slots that the delay pattern leaves without a
@@ -103,13 +103,11 @@ class CodecMatrix:
     """T x K matrix of codec token ids plus vocabulary metadata."""
 
     frames: np.ndarray  # (T, K) integer array
-    frame_rate: int = 50
-    codebook_sizes: tuple[int, ...] = (256, 256, 256, 256)
+    frame_rate: Count = 50
+    codebook_sizes: tuple[Count, ...] = (256, 256, 256, 256)
 
     def __post_init__(self):
-        require_positive(self, "frame_rate")
-        if any(size < 1 for size in self.codebook_sizes):
-            raise InvalidInputError(f"codebook_sizes must all be >= 1, not {self.codebook_sizes!r}")
+        check_bounds(self)
         self.frames = np.asarray(self.frames, dtype=np.int64)
         if self.frames.ndim != 2:
             if self.frames.size == 0:

@@ -36,7 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import TrainingState, save_checkpoint
-from .errors import ConfigError, InvalidInputError, NonFiniteLossError, require_at_least, require_positive
+from .errors import (
+    ConfigError, Count, InvalidInputError, Natural, NonFiniteLossError, NonNegative, Positive, Share, Unit, check_bounds,
+)
 from .jsonio import append_json_line, write_json
 from .model import (
     EncodedBatch,
@@ -85,20 +87,15 @@ def _retain_heap() -> None:
 
 @dataclass
 class SchedulerConfig:
-    base_lr: float = 0.05
-    step_const: float = 3000.0
-    epoch_const: float = 4.0
-    warmup_start: float = 0.5
-    warmup_steps: int = 500
-    steps_per_pseudo_epoch: int = 3000
+    base_lr: Positive = 0.05
+    step_const: Positive = 3000.0
+    epoch_const: Positive = 4.0
+    warmup_start: Share = 0.5  # the ramp rises to 1; from above 1 it would fall below 0
+    warmup_steps: Count = 500
+    steps_per_pseudo_epoch: Count = 3000
 
     def __post_init__(self):
-        for name in ("base_lr", "step_const", "epoch_const", "warmup_start"):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be positive")
-        if self.warmup_start > 1:  # the ramp rises to 1; from above 1 it would fall below 0
-            raise InvalidInputError(f"warmup_start must be <= 1, not {self.warmup_start!r}")
-        require_positive(self, "warmup_steps", "steps_per_pseudo_epoch")
+        check_bounds(self)
 
 
 def eden_lr(t: int, e: int, cfg: SchedulerConfig) -> float:
@@ -116,25 +113,19 @@ def pseudo_epoch(t: int, cfg: SchedulerConfig) -> int:
 
 @dataclass
 class TrainConfig:
-    batch_frame_budget: int = 4096
-    total_steps: int = 2000
-    beta1: float = 0.9
-    beta2: float = 0.98
-    adam_eps: float = 1e-9
-    weight_decay: float = 0.0
-    grad_clip: float = 1.0
-    seed: int = 0
-    checkpoint_every: int = 500
+    batch_frame_budget: Count = 4096
+    total_steps: Count = 2000
+    beta1: Unit = 0.9
+    beta2: Unit = 0.98
+    adam_eps: Positive = 1e-9
+    weight_decay: NonNegative = 0.0
+    grad_clip: NonNegative = 1.0
+    seed: Natural = 0
+    checkpoint_every: Count = 500
     mask: MaskSamplingConfig = field(default_factory=MaskSamplingConfig)
 
     def __post_init__(self):
-        require_positive(self, "batch_frame_budget", "total_steps", "checkpoint_every")
-        require_at_least(0, self, "seed", "beta1", "beta2", "weight_decay", "grad_clip")
-        for name in ("beta1", "beta2"):  # a moment that never forgets divides by a zero bias correction
-            if getattr(self, name) >= 1:
-                raise InvalidInputError(f"{name} must be < 1, not {getattr(self, name)!r}")
-        if self.adam_eps <= 0:
-            raise InvalidInputError(f"adam_eps must be > 0, not {self.adam_eps!r}")
+        check_bounds(self)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """End-to-end command-line tests (driven in-process through main())."""
 
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +16,20 @@ import codec_infill
 from codec_infill.checkpoint import load_checkpoint, save_checkpoint
 from codec_infill import metrics
 from codec_infill.cli import _report_header, main
+from codec_infill.errors import Range, declared_bounds
 from codec_infill.evaluate import EvalRecord, load_manifest, synthesize_manifest
+from codec_infill.infer import EditConfig, SamplingConfig
 from codec_infill.jsonio import config_from_json
 from codec_infill.model import ModelConfig, new_model
-from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_corpus, write_corpus
+from codec_infill.rearrange import MaskSamplingConfig
+from codec_infill.synthcodec import CorpusConfig, ToyCodecConfig, gen_corpus, load_corpus, write_corpus
 from codec_infill.tokens import (
     CodecMatrix,
     TokenDumpRecord,
     read_token_dump,
     write_token_dump,
 )
+from codec_infill.train import SchedulerConfig, TrainConfig
 
 from helpers import checkpoint_header, flip_byte, identity_records, random_training_state, save_manifest, with_checkpoint_header
 
@@ -1169,7 +1176,7 @@ for name, message, build in [
         lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "scheduler.warmup_start=2.0"),
     ),
     (
-        "edit.margin_schedule", "margin_schedule must hold margins >= 0, not -0.03",
+        "edit.margin_schedule", "margin_schedule must all be >= 0, not (-0.03, ",
         lambda tmp, corpus, ckpt: edit_with_request(
             tmp, corpus, ckpt, target=[1], edit={"margin_schedule": [-0.03, 0.05, 0.06, 0.07, 0.08]}
         ),
@@ -1178,8 +1185,131 @@ for name, message, build in [
         "edit.num_discard_longest", "num_discard_longest must be >= 0, not -1",
         lambda tmp, corpus, ckpt: edit_with_request(tmp, corpus, ckpt, target=[1], edit={"num_discard_longest": -1}),
     ),
+    # the corpus bounds once exited 1 naming no field
+    (
+        "corpus.min_symbols", "min_symbols must be >= 1, not 0",
+        lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "corpus.min_symbols=0"),
+    ),
+    (
+        "corpus.max_symbols", "min_symbols must be <= max_symbols, not 5 > 2",
+        lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "corpus.max_symbols=2"),
+    ),
+    (
+        "corpus.num_utterances", "num_utterances must be >= 1, not 0",
+        lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "corpus.num_utterances=0"),
+    ),
+    # a negative jitter once applied no jitter, and a negative validation count wrote no validation split
+    (
+        "codec.jitter_amount", "jitter_amount must be >= 0, not -1",
+        lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "codec.jitter_seed=1", "codec.jitter_amount=-1"),
+    ),
+    (
+        "corpus.num_validation", "num_validation must be >= 0, not -1",
+        lambda tmp, corpus, ckpt: gen_data_with_config(tmp, {}, "corpus.num_validation=-1"),
+    ),
+    # init_scale is a standard deviation; a negative one once trained without complaint
+    (
+        "model.init_scale", "init_scale must be > 0, not -0.02",
+        lambda tmp, corpus, ckpt: train_with_config(tmp, corpus, "model.init_scale=-0.02"),
+    ),
 ]:
     out_of_range(name, message, build)
+
+
+@malformed
+def config_corpus_num_validation_not_below_num_utterances(tmp_path, corpus_dir, checkpoint):
+    argv, names = gen_data_with_config(tmp_path, {}, "corpus.num_validation=1100")
+    return argv, names + ["'corpus'", "num_validation must be < num_utterances, not 1100 >= 1100"]
+
+
+# Every config section the commands read, by the dotted name their errors carry.
+CONFIG_SECTIONS = {
+    "codec": ToyCodecConfig,
+    "corpus": CorpusConfig,
+    "model": ModelConfig,
+    "train": TrainConfig,
+    "train.mask": MaskSamplingConfig,
+    "scheduler": SchedulerConfig,
+    "sampling": SamplingConfig,
+    "edit": EditConfig,
+}
+
+# Numeric fields that declare no bound, and why none is needed.
+UNBOUNDED = {
+    "codec.render_gains": "a negative gain inverts its tone, which still renders",
+}
+
+
+def field_kind(cls, name):
+    """The item type of field ``name``: int or float for ``X``, ``tuple[X, ...]`` and ``X | None``, else the hint."""
+    hint = typing.get_type_hints(cls)[name]
+    return (typing.get_args(hint) or (hint,))[0]
+
+
+def just_outside(bound: Range, kind) -> list:
+    """The ``kind`` values just beyond each end of ``bound``: an open end itself, else one int or float step past it."""
+
+    def beyond(end, is_open, direction):
+        if is_open:
+            return kind(end)
+        return end + direction if kind is int else math.nextafter(end, direction * math.inf)
+
+    ends = [beyond(bound.lo, bound.lo_open, -1)]
+    if bound.hi is not None:
+        ends.append(beyond(bound.hi, bound.hi_open, 1))
+    return ends
+
+
+def bound_cases():
+    for section, cls in CONFIG_SECTIONS.items():
+        for name, (bound, each) in declared_bounds(cls).items():
+            for value in just_outside(bound, field_kind(cls, name)):
+                if each:  # one item outside, the rest the default's
+                    value = [value, *getattr(cls(), name)[1:]]
+                yield pytest.param(section, name, value, id=f"{section}.{name}={json.dumps(value)}")
+
+
+def numeric_fields(cls):
+    """The fields of ``cls`` that hold an int or a float, alone, in a tuple or beside None."""
+    return [name for name in typing.get_type_hints(cls) if field_kind(cls, name) in (int, float)]
+
+
+class TestDeclaredBounds:
+    @pytest.mark.parametrize("section, name, value", bound_cases())
+    def test_value_just_outside_exits_2_naming_the_field(
+        self, tmp_path, corpus_dir, tiny_checkpoint, capsys, section, name, value
+    ):
+        item = f"{section}.{name}={json.dumps(value)}"
+        if section in ("codec", "corpus"):
+            argv, _ = gen_data_with_config(tmp_path, {}, item)
+        elif section in ("sampling", "edit"):
+            argv, _ = eval_with_set(tmp_path, corpus_dir, tiny_checkpoint, item)
+        else:  # fails while reading the config, before any step
+            argv, _ = train_with_config(tmp_path, corpus_dir, item)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert f"'{section}'" in err and f"{name} must" in err
+
+    def test_every_numeric_field_declares_a_bound(self):
+        unbounded = {
+            f"{section}.{name}"
+            for section, cls in CONFIG_SECTIONS.items()
+            for name in numeric_fields(cls)
+            if name not in declared_bounds(cls)
+        }
+        assert unbounded == set(UNBOUNDED)
+
+    def test_every_config_class_is_a_section(self):
+        configs = {
+            cls
+            for module in vars(codec_infill).values()
+            if inspect.ismodule(module)
+            for name, cls in vars(module).items()
+            if name.endswith("Config") and inspect.isclass(cls) and cls.__module__ == module.__name__
+        }
+        assert configs == set(CONFIG_SECTIONS.values())
 
 
 class TestMalformedInputs:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from codec_infill.errors import CodecInfillError, ConfigError
 from codec_infill.evaluate import load_manifest, synthesize_manifest
+from codec_infill.infer import EditConfig, SamplingConfig
 from codec_infill.jsonio import (
     append_json_line,
     config_from_json,
@@ -23,9 +24,11 @@ from codec_infill.jsonio import (
 )
 from codec_infill.model import ModelConfig
 from codec_infill.rearrange import MaskSamplingConfig
-from codec_infill.synthcodec import ToyCodecConfig, gen_corpus, load_codec_config, load_corpus, write_corpus
+from codec_infill.synthcodec import (
+    CorpusConfig, ToyCodecConfig, gen_corpus, load_codec_config, load_corpus, write_corpus,
+)
 from codec_infill.tokens import read_token_dump
-from codec_infill.train import TrainConfig
+from codec_infill.train import SchedulerConfig, TrainConfig
 
 from helpers import save_manifest
 
@@ -62,6 +65,10 @@ class TestConfigFromJson:
         for cfg, cls in [
             (ToyCodecConfig(render_gains=(1.0, 0.5, 0.25, 0.125)), ToyCodecConfig),
             (TrainConfig(total_steps=7, mask=MaskSamplingConfig(max_spans=2)), TrainConfig),
+            *((cls(), cls) for cls in (
+                ToyCodecConfig, CorpusConfig, ModelConfig, TrainConfig, MaskSamplingConfig, SchedulerConfig,
+                SamplingConfig, EditConfig,
+            )),
         ]:
             write_json(tmp_path / "cfg.json", config_to_json(cfg))
             assert read_json(tmp_path / "cfg.json", lambda payload: config_from_json(cls, payload, "x")) == cfg
