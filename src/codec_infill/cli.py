@@ -143,6 +143,25 @@ def _dump_record(path, record_id) -> TokenDumpRecord:
     raise ConfigError(f"record '{record_id}' not found in {path}")
 
 
+def _check_codec(checkpoint, cfg: ModelConfig, source, codec) -> None:
+    """Raise ConfigError unless ``codec``, read from ``source``, is the codec of the model in ``checkpoint``.
+
+    ``codec`` is a codec config or a token matrix.  Its codebook count and
+    sizes must equal the model's, and a codec config's alphabet must fit
+    the model's text vocabulary.  ``edit``, ``tts`` and ``eval`` run this
+    on each input after loading the checkpoint, before any decode.
+    """
+    if codec.num_codebooks != cfg.num_codebooks:
+        found = f"num_codebooks is {codec.num_codebooks}, the model's {cfg.num_codebooks}"
+    elif tuple(codec.codebook_sizes) != tuple(cfg.codebook_sizes):
+        found = f"codebook_sizes are {list(codec.codebook_sizes)}, the model's {list(cfg.codebook_sizes)}"
+    elif isinstance(codec, ToyCodecConfig) and codec.alphabet_size > cfg.text_vocab_size:
+        found = f"alphabet_size {codec.alphabet_size} exceeds the model's text_vocab_size {cfg.text_vocab_size}"
+    else:
+        return
+    raise ConfigError(f"{source} does not fit checkpoint {checkpoint}: {found}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -255,6 +274,8 @@ def cmd_edit(args) -> int:
         original = list(utt.transcript)
 
     state, _ = load_checkpoint(args.checkpoint)
+    _check_codec(args.checkpoint, state.config, Path(corpus_dir) / "codec_config.json", codec)
+    _check_codec(args.checkpoint, state.config, f"utterance '{utt.id}' of {corpus_dir}", utt.tokens)
     decoder = TransformerDecoder(state)
     align = exact_alignment(len(original), codec)
     out_matrix, report = edit_speech(
@@ -271,13 +292,16 @@ def cmd_edit(args) -> int:
 
 def cmd_tts(args) -> int:
     record = _dump_record(args.prompt_dump, args.id)
-    codec = load_codec_config(args.codec_config or Path(args.prompt_dump).parent / "codec_config.json")
+    codec_path = args.codec_config or Path(args.prompt_dump).parent / "codec_config.json"
+    codec = load_codec_config(codec_path)
     prompt_text = _symbol_ids(args.prompt_text, "prompt_text")
     target_text = _symbol_ids(args.target_text, "target_text")
     with _naming("--seed"):
         sampling = config_from_json(SamplingConfig, {"seed": args.seed}, "sampling")
     edit_cfg = EditConfig()
     state, _ = load_checkpoint(args.checkpoint)
+    _check_codec(args.checkpoint, state.config, codec_path, codec)
+    _check_codec(args.checkpoint, state.config, f"record '{record.id}' of {args.prompt_dump}", record.matrix)
     decoder = TransformerDecoder(state)
     out_matrix, report = zero_shot_tts(
         decoder, state.config, record.matrix, prompt_text, target_text, edit_cfg, sampling
@@ -322,6 +346,9 @@ def cmd_eval(args) -> int:
         sampling = config_from_json(SamplingConfig, overrides.get("sampling", {}), "sampling")
         edit_cfg = config_from_json(EditConfig, overrides.get("edit", {}), "edit")
     state, _ = load_checkpoint(args.checkpoint)
+    _check_codec(args.checkpoint, state.config, Path(args.corpus_dir) / "codec_config.json", codec)
+    for utt_id in sorted({r.utterance for r in records if r.utterance in tokens}):
+        _check_codec(args.checkpoint, state.config, f"utterance '{utt_id}' of {args.corpus_dir}", tokens[utt_id])
     decoder = TransformerDecoder(state)
     outcome = run_eval(decoder, state.config, records, dumps, codec, edit_cfg, sampling)
     out = _out_dir(args, "eval")

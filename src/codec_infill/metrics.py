@@ -82,17 +82,22 @@ def dtw_align(a, b) -> tuple[list[tuple[int, int]], float]:
 
     The accumulated cost fills one anti-diagonal d = i + j at a time
     (Sakoe & Chiba 1978): a cell needs only the two diagonals before its
-    own.  The matrix is stored skewed, cell (i, j) at ``cost[i + j, i + 1]``,
-    with inf in column 0 and in every slot outside the n x m matrix, so
-    the three predecessors of a whole diagonal are three contiguous
-    slices.  Each cell is the same ``local + min(predecessors)`` as in a
-    cell-by-cell fill, so the cost is bit-equal to that fill's.
+    own.  The matrix is stored skewed: with i indexing the shorter
+    sequence (``a`` unless ``b`` is shorter) and j the other, cell (i, j)
+    sits at ``cost[i + j, i + 1]``, with inf in column 0 and in every slot
+    outside the matrix, so the three predecessors of a whole diagonal are
+    three contiguous slices, and the matrix is ``(n + m - 1) x (min(n, m)
+    + 1)``.  Each cell is the same ``local + min(predecessors)`` as in a
+    cell-by-cell fill, so the cost is bit-equal to that fill's; when i
+    indexes ``b``, the backtrack breaks an up/left tie the other way, so
+    it takes the same path.
 
     The local distances go into the skewed matrix one block of rows of
-    ``a`` at a time, at most DTW_BLOCK_CELLS feature differences (or one
-    row) per block, so the fill holds the cost matrix plus one bounded
-    block, never an (n, m, dims) cube.  Each cell is still one sum over
-    its own ``dims`` differences, bit-equal to the all-pairs expression.
+    the shorter sequence at a time, at most DTW_BLOCK_CELLS feature
+    differences (or one row) per block, so the fill holds the cost matrix
+    plus one bounded block, never an (n, m, dims) cube.  Each cell is
+    still one sum over its own ``dims`` squared differences, bit-equal to
+    the all-pairs expression.
     """
     a_mat, b_mat = _as_feature_matrix(a), _as_feature_matrix(b)
     n, m = len(a_mat), len(b_mat)
@@ -100,6 +105,9 @@ def dtw_align(a, b) -> tuple[list[tuple[int, int]], float]:
         raise InvalidInputError("cannot align an empty sequence")
     if not (np.isfinite(a_mat).all() and np.isfinite(b_mat).all()):
         raise InvalidInputError("cannot align features that are not finite")
+    swapped = n > m
+    if swapped:  # i runs along b, j along a
+        a_mat, b_mat, n, m = b_mat, a_mat, m, n
     cost = np.full((n + m - 1, n + 1), np.inf)
     block = max(1, DTW_BLOCK_CELLS // (m * a_mat.shape[1]))
     for lo in range(0, n, block):
@@ -118,14 +126,14 @@ def dtw_align(a, b) -> tuple[list[tuple[int, int]], float]:
     path = []
     i, j = n - 1, m - 1
     while True:
-        path.append((i, j))
+        path.append((j, i) if swapped else (i, j))
         if i == 0 and j == 0:
             break
         up = (i + j - 1) * width + i  # (i-1, j); (i, j-1) is the next slot of the same diagonal
         diagonal = flat[up - width] if i + j > 1 else np.inf
         if diagonal <= flat[up] and diagonal <= flat[up + 1]:
             i, j = i - 1, j - 1
-        elif flat[up] <= flat[up + 1]:
+        elif flat[up] < flat[up + 1] or (flat[up] == flat[up + 1] and not swapped):  # a tie steps back along a
             i -= 1
         else:
             j -= 1

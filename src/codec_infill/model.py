@@ -15,12 +15,11 @@ heads, one per codebook, at the positions the caller asks for (training:
 those that carry loss; decoding: each row's last).  Each head is a
 two-layer FFN block, Linear -> GELU -> Linear, the same block as a
 layer's FFN but ending in head k's vocabulary.  One FFN implementation
-runs both: it runs K blocks over the same rows, each block's first
-layer its own product and one GELU (erf) over all K, whose output is
-written over its input, then each block's second layer on its own GELU
-output; backward rebuilds one block's GELU input at a time, so that
-input, its output and its gradient exist for one block at a time.  A
-layer's FFN is the one-block case.
+runs both: it runs K blocks over the same rows, one block at a time, its
+first layer, its GELU (one erf call), written over its input, and its
+second layer; backward rebuilds one block's GELU input at a time too, so
+in either direction one block's GELU input, output and gradient exist at
+a time.  A layer's FFN is the one-block case.
 
 Every encoded form is an :class:`EncodedBatch`; one utterance is a
 one-row batch.  Each position's training targets are the ids of the
@@ -34,20 +33,22 @@ Every block is pre-norm: a LayerNorm, then attention, an FFN or the
 heads.  A training forward saves, block by block, only what its backward
 cannot rebuild for a few cheap operations: the LayerNorm's normalized
 rows and inverse deviations, but not its output; the attention's softmax
-weights and merged context, but not q, k or v; the FFN's GELU CDF, but
-not the GELU's input or output.  ``backward`` rebuilds the LayerNorm
-output from the normalized rows by the forward's own two operations,
-q, k and v from that by the same projections, each FFN block's GELU
-input from that by the block's first-layer product and bias add, and
+weights, but not q, k, v nor the merged context; each FFN block's GELU
+CDF, but not the GELU's input or output.  ``backward`` rebuilds the
+LayerNorm output from the normalized rows by the forward's own two
+operations, q, k and v from that by the same projections, the merged
+context by the forward's own product of the weights and v, each FFN
+block's GELU input by the block's first-layer product and bias add, and
 the GELU output as the product of its input and CDF, so every rebuilt
 array equals the forward's bit for bit.  It consumes the cache and the
 logit gradients: each block's backward adds its own parameters'
-gradients and returns the gradient of its input; its saved arrays are
-dropped as soon as it returns, and each head's logit gradient as soon
-as that head's block has read it.  The large elementwise stages write
-their results in place, in the same order of operations, so a step
-holds few temporaries.  All functions are deterministic given their
-inputs.
+gradients and returns the gradient of its input, dropping each saved
+array after its last read (the attention's weights once the softmax
+Jacobian has read them, each FFN block's CDF once that block is done),
+and each head's logit gradient as soon as that head's block has read
+it.  The large elementwise stages write their results in place, in the
+same order of operations, so a step holds few temporaries.  All
+functions are deterministic given their inputs.
 
 ``forward`` is the only implementation of the network.  It keeps the
 real positions of a batch packed as one (N, d) array, so padding costs
@@ -89,6 +90,8 @@ _LN_EPS = 1e-5
 # float16 rounds AdamW's eps to 0 and scipy's erf has no long double loop
 _DTYPES = ("float32", "float64")
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
+# products per block of rows in the softmax Jacobian's row sums
+_ROW_BLOCK_CELLS = 2**16
 
 
 @dataclass
@@ -553,9 +556,10 @@ def _attention_forward(params, ln, prefix, x, real, bias, cfg, kv=None):
     projections run on the packed rows.  With a KV cache, this call's
     keys/values are written into the cache buffers at ``column`` and
     attention runs over every column up to them, so the next call sees
-    every position.  The cache keeps the LayerNorm's own cache, the
-    softmax weights and the merged context, not the block's input nor q,
-    k and v: backward rebuilds them.
+    every position.  The cache keeps the LayerNorm's own cache and the
+    softmax weights, not the block's input, q, k, v nor the merged
+    context: backward rebuilds them, the context by the same product of
+    the weights and v.
     """
     dh = cfg.hidden_dim // cfg.num_heads
     normed, ln_cache = _layer_norm(params, ln, x)
@@ -573,32 +577,57 @@ def _attention_forward(params, ln, prefix, x, real, bias, cfg, kv=None):
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    merged = _merge_heads(weights @ v, real)
-    out = _affine(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    return out, (ln_cache, real, weights, merged)
+    out = _affine(_merge_heads(weights @ v, real), params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return out, (ln_cache, real, weights)
+
+
+def _row_dot(a, b):
+    """``(a * b).sum(axis=-1, keepdims=True)`` of two C-contiguous arrays, a bounded block of rows at a time.
+
+    Each row is the same pairwise sum of its own products, so the result
+    equals the whole-array expression bit for bit, without an ``a``-sized
+    temporary.
+    """
+    width = a.shape[-1]
+    a_rows, b_rows = a.reshape(-1, width), b.reshape(-1, width)
+    out = np.empty((len(a_rows), 1), dtype=a.dtype)
+    step = max(1, _ROW_BLOCK_CELLS // width)
+    for lo in range(0, len(a_rows), step):
+        rows = slice(lo, lo + step)
+        np.sum(a_rows[rows] * b_rows[rows], axis=-1, keepdims=True, out=out[rows])
+    return out.reshape(*a.shape[:-1], 1)
 
 
 def _attention_backward(params, ln, prefix, d_out, cache, cfg, grads):
-    """Mirror of :func:`_attention_forward`; returns the gradient of its input ``x``."""
-    ln_cache, real, weights, merged = cache
-    dh = cfg.hidden_dim // cfg.num_heads
+    """Mirror of :func:`_attention_forward`; returns the gradient of its input ``x``.
 
-    grads[f"{prefix}.wo"] += merged.T @ d_out
-    grads[f"{prefix}.bo"] += d_out.sum(axis=0)
-    d_context = _split_heads(d_out @ params[f"{prefix}.wo"].T, real, cfg)
+    Consumes ``cache``: the context gradient and v are dropped once the
+    gradient of v is taken, and the weights once the softmax Jacobian has
+    read them.
+    """
+    ln_cache, real, weights = cache
+    del cache
+    dh = cfg.hidden_dim // cfg.num_heads
 
     x = _layer_norm_output(params, ln, ln_cache[0])
     q, k, v = _attention_projections(params, prefix, x, real, cfg)
+    merged = _merge_heads(weights @ v, real)  # the forward's context, by the forward's own product
+    grads[f"{prefix}.wo"] += merged.T @ d_out
+    del merged
+    grads[f"{prefix}.bo"] += d_out.sum(axis=0)
+    d_context = _split_heads(d_out @ params[f"{prefix}.wo"].T, real, cfg)
     d_weights = d_context @ v.transpose(0, 1, 3, 2)
     d_v = weights.transpose(0, 1, 3, 2) @ d_context
+    del d_context, v
     # softmax jacobian: dS = W * (dW - sum(dW * W)), written over dW
     d_scores = d_weights
-    d_scores -= (d_weights * weights).sum(axis=-1, keepdims=True)
+    d_scores -= _row_dot(d_weights, weights)
     d_scores *= weights
+    del weights
     d_scores /= np.asarray(np.sqrt(dh), dtype=x.dtype)
     d_q = d_scores @ k
     d_k = d_scores.transpose(0, 1, 3, 2) @ q
-    del q, k, v, d_scores, d_weights
+    del q, k, d_scores, d_weights
 
     d_x = np.zeros_like(x)
     for name, dval in (("q", d_q), ("k", d_k), ("v", d_v)):
@@ -615,25 +644,24 @@ def _ffn_forward(params, ln, blocks, x):
     """LayerNorm ``ln``, then K Linear -> GELU -> Linear blocks, over the same rows ``x``; returns (K outputs, cache).
 
     ``blocks`` are the blocks' parameter names, (w1, b1, w2, b2) each, and
-    a layer's FFN is the one-block case.  Each block's first layer is its
-    own product, written into one (K, rows, f) array, and one GELU CDF
-    (erf) runs over all K.  The GELU output is written over its input,
-    and the second layers run one per block, since their widths may
-    differ, each on its block's GELU output.  The cache keeps the
-    LayerNorm's own cache and the GELU's CDF, not the block's input, the
-    GELU's input nor its output: backward rebuilds the input from the
-    LayerNorm's ``normed``, the GELU's input from that by the block's
-    first-layer product, and its output as the product of the two.
+    a layer's FFN is the one-block case.  Each block runs its first layer,
+    its GELU, with one GELU CDF (erf) call, and its second layer before
+    the next block starts, so one block's GELU input exists at a time; the
+    GELU output is written over its input.  The cache keeps the
+    LayerNorm's own cache and the list of the K blocks' CDFs, not the
+    block's input, the GELU's input nor its output: backward rebuilds the
+    input from the LayerNorm's ``normed``, the GELU's input from that by
+    the block's first-layer product, and its output as the product of the
+    two.
     """
     normed, ln_cache = _layer_norm(params, ln, x)
-    pre = np.empty((len(blocks), len(normed), params[blocks[0][0]].shape[1]), dtype=normed.dtype)
-    for block_pre, (w1, b1, _, _) in zip(pre, blocks):
-        np.matmul(normed, params[w1], out=block_pre)
-        block_pre += params[b1]
-    del normed
-    phi = _gelu_cdf(pre)
-    pre *= phi  # the GELU output
-    out = [_affine(pre[k], params[w2], params[b2]) for k, (_, _, w2, b2) in enumerate(blocks)]
+    out, phi = [], []
+    for w1, b1, w2, b2 in blocks:
+        pre = _affine(normed, params[w1], params[b1])
+        phi.append(_gelu_cdf(pre))
+        pre *= phi[-1]  # the GELU output
+        out.append(_affine(pre, params[w2], params[b2]))
+        del pre
     return out, (ln_cache, phi)
 
 
@@ -646,14 +674,15 @@ def _ffn_backward(params, ln, blocks, d_out, cache, grads):
     output as the product of that input and the cached CDF ``phi[k]``,
     which the gradient through its second layer then overwrites, that
     gradient through the GELU, and the block's share of the input
-    gradient, added in block order.  Consumes ``d_out``: entry k is set
-    to ``None`` once block k has read it, so one block's temporaries and
-    the output gradients not yet read are what it holds.
+    gradient, added in block order.  Consumes ``d_out`` and the cached
+    CDFs: entry k of each is set to ``None`` once block k has read it, so
+    one block's temporaries and the output gradients and CDFs not yet read
+    are what it holds.
     """
     ln_cache, phi = cache
     x = _layer_norm_output(params, ln, ln_cache[0])
     d_x = np.zeros_like(x)
-    pre = np.empty(phi.shape[1:], dtype=x.dtype)
+    pre = np.empty(phi[0].shape, dtype=x.dtype)
     for k, (w1, b1, w2, b2) in enumerate(blocks):
         np.matmul(x, params[w1], out=pre)  # the block's GELU input, as the forward built it
         pre += params[b1]
@@ -663,6 +692,7 @@ def _ffn_backward(params, ln, blocks, d_out, cache, grads):
         np.matmul(d_out[k], params[w2].T, out=act)
         d_out[k] = None
         d_pre = _gelu_grad(pre, phi[k], act)
+        phi[k] = None
         grads[w1] += x.T @ d_pre
         grads[b1] += d_pre.sum(axis=0)
         d_x += d_pre @ params[w1].T
@@ -712,9 +742,9 @@ def forward(
     With ``want_cache`` the second value is the cache :func:`backward`
     takes: the batch, the rows the heads ran at and, for each block in
     the order it ran, the arrays its backward cannot rebuild (see the
-    module docstring): no LayerNorm output, no q, k or v and no GELU
-    input.  It covers no keys of a ``kv_cache``, and one ``backward``
-    consumes it.
+    module docstring): no LayerNorm output, no q, k, v or merged context
+    and no GELU input.  It covers no keys of a ``kv_cache``, and one
+    ``backward`` consumes it.
 
     ``slots`` are the K slot tables, :func:`_slot_tables` of ``params``,
     built here when not given; a decode session passes the ones it built
@@ -738,10 +768,14 @@ def forward(
         kv = None if kv_cache is None else (kv_cache.keys[i], kv_cache.values[i], past)
         attn_out, attn_cache = _attention_forward(params, f"{p}.ln1", f"{p}.attn", x, real, bias, cfg, kv)
         x += attn_out
-        if i == cfg.num_layers - 1 and not heads.all():  # nothing reads the last FFN's other rows
-            x = x[heads]
+        del attn_out
+        if i == cfg.num_layers - 1:
+            del bias  # the last attention has run
+            if not heads.all():  # nothing reads the last FFN's other rows
+                x = x[heads]
         (ffn_out,), ffn_cache = _ffn_forward(params, f"{p}.ln2", [_layer_ffn(i)], x)
         x += ffn_out
+        del ffn_out
         if want_cache:  # otherwise each layer's intermediates are freed as it ends
             saved += [attn_cache, ffn_cache]
     logits, head_cache = _ffn_forward(params, "final_ln", _head_ffns(cfg.num_codebooks), x)
@@ -766,10 +800,11 @@ def backward(params: dict, cfg: ModelConfig, cache: dict, d_logits: list) -> dic
     backward needs them.  Each block rebuilds what its forward
     did not save: its input, from its LayerNorm's ``normed``, before that
     LayerNorm's backward overwrites it, the attention's q, k and v, from
-    that input, and each FFN block's GELU input, by its first-layer
-    product.  The gradient of the last layer's residual rows covers the
-    heads' rows only until that layer's attention, where it is scattered
-    into every row, zero at the others.
+    that input, its merged context, from the weights and v, and each FFN
+    block's GELU input, by its first-layer product.  The gradient of the
+    last layer's residual rows covers the heads' rows only until that
+    layer's attention, where it is scattered into every row, zero at the
+    others.
     """
     grads = {name: np.zeros_like(p) for name, p in params.items()}
     saved = cache.pop("saved")

@@ -2,11 +2,14 @@
 
 import json
 import struct
+import sys
+import tracemalloc
 import zlib
 from dataclasses import asdict
 
 import numpy as np
 
+from codec_infill import model
 from codec_infill.checkpoint import TrainingState
 from codec_infill.evaluate import EvalRecord
 from codec_infill.infer import EditOp
@@ -23,9 +26,11 @@ from codec_infill.model import (
     KIND_PAD,
     ModelConfig,
     ModelState,
+    backward,
     encode_batch,
     encode_sequence,
     forward,
+    loss_gradient,
     next_item_targets,
     parameter_shapes,
     weighted_loss,
@@ -90,6 +95,72 @@ def evaluation_loss(state: ModelState, batch: Batch) -> float:
     logits, _ = forward(state.params, state.config, batch.inputs, heads)
     total, _ = weighted_loss(logits, batch.targets[heads], batch.loss_mask[heads], state.config.loss_weights)
     return total
+
+
+def step_phase_peaks(params: dict, cfg: ModelConfig, batch, targets, loss_mask) -> dict[str, int]:
+    """Each phase's traced peak, in bytes above the step's inputs, of one training step as ``train_loop`` runs it.
+
+    The phases are each block's forward and backward (``L0 attention
+    forward`` ... ``heads forward``, then ``heads backward`` ...
+    ``L0 attention backward``), ``loss`` (``weighted_loss`` and
+    ``loss_gradient``), ``embed backward``, the code of ``forward`` and
+    ``backward`` between their blocks, and ``step``, the code between
+    those calls.  The largest is the step's traced peak.  A profile hook
+    marks where each phase starts and ends, reading only the code object
+    of each call, so the probe holds no reference to any argument and
+    every array is freed where the step frees it.
+    """
+    layers = cfg.num_layers
+    phase_of = {  # a block function's code -> the phase of its n-th call in a step
+        forward.__code__: lambda n: "forward",
+        weighted_loss.__code__: lambda n: "loss",
+        loss_gradient.__code__: lambda n: "loss",
+        backward.__code__: lambda n: "backward",
+        model._attention_forward.__code__: lambda n: f"L{n} attention forward",
+        model._ffn_forward.__code__: lambda n: f"L{n} FFN forward" if n < layers else "heads forward",
+        model._ffn_backward.__code__: lambda n: f"L{layers - n} FFN backward" if n else "heads backward",
+        model._attention_backward.__code__: lambda n: f"L{layers - 1 - n} attention backward",
+        model._embed_backward.__code__: lambda n: "embed backward",
+    }
+    calls = dict.fromkeys(phase_of, 0)
+    running, peaks = ["step"], {}
+
+    def end_segment():
+        peak = tracemalloc.get_traced_memory()[1] - base
+        peaks[running[-1]] = max(peaks.get(running[-1], 0), peak)
+        tracemalloc.reset_peak()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event not in ("call", "return") or code not in phase_of:
+            return
+        end_segment()
+        if event == "call":
+            running.append(phase_of[code](calls[code]))
+            calls[code] += 1
+        else:
+            running.pop()
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sys.setprofile(hook)
+        try:
+            heads = loss_mask.any(axis=-1)
+            logits, cache = forward(params, cfg, batch, heads, want_cache=True)
+            targets, loss_mask = targets[heads], loss_mask[heads]
+            weighted_loss(logits, targets, loss_mask, cfg.loss_weights)
+            backward(params, cfg, cache, loss_gradient(logits, loss_mask))
+        finally:
+            sys.setprofile(None)
+        end_segment()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peaks
 
 
 def apply_script(script: list[EditOp], original: list, target_words: list) -> list:

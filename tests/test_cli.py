@@ -1086,6 +1086,55 @@ def tts_text_not_ids(tmp_path, corpus_dir, checkpoint):
     return argv + ["--out", str(tmp_path / "tts")], ["prompt_text", "'1 x'"]
 
 
+def corpus_of_codec(tmp_path, **fields):
+    """A six-utterance corpus written by a codec with ``fields`` set, and its codec config file."""
+    path = tmp_path / "other_corpus"
+    codec = ToyCodecConfig(**fields)
+    write_corpus(path, gen_corpus(6, (5, 9), codec, seed=0, num_validation=1), codec)
+    return path, path / "codec_config.json"
+
+
+# An input of another codec than the checkpoint's once decoded in full, then failed with exit 1, or ended in a traceback.
+@malformed
+def edit_corpus_of_another_codebook_size(tmp_path, corpus_dir, checkpoint):
+    corpus, config = corpus_of_codec(tmp_path, codebook_size=128)
+    argv, _ = edit_with_request(tmp_path, corpus, checkpoint, target=[1, 2])
+    return argv, [str(checkpoint), str(config), "codebook_sizes are [128, 128, 128, 128], the model's [256, 256, 256, 256]"]
+
+
+@malformed
+def edit_corpus_of_a_larger_alphabet(tmp_path, corpus_dir, checkpoint):
+    corpus, config = corpus_of_codec(tmp_path, alphabet_size=40)
+    argv, _ = edit_with_request(tmp_path, corpus, checkpoint, target=[1, 2])
+    return argv, [str(checkpoint), str(config), "alphabet_size 40 exceeds the model's text_vocab_size 30"]
+
+
+@malformed
+def tts_prompt_of_three_codebooks(tmp_path, corpus_dir, checkpoint):
+    dump = tmp_path / "prompt.jsonl"
+    frames = np.arange(24).reshape(8, 3) % 5
+    write_token_dump(dump, [TokenDumpRecord("p", CodecMatrix(frames, codebook_sizes=(256,) * 3))])
+    codec = str(corpus_dir / "codec_config.json")
+    argv = ["tts", str(checkpoint), str(dump), "1 2", "3", "--codec-config", codec, "--out", str(tmp_path / "tts")]
+    return argv, [str(checkpoint), str(dump), "num_codebooks is 3, the model's 4"]
+
+
+@malformed
+def tts_codec_config_of_another_codebook_size(tmp_path, corpus_dir, checkpoint):
+    _, config = corpus_of_codec(tmp_path, codebook_size=128)
+    argv = ["tts", str(checkpoint), str(corpus_dir / "tokens.jsonl"), "1 2", "3", "--codec-config", str(config)]
+    return argv + ["--out", str(tmp_path / "tts")], [str(checkpoint), str(config), "codebook_sizes"]
+
+
+@malformed
+def eval_corpus_of_another_codebook_size(tmp_path, corpus_dir, checkpoint):
+    corpus, config = corpus_of_codec(tmp_path, codebook_size=128)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"id": "utt00000", "original": [1], "edited": [1]}\n')
+    argv = ["eval", str(checkpoint), str(corpus), str(manifest), "--out", str(tmp_path / "ev")]
+    return argv, [str(checkpoint), str(config), "codebook_sizes"]
+
+
 def count_below_one(dotted: str, value: int):
     """Register a case setting the count or divisor ``dotted`` to ``value``; stderr names its section and field."""
     section, field = dotted.split(".")

@@ -146,18 +146,19 @@ class TestDtwWavefront:
     @pytest.mark.parametrize(
         "n,m,dims",
         [
-            (300, 257, 13),  # 9 rows a block, 34 blocks
+            (300, 257, 13),  # along b: 8 rows a block, 33 blocks
             (600, 600, 1),  # 54 rows a block, 12 blocks
             (1, 3000, 13),  # one row, wider than a block
-            (3000, 1, 13),  # 2520 rows a block, 2 blocks
-            (710, 650, None),  # 1-D tracks, 50 rows a block, 15 blocks
+            (3000, 1, 13),  # along b: one row, wider than a block
+            (710, 650, None),  # 1-D tracks along b, 46 rows a block, 15 blocks
         ],
     )
     @pytest.mark.parametrize("values", ["normal", "small integers"])
     def test_block_fill_equals_the_cube(self, n, m, dims, values):
-        """Local distances filled block by block give the oracle's path and cost, the last block short."""
-        block = max(1, metrics.DTW_BLOCK_CELLS // (m * (dims or 1)))
-        assert n == 1 or n % block != 0
+        """Local distances filled block by block, along the shorter sequence, give the oracle's path and cost, the last block short."""
+        rows, width = sorted((n, m))
+        block = max(1, metrics.DTW_BLOCK_CELLS // (width * (dims or 1)))
+        assert rows == 1 or rows % block != 0
         rng = np.random.default_rng(n + m)
         shape_a, shape_b = ((n, dims), (m, dims)) if dims else ((n,), (m,))
         if values == "normal":
@@ -166,19 +167,26 @@ class TestDtwWavefront:
             a, b = rng.integers(0, 3, shape_a).astype(float), rng.integers(0, 3, shape_b).astype(float)
         assert dtw_align(a, b) == dtw_align_oracle(a, b)
 
+    @pytest.mark.parametrize("n,m", [(600, 600), (600, 150), (150, 600)])
     @pytest.mark.parametrize("dims", [13, 1])
-    def test_peak_memory_is_the_cost_matrix_plus_a_block(self, dims):
-        """No (n, m, dims) cube: a 600 x 600 alignment peaks under 1.5 x its skewed cost matrix."""
+    def test_peak_memory_is_the_cost_matrix_plus_a_block(self, n, m, dims):
+        """No (n, m, dims) cube, and the skewed cost matrix is min(n, m) + 1 wide.
+
+        The peak is the matrix plus five blocks' worth of float64 values:
+        the block's differences, their squares, row sums and roots, and
+        the path.  Skewed along ``a`` whatever its length, 600 x 150 peaked
+        at 4,246,408 (13 dims) and 4,649,172 bytes (1 dim).
+        """
         rng = np.random.default_rng(dims)
-        a, b = rng.standard_normal((600, dims)), rng.standard_normal((600, dims))
-        cost_bytes = (600 + 600 - 1) * (600 + 1) * 8
+        a, b = rng.standard_normal((n, dims)), rng.standard_normal((m, dims))
+        cost_bytes = (n + m - 1) * (min(n, m) + 1) * 8
         tracemalloc.start()
         try:
             dtw_align(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * cost_bytes
+        assert peak <= cost_bytes + 5 * metrics.DTW_BLOCK_CELLS * 8
 
 
 class TestHannWindow:

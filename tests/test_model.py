@@ -31,7 +31,7 @@ from codec_infill.model import (
 from codec_infill.rearrange import causal_mask, delay_stack
 from codec_infill.tokens import EMPTY, EOS, EOU, CodecMatrix, Span, mask_marker
 
-from helpers import embed_backward_oracle, loss_gradient_oracle, random_matrix, score_sequence
+from helpers import embed_backward_oracle, loss_gradient_oracle, random_matrix, score_sequence, step_phase_peaks
 
 
 # two layers and four heads of unequal vocabularies
@@ -757,39 +757,55 @@ class TestStepMemory:
         _, d_logits = self.step(*self.case())
         assert d_logits == [None] * 4
 
+    def test_phase_peaks_cover_every_block_and_the_step_peak(self):
+        """The per-phase probe names each block's forward and backward, and its largest phase is the step's peak."""
+        case = cfg, params, batch, targets, mask = self.case()
+        self.step(*case)
+        peaks = step_phase_peaks(params, cfg, batch, targets, mask)
+        blocks = [f"L{i} {block}" for i in range(cfg.num_layers) for block in ("attention", "FFN")] + ["heads"]
+        between = {"loss", "embed backward", "forward", "backward", "step"}
+        assert set(peaks) == {f"{block} {way}" for block in blocks for way in ("forward", "backward")} | between
+        whole = self.traced_peak(lambda: self.step(*case))
+        assert whole <= max(peaks.values()) < whole + 64 * 1024  # the profile hook's own frames and entries
+
     def test_peak_allocation_of_a_step(self):
         """numpy reports its allocations to tracemalloc, so the peak repeats exactly.
 
-        This implementation measured 2,405,664 bytes above the step's
+        This implementation measured 2,106,364 bytes above the step's
         inputs (numpy 2.4, Python 3.11), in the last layer's attention
-        backward; the one that cached each FFN block's GELU input measured
-        2,592,279, the one that held all K heads' GELU outputs at once and
-        kept the logit gradients until backward returned 2,636,847, the
-        one that saved the LayerNorm outputs and q, k and v and ran the
-        last layer's FFN at every row 3,244,649, and the one that kept
-        every intermediate, and the GELU output, until backward returned
-        4,753,072.
+        backward; the one that cached each attention's merged context,
+        ran all K heads' first layers before their second and kept the
+        causal bias and the last attention's output through the heads
+        measured 2,405,664, the one that cached each FFN block's GELU
+        input 2,592,279, the one that held all K heads' GELU outputs at
+        once and kept the logit gradients until backward returned
+        2,636,847, the one that saved the LayerNorm outputs and q, k and
+        v and ran the last layer's FFN at every row 3,244,649, and the one
+        that kept every intermediate, and the GELU output, until backward
+        returned 4,753,072.
         """
         case = self.case()
         self.step(*case)  # fill the cached name and position tables
-        assert self.traced_peak(lambda: self.step(*case)) < 2_500_000
+        assert self.traced_peak(lambda: self.step(*case)) < 2_200_000
 
     def test_peak_allocation_of_a_step_in_the_heads(self):
         """With head vocabularies wide against ``hidden_dim``, the step peaks in the heads' backward.
 
         At d=64 and four heads of 134 ids, this implementation measured
-        3,736,601 bytes above the step's inputs (numpy 2.4, Python 3.11):
+        3,550,526 bytes above the step's inputs (numpy 2.4, Python 3.11):
         the heads' backward rebuilds one block's GELU input, holds its
         output and gradient one block at a time and drops each head's
-        logit gradient once it has used it.  The one that cached all K
-        blocks' GELU inputs measured 4,337,945, and the one that also held
+        logit gradient and GELU CDF once it has used them.  The one that
+        cached each attention's merged context and ran all K heads' first
+        layers before their second measured 3,736,601, the one that cached
+        all K blocks' GELU inputs 4,337,945, and the one that also held
         all K blocks' GELU outputs and gradients and kept the logit
-        gradients until backward returned 4,717,717, both in the heads'
-        backward.
+        gradients until backward returned 4,717,717, all three in the
+        heads' backward.
         """
         case = self.case(hidden_dim=64, codebook_sizes=(128,) * 4)
         self.step(*case)
-        assert self.traced_peak(lambda: self.step(*case)) < 3_900_000
+        assert self.traced_peak(lambda: self.step(*case)) < 3_650_000
 
     def test_cache_holds_no_layer_norm_output_and_no_projection(self, monkeypatch):
         """Backward rebuilds every LayerNorm output and the attention's q, k and v; the cache keeps none."""
@@ -813,8 +829,25 @@ class TestStepMemory:
         for a in made:
             assert not any(np.may_share_memory(a, s) for s in saved)
 
+    def test_cache_holds_no_merged_context(self, monkeypatch):
+        """Backward rebuilds each attention's merged context from the cached weights and the rebuilt v."""
+        merged, merge_heads = [], model._merge_heads
+
+        def recorded(a, real):
+            merged.append(merge_heads(a, real))
+            return merged[-1]
+
+        monkeypatch.setattr(model, "_merge_heads", recorded)
+        cfg, params, batch, targets, mask = self.case()
+        _, cache = forward(params, cfg, batch, mask.any(axis=-1), want_cache=True)
+        assert len(merged) == cfg.num_layers
+        saved = self.saved_arrays(cache["saved"])
+        assert saved
+        for a in merged:
+            assert not any(np.may_share_memory(a, s) for s in saved)
+
     def test_cache_holds_no_ffn_pre_activation(self, monkeypatch):
-        """Backward rebuilds each FFN block's GELU input by its first-layer product; the cache keeps only the CDF."""
+        """Backward rebuilds each FFN block's GELU input by its first-layer product; the cache keeps only the CDFs."""
         gelu_inputs, gelu_cdf = [], model._gelu_cdf
 
         def recorded(x):
@@ -824,7 +857,7 @@ class TestStepMemory:
         monkeypatch.setattr(model, "_gelu_cdf", recorded)
         cfg, params, batch, targets, mask = self.case()
         _, cache = forward(params, cfg, batch, mask.any(axis=-1), want_cache=True)
-        assert len(gelu_inputs) == cfg.num_layers + 1  # each layer's FFN, then the heads
+        assert len(gelu_inputs) == cfg.num_layers + cfg.num_codebooks  # each layer's FFN, then each head
         saved = self.saved_arrays(cache["saved"])
         assert saved
         for a in gelu_inputs:
